@@ -28,7 +28,6 @@ from .groebner import (
     minimize_by_eigenvalues,
 )
 from .poly import FamilyParams, random_family_instance
-from .refine import local_refine
 from .sdp import SdpFailure
 from .sos import MINUS_INFINITY, minimize
 
@@ -254,4 +253,4 @@ def run_benchmark(plan: BenchmarkPlan) -> BenchmarkReport:
 
 
 __all__ = ["BenchmarkPlan", "BenchmarkReport", "CellReport", "run_benchmark",
-           "local_refine", "CSV_COLUMNS"]
+           "CSV_COLUMNS"]

@@ -76,7 +76,7 @@ def cmd_minimize(args) -> int:
         value = higher_degree_bound(f, args.higher_degree)
         payload = {
             "f_sos": "-inf" if value == MINUS_INFINITY else value,
-            "status": "optimal" if value != MINUS_INFINITY else "dual_infeasible",
+            "status": "optimal" if value != MINUS_INFINITY else "primal_infeasible",
             "multiplier_power": args.higher_degree,
             "certificate": None,
             "minimizer": None,

@@ -6,9 +6,10 @@ largest lambda with f - lambda written as such a combination of products of
 total power at most D is an LP-computable lower bound on the minimum of f
 over the polytope, and the bounds rise toward the true minimum as D grows.
 
-The LP runs on the package's semidefinite engine through its diagonal
-embedding; the combinatorial column count C(s + D, D) is computed up front
-and refused beyond a cap so the cost is always explicit.
+The LP runs through ``sdp.solve_lp`` on the semidefinite engine's
+nonnegative block, one entry per product column; the combinatorial column
+count C(s + D, D) is computed up front and refused beyond a cap so the cost
+is always explicit.
 """
 
 from __future__ import annotations

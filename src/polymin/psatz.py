@@ -6,9 +6,11 @@ For a system {f_i >= 0, g_j = 0} a witness of degree D is an identity
 
 with s0 and the s_i sums of squares and the t_j arbitrary polynomials, every
 product staying within degree D.  Such an identity is impossible to satisfy
-at a real solution of the system, so finding one refutes feasibility; the
-search is a semidefinite feasibility problem over the multiplier Gram
-matrices and is solved here with a trace-regularized objective.
+at a real solution of the system, so finding one refutes feasibility.  The
+search is posed with ``sos.SosProgram``: one PSD block per SOS multiplier
+(its Gram matrix in the primal X), each free multiplier's coefficients as
+u - v pairs in the nonnegative LP block, one coefficient-matching row per
+monomial, and a trace-regularized objective.
 
 Sums of squares are carried as weighted square lists (weight, polynomial)
 with nonnegative weights so a witness can be stated and verified exactly
@@ -27,12 +29,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .linalg import psd_factor
-from .poly import Polynomial, monomial_mul, monomials_up_to_degree, parse
-from .sdp import SdpFailure, SdpOptions, SdpProblem, SdpStatus, solve
-from .sos import MINUS_INFINITY, MonomialVector, _product_classes, sos_lower_bound
+from .poly import Polynomial, monomials_up_to_degree, parse
+from .sdp import SdpFailure, SdpOptions, SdpStatus, solve
+from .sos import MINUS_INFINITY, MonomialVector, SosProgram, sos_lower_bound
 
 WITNESS_FLOAT_TOL = 1e-6
 RATIONALIZE_DENOMINATOR_CAP = 10**6
@@ -154,25 +154,20 @@ def _even_budget(total: int) -> int:
     return max(total, 0) // 2
 
 
-class _BlockLayout:
-    """Block-diagonal layout: Gram blocks plus split slots for free coeffs."""
-
-    def __init__(self):
-        self.size = 0
-        self.gram_blocks: list[tuple[int, MonomialVector, Polynomial]] = []
-        self.free_slots: list[tuple[int, list]] = []  # (offset, monomial list)
-
-    def add_gram(self, vec: MonomialVector, factor: Polynomial) -> int:
-        off = self.size
-        self.gram_blocks.append((off, vec, factor))
-        self.size += vec.N
-        return off
-
-    def add_free_coeffs(self, monos: list) -> int:
-        off = self.size
-        self.free_slots.append((off, monos))
-        self.size += 2 * len(monos)
-        return off
+def _multiplier_program(sys: SemialgebraicSystem, D: int):
+    """The terms s0 + sum s_i f_i + sum t_j g_j of degree D: the program and,
+    per inequality/equality, the term carrying its multiplier (None when the
+    constraint's degree exceeds D)."""
+    n = sys.n
+    prog = SosProgram(n)
+    prog.add_sos(MonomialVector.build(n, D // 2), Polynomial.constant(n, 1.0))
+    ineq_terms = [None if f.degree() > D else
+                  prog.add_sos(MonomialVector.build(n, _even_budget(D - f.degree())), f)
+                  for f in sys.inequalities]
+    eq_terms = [None if g.degree() > D else
+                prog.add_free(monomials_up_to_degree(n, D - g.degree()), g)
+                for g in sys.equalities]
+    return prog, ineq_terms, eq_terms
 
 
 def find_witness(sys: SemialgebraicSystem, D: int,
@@ -187,99 +182,26 @@ def find_witness(sys: SemialgebraicSystem, D: int,
     if D < 2 or D % 2 != 0:
         raise ValueError("witness degree must be an even integer >= 2")
     n = sys.n
-    layout = _BlockLayout()
-    one = Polynomial.constant(n, 1.0)
-    layout.add_gram(MonomialVector.build(n, D // 2), one)
-    ineq_blocks = []
-    for f in sys.inequalities:
-        if f.degree() > D:
-            ineq_blocks.append(None)
-            continue
-        vec = MonomialVector.build(n, _even_budget(D - f.degree()))
-        ineq_blocks.append(layout.add_gram(vec, f.to_float()))
-    eq_slots = []
-    for g in sys.equalities:
-        if g.degree() > D:
-            eq_slots.append(None)
-            continue
-        monos = monomials_up_to_degree(n, D - g.degree())
-        eq_slots.append((layout.add_free_coeffs(monos), monos, g.to_float()))
-
-    rows: dict = {}
-
-    def row(m) -> dict:
-        return rows.setdefault(m, {})
-
-    for off, vec, factor in layout.gram_blocks:
-        for a in range(vec.N):
-            ma = vec.entries[a]
-            for b in range(a, vec.N):
-                mab = monomial_mul(ma, vec.entries[b])
-                for e, c in factor.terms.items():
-                    m = monomial_mul(mab, e)
-                    key = (off + a, off + b)
-                    r = row(m)
-                    r[key] = r.get(key, 0.0) + float(c)
-    for slot in eq_slots:
-        if slot is None:
-            continue
-        off, monos, g = slot
-        for idx, beta in enumerate(monos):
-            for gamma, c in g.terms.items():
-                m = monomial_mul(beta, gamma)
-                r = row(m)
-                kp = (off + 2 * idx, off + 2 * idx)
-                km = (off + 2 * idx + 1, off + 2 * idx + 1)
-                r[kp] = r.get(kp, 0.0) + float(c)
-                r[km] = r.get(km, 0.0) - float(c)
-
-    const = (0,) * n
-    constraints = []
-    for m in monomials_up_to_degree(n, D):
-        g = rows.get(m, {})
-        constraints.append((g, -1.0 if m == const else 0.0))
-
-    problem = SdpProblem(layout.size, np.eye(layout.size), constraints)
-    sol = solve(problem, opts)
+    prog, ineq_terms, eq_terms = _multiplier_program(sys, D)
+    sol = solve(prog.match_coefficients(Polynomial.constant(n, -1.0)), opts)
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return NotFoundAtDegree(D)
     if sol.status is not SdpStatus.OPTIMAL:
         raise PsatzSolverError(sol.status, D)
 
-    X = sol.X
-    blocks = layout.gram_blocks
-
-    def squares_of(block_index: int) -> SquareList:
-        off, vec, _ = blocks[block_index]
-        Q = X[off : off + vec.N, off : off + vec.N]
+    def squares_of(term: int) -> SquareList:
+        Q = sol.X_blocks[term]
+        vec = prog.sos_terms[term][1]
         fact = psd_factor((Q + Q.T) / 2.0, tol=1e-8)
         if not fact.success or fact.B is None:
             return []
         return [(1.0, vec.polynomial(rowv)) for rowv in fact.B]
 
-    s0 = squares_of(0)
-    ineq_multipliers = []
-    bi = 1
-    for blk in ineq_blocks:
-        if blk is None:
-            ineq_multipliers.append([])
-        else:
-            ineq_multipliers.append(squares_of(bi))
-            bi += 1
-    eq_multipliers = []
-    for slot in eq_slots:
-        if slot is None:
-            eq_multipliers.append(Polynomial.zero(n))
-            continue
-        off, monos, _ = slot
-        terms = {}
-        for idx, beta in enumerate(monos):
-            v = X[off + 2 * idx, off + 2 * idx] - X[off + 2 * idx + 1, off + 2 * idx + 1]
-            if v != 0.0:
-                terms[beta] = v
-        eq_multipliers.append(Polynomial(n, terms))
-    w = Witness(degree=D, s0=s0, ineq_multipliers=ineq_multipliers,
-                eq_multipliers=eq_multipliers, n=n)
+    w = Witness(degree=D, s0=squares_of(0),
+                ineq_multipliers=[[] if t is None else squares_of(t) for t in ineq_terms],
+                eq_multipliers=[Polynomial.zero(n) if t is None else prog.free(sol, t)
+                                for t in eq_terms],
+                n=n)
     report = verify_witness(sys, w, exact=False)
     w.float_residual = report.max_residual
     return w
@@ -392,82 +314,24 @@ def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int,
     """Largest lambda certified by a degree-D multiplier identity
     f - lambda = s0 + sum_i s_i f_i + sum_j t_j g_j with the s's SOS.
 
-    Lambda enters the search linearly, so it is the SDP objective directly
-    (the moment-side dual): no bisection is needed.  The value never
-    decreases when D grows, and rescaling the identity turns it into a
-    refutation witness for any strictly smaller lambda appended as f <= λ'.
-    Returns -inf when no lambda is certifiable at this degree and +inf when
-    the system itself is refuted so strongly the moment side is empty.
+    Lambda enters the search linearly and is eliminated through the
+    constant coefficient, so it is the SDP objective directly: no bisection
+    is needed.  The value never decreases when D grows, and rescaling the
+    identity turns it into a refutation witness for any strictly smaller
+    lambda appended as f <= λ'.  Returns -inf when no lambda is certifiable
+    at this degree and +inf when the system itself is refuted so strongly
+    the moment side (the dual) is empty.
     """
     if D < 2 or D % 2 != 0:
         raise ValueError("degree must be an even integer >= 2")
     if f.degree() > D:
         raise ValueError("degree budget is below deg(f)")
-    n = sys.n
-    vec0 = MonomialVector.build(n, D // 2)
-    classes0 = _product_classes(vec0)
-    rep = {m: pairs[0] for m, pairs in classes0.items()}
-
-    blocks = [(0, vec0, None)]
-    size = vec0.N
-    for fi in sys.inequalities:
-        if fi.degree() > D:
-            continue
-        vec = MonomialVector.build(n, _even_budget(D - fi.degree()))
-        blocks.append((size, vec, fi.to_float()))
-        size += vec.N
-
-    constraints = []
-    constraints.append(({(0, 0): 1.0}, 1.0))  # moment of the constant is one
-    for m, pairs in classes0.items():
-        i0, j0 = pairs[0]
-        for (i, j) in pairs[1:]:
-            g = {
-                (i, j): 1.0 if i == j else 0.5,
-                (i0, j0): -1.0 if i0 == j0 else -0.5,
-            }
-            constraints.append((g, 0.0))
-
-    def add_rep(g: dict, m, coeff: float):
-        i0, j0 = rep[m]
-        w = 1.0 if i0 == j0 else 0.5
-        key = (i0, j0)
-        g[key] = g.get(key, 0.0) + w * coeff
-
-    for off, vec, fi in blocks[1:]:
-        for a in range(vec.N):
-            ma = vec.entries[a]
-            for b in range(a, vec.N):
-                mab = monomial_mul(ma, vec.entries[b])
-                g = {(off + a, off + b): 1.0 if a == b else 0.5}
-                for e, c in fi.terms.items():
-                    add_rep(g, monomial_mul(mab, e), -float(c))
-                constraints.append((g, 0.0))
-
-    for gj in sys.equalities:
-        if gj.degree() > D:
-            continue
-        for beta in monomials_up_to_degree(n, D - gj.degree()):
-            g: dict = {}
-            for gamma, c in gj.terms.items():
-                add_rep(g, monomial_mul(beta, gamma), float(c))
-            constraints.append((g, 0.0))
-
-    F = np.zeros((size, size))
-    ff = f.to_float()
-    for m, c in ff.terms.items():
-        pairs = classes0[m]
-        total = sum(1 if i == j else 2 for i, j in pairs)
-        for i, j in pairs:
-            F[i, j] += float(c) / total
-            if i != j:
-                F[j, i] += float(c) / total
-
-    sol = solve(SdpProblem(size, F, constraints), opts)
+    prog, _, _ = _multiplier_program(sys, D)
+    sol = solve(prog.match_coefficients(f, lam=Polynomial.constant(sys.n, 1.0)), opts)
     if sol.status is SdpStatus.OPTIMAL:
-        return float(sol.y[0])
-    if sol.status is SdpStatus.DUAL_INFEASIBLE:
-        return MINUS_INFINITY
+        return prog.bound(sol)
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
+        return MINUS_INFINITY
+    if sol.status is SdpStatus.DUAL_INFEASIBLE:
         return float("inf")
     raise SdpFailure(sol.status, f"(bounded minimization at degree {D})")

@@ -1,17 +1,20 @@
 """Self-contained primal-dual interior-point solver for semidefinite programs.
 
-Standard constraint form: minimize ``F . X`` over symmetric PSD ``X`` subject
-to ``<G_k, X> = b_k``; the dual maximizes ``b^T y`` subject to
-``F - sum_k y_k G_k`` PSD.  The algorithm is path-following with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector, run on the
-homogeneous self-dual embedding so that primal or dual infeasibility is
-detected through the collapse of the embedding's tau/kappa ratio instead of
-by divergence heuristics.  The (dense, SPD) Schur complement of the Newton
-system is solved with the package's own Cholesky.
+Standard constraint form over a block-diagonal variable X: minimize ``F . X``
+subject to ``<G_k, X> = b_k``, every PSD block of X positive semidefinite and
+the nonnegative (LP) block elementwise >= 0; the dual maximizes ``b^T y``
+subject to ``S = F - sum_k y_k G_k`` lying in the same cone.  Block sizes
+follow SDPA: a positive size is a PSD block, a negative size a diagonal block,
+which the solver stores and scales as a vector, so linear programs run on the
+nonnegative block at vector cost.
 
-Linear programs ride on the same engine as the diagonal special case: with
-diagonal data and the deterministic diagonal initialization every iterate
-stays exactly diagonal, so no off-diagonal pinning constraints are needed.
+The algorithm is path-following with Nesterov-Todd scaling and a Mehrotra
+predictor-corrector, run on the homogeneous self-dual embedding so that
+primal or dual infeasibility is detected through the collapse of the
+embedding's tau/kappa ratio instead of by divergence heuristics.  Scaling,
+step lengths and complementarity act block by block; the (dense, SPD) Schur
+complement of the Newton system is gathered from each constraint's nonzeros
+and solved with the package's own Cholesky.
 
 A solve call is single-threaded, deterministic and reentrant; independent
 problem instances may be solved concurrently.
@@ -53,8 +56,7 @@ class SdpOptions:
     step_fraction: float = 0.95
     sigma_floor: float = 0.05     # minimum centering weight, keeps iterates near-central
     infeas_ratio: float = 1e-8   # tau/kappa collapse threshold of the embedding
-    rank_filter: bool = True
-    slack_goal: float = 1e-8     # target for ||X S||_F / (1 + ||X||_F) in polish
+    slack_goal: float = 1e-8     # target for ||X S|| / (1 + ||X|| + ||S||) in polish
     polish_iters: int = 8        # extra centering steps allowed after convergence
 
     def as_dict(self) -> dict:
@@ -67,45 +69,79 @@ class SdpOptions:
 
 
 class SdpProblem:
-    """Constraint-form SDP data: cost F and equality pairs (G_k, b_k).
+    """Constraint-form SDP data: block sizes, cost F and equality pairs (G_k, b_k).
 
-    Constraint matrices are sparse coordinate maps ``{(i, j): v}`` with
-    ``i <= j``; an off-diagonal entry v stands for the symmetric pair, so
-    ``<G, X> = sum v * X[i,j] * (2 if i < j else 1)``.
+    ``blocks`` is the side length of a single PSD block or a list of block
+    sizes in SDPA's convention (positive: PSD block, negative: diagonal block
+    of that length), laid along the diagonal of one ``dim x dim`` index space.
+    Cost and constraint matrices are sparse coordinate maps ``{(i, j): v}``
+    with ``i <= j`` inside one block (``i == j`` in a diagonal block); an
+    off-diagonal entry v stands for the symmetric pair, so
+    ``<G, X> = sum v * X[i,j] * (2 if i < j else 1)``.  F may also be given
+    as a dense symmetric ``dim x dim`` array.
     """
 
-    def __init__(self, dim: int, F: np.ndarray, constraints):
-        self.dim = int(dim)
-        F = np.asarray(F, dtype=float)
-        if F.shape != (self.dim, self.dim):
-            raise ValueError(f"F must be {self.dim}x{self.dim}")
-        scale = max(1.0, float(np.max(np.abs(F))) if F.size else 1.0)
-        if self.dim and np.max(np.abs(F - F.T)) > 1e-12 * scale:
-            raise ValueError("F must be symmetric")
-        self.F = (F + F.T) / 2.0
-        self.constraints = []
-        for g, bk in constraints:
-            gd = {}
-            for (i, j), v in g.items():
-                if not (0 <= i <= j < self.dim):
-                    raise ValueError(f"constraint entry ({i},{j}) out of range or not upper")
-                if v != 0:
-                    gd[(i, j)] = float(v)
-            self.constraints.append((gd, float(bk)))
+    def __init__(self, blocks, F, constraints):
+        sizes = [blocks] if np.ndim(blocks) == 0 else list(blocks)
+        self.blocks = [int(s) for s in sizes]
+        if any(s == 0 for s in self.blocks):
+            raise ValueError("block sizes must be nonzero")
+        lengths = [abs(s) for s in self.blocks]
+        self.dim = sum(lengths)
+        self.offsets = [sum(lengths[:b]) for b in range(len(lengths))]
+        self._owner = [b for b, n in enumerate(lengths) for _ in range(n)]
+        if not isinstance(F, dict):
+            F = np.asarray(F, dtype=float)
+            if F.shape != (self.dim, self.dim):
+                raise ValueError(f"F must be {self.dim}x{self.dim}")
+            scale = max(1.0, float(np.max(np.abs(F))) if F.size else 1.0)
+            if self.dim and np.max(np.abs(F - F.T)) > 1e-12 * scale:
+                raise ValueError("F must be symmetric")
+            F = (F + F.T) / 2.0
+            F = {(int(i), int(j)): F[i, j] for i, j in zip(*np.nonzero(np.triu(F)))}
+        self.cost = self._entries(F, "cost")
+        self.constraints = [(self._entries(g, "constraint"), float(bk))
+                            for g, bk in constraints]
+
+    def _entries(self, g: dict, what: str) -> dict:
+        out = {}
+        for (i, j), v in g.items():
+            if not (0 <= i <= j < self.dim):
+                raise ValueError(f"{what} entry ({i},{j}) out of range or not upper")
+            b = self._owner[i]
+            if self._owner[j] != b or (self.blocks[b] < 0 and i != j):
+                raise ValueError(f"{what} entry ({i},{j}) lies outside the blocks")
+            if v != 0:
+                out[(i, j)] = float(v)
+        return out
+
+    def locate(self, i: int) -> tuple[int, int]:
+        """(block number, index inside the block) of a global index."""
+        b = self._owner[i]
+        return b, i - self.offsets[b]
+
+    @property
+    def F(self) -> np.ndarray:
+        """The cost as a dense ``dim x dim`` matrix."""
+        return _dense(self.dim, self.cost)
 
     @property
     def num_constraints(self) -> int:
         return len(self.constraints)
 
     def constraint_dense(self, k: int) -> np.ndarray:
-        G = np.zeros((self.dim, self.dim))
-        for (i, j), v in self.constraints[k][0].items():
-            G[i, j] = v
-            G[j, i] = v
-        return G
+        return _dense(self.dim, self.constraints[k][0])
 
     def b_vector(self) -> np.ndarray:
         return np.array([bk for _, bk in self.constraints])
+
+
+def _dense(dim: int, entries: dict) -> np.ndarray:
+    G = np.zeros((dim, dim))
+    for (i, j), v in entries.items():
+        G[i, j] = v
+        G[j, i] = v
+    return G
 
 
 @dataclass
@@ -124,10 +160,13 @@ class IterateRecord:
 
 @dataclass
 class SdpSolution:
+    """Solver outcome.  ``X_blocks``/``S_blocks`` hold one array per block of
+    the problem: a matrix per PSD block, a vector per diagonal block."""
+
     status: SdpStatus
-    X: np.ndarray | None
+    X_blocks: list | None
     y: np.ndarray | None
-    S: np.ndarray | None
+    S_blocks: list | None
     primal_obj: float | None
     dual_obj: float | None
     gap: float | None
@@ -137,30 +176,90 @@ class SdpSolution:
     tolerances: dict = field(default_factory=dict)
     certificate: dict | None = None
 
+    @property
+    def X(self) -> np.ndarray | None:
+        """The primal as one dense matrix (a lone PSD block as it is)."""
+        return _block_diag(self.X_blocks)
+
+    @property
+    def S(self) -> np.ndarray | None:
+        return _block_diag(self.S_blocks)
+
+
+def _block_diag(parts):
+    if parts is None or (len(parts) == 1 and parts[0].ndim == 2):
+        return None if parts is None else parts[0]
+    out, at = np.zeros((sum(len(p) for p in parts),) * 2), 0
+    for p in parts:
+        out[at : at + len(p), at : at + len(p)] = p if p.ndim == 2 else np.diag(p)
+        at += len(p)
+    return out
+
 
 # ---------------------------------------------------------------------------
-# Vectorization helpers (upper-triangle flattening)
+# Vectorization
 # ---------------------------------------------------------------------------
-
-class _Vectorizer:
-    def __init__(self, N: int):
-        self.N = N
-        self.iu = np.triu_indices(N)
-        self.weights = np.where(self.iu[0] == self.iu[1], 1.0, 2.0)
-
-    def plain(self, A: np.ndarray) -> np.ndarray:
-        return A[self.iu]
-
-    def expand(self, vec: np.ndarray) -> np.ndarray:
-        full = np.zeros((self.N, self.N))
-        full[self.iu] = vec
-        full = full + full.T
-        full[np.diag_indices(self.N)] /= 2.0
-        return full
-
 
 def _sym(A: np.ndarray) -> np.ndarray:
     return (A + A.T) / 2.0
+
+
+class _Layout:
+    """Flattening of block-diagonal matrices into one vector: a PSD block by
+    its upper triangle (row-major), a diagonal block by its entries.  The
+    iterates live in this space; ``mat`` unpacks them into one array per
+    block where the cone's structure matters."""
+
+    def __init__(self, prob: SdpProblem):
+        self.prob = prob
+        lengths = [s * (s + 1) // 2 if s > 0 else -s for s in prob.blocks]
+        starts = np.cumsum([0] + lengths)
+        self.slices = [slice(int(a), int(c)) for a, c in zip(starts[:-1], starts[1:])]
+        self.size = int(starts[-1])
+        self.iu = [np.triu_indices(s) if s > 0 else None for s in prob.blocks]
+        self.weights = np.ones(self.size)
+        for sl, iu in zip(self.slices, self.iu):
+            if iu is not None:
+                self.weights[sl][iu[0] != iu[1]] = 2.0
+
+    def column(self, i: int, j: int) -> int:
+        b, li = self.prob.locate(i)
+        s = self.prob.blocks[b]
+        local = _tri_pos(s, li, j - self.prob.offsets[b]) if s > 0 else li
+        return self.slices[b].start + local
+
+    def row(self, entries: dict) -> np.ndarray:
+        out = np.zeros(self.size)
+        for (i, j), v in entries.items():
+            out[self.column(i, j)] = v
+        return out
+
+    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        """The trace inner product of the matrices u and v flatten."""
+        return float((u * self.weights) @ v)
+
+    def vec(self, parts) -> np.ndarray:
+        out = np.empty(self.size)
+        for p, sl, iu in zip(parts, self.slices, self.iu):
+            out[sl] = p if iu is None else p[iu]
+        return out
+
+    def mat(self, v: np.ndarray) -> list:
+        parts = []
+        for s, sl, iu in zip(self.prob.blocks, self.slices, self.iu):
+            full = v[sl].copy() if iu is None else np.zeros((s, s))
+            if iu is not None:
+                full[iu] = full[iu[1], iu[0]] = v[sl]
+            parts.append(full)
+        return parts
+
+    def identity(self) -> np.ndarray:
+        return self.vec([np.eye(s) if s > 0 else np.ones(-s) for s in self.prob.blocks])
+
+
+def _tri_pos(N: int, i: int, j: int) -> int:
+    # position of (i, j), i <= j, in row-major upper-triangle order
+    return i * N - i * (i - 1) // 2 + (j - i)
 
 
 def _max_psd_step(Xmat: np.ndarray, dX: np.ndarray) -> float:
@@ -187,8 +286,20 @@ def _max_psd_step(Xmat: np.ndarray, dX: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
+def _max_step(X: list, dX: list) -> float:
+    """Largest alpha keeping every block of X + alpha*dX in its cone."""
+    bound = np.inf
+    for x, dx in zip(X, dX):
+        if x.ndim == 2:
+            bound = min(bound, _max_psd_step(x, dx))
+        elif np.any(dx < 0):
+            neg = dx < 0
+            bound = min(bound, float(np.min(-x[neg] / dx[neg])))
+    return bound
+
+
 class _NtFrame:
-    """Nesterov-Todd scaling data for one iteration.
+    """Nesterov-Todd scaling data of one PSD block for one iteration.
 
     W satisfies W S W = X; ``lam`` is the common scaled point
     W^{-1/2} X W^{-1/2} = W^{1/2} S W^{1/2}, whose eigenbasis makes the
@@ -214,6 +325,9 @@ class _NtFrame:
         self.lam_vals, self.lam_vecs = np.linalg.eigh(lam)
         self.lam = lam
 
+    def scale(self, U: np.ndarray) -> np.ndarray:
+        return _sym(self.W @ U @ self.W)
+
     def lyapunov_solve(self, R: np.ndarray) -> np.ndarray:
         """Solve lam o U = R (o the symmetrized product) for symmetric U."""
         Q = self.lam_vecs
@@ -232,36 +346,48 @@ class _NtFrame:
         return _sym(self.W_half @ U @ self.W_half)
 
 
+class _LpFrame:
+    """The same scaling for a diagonal block, where it is elementwise:
+    W = diag(sqrt(x / s)) and the Lyapunov solve is a division."""
+
+    def __init__(self, x: np.ndarray, s: np.ndarray):
+        self.x, self.s = x, s
+        self.w2 = x / s
+        self.S_inv = 1.0 / s
+
+    def scale(self, u: np.ndarray) -> np.ndarray:
+        return self.w2 * u
+
+    def second_order_residual(self, sigma_mu: float, dxa: np.ndarray,
+                              dsa: np.ndarray) -> np.ndarray:
+        return (sigma_mu - self.x * self.s - dxa * dsa) / self.s
+
+
 # ---------------------------------------------------------------------------
 # Rank filter
 # ---------------------------------------------------------------------------
 
-def _rank_filter(prob: SdpProblem, vec: _Vectorizer, warnings_out: list[str]):
+def _rank_filter(Aplain: np.ndarray, weights: np.ndarray, b: np.ndarray,
+                 warnings_out: list[str]):
     """Drop linearly dependent constraint rows; flag inconsistent duplicates.
 
     Returns (kept_indices, inconsistent: bool).
     """
-    M = prob.num_constraints
-    if M <= 1:
-        return list(range(M)), False
-    plain = np.zeros((M, len(vec.weights)))
-    for k, (g, _) in enumerate(prob.constraints):
-        row = plain[k]
-        for (i, j), v in g.items():
-            row[_tri_pos(vec.N, i, j)] = v
-    weighted = plain * vec.weights
-    gram = weighted @ plain.T
+    M = len(Aplain)
+    if M == 0:
+        return [], False
+    weighted = Aplain * weights
+    gram = weighted @ Aplain.T
     fact = psd_factor(_sym(gram), tol=1e-13)
     kept = sorted(fact.pivots[: fact.rank]) if fact.rank else []
     if len(kept) == M:
         return kept, False
-    b = prob.b_vector()
     dropped = [k for k in range(M) if k not in set(kept)]
     if kept:
         A_kept = weighted[kept]
         gram_kept = gram[np.ix_(kept, kept)]
         for k in dropped:
-            rhs = A_kept @ plain[k]
+            rhs = A_kept @ Aplain[k]
             coeff, *_ = np.linalg.lstsq(gram_kept, rhs, rcond=None)
             if abs(b[k] - coeff @ b[kept]) > 1e-8 * (1.0 + abs(b[k])):
                 return kept, True
@@ -273,11 +399,6 @@ def _rank_filter(prob: SdpProblem, vec: _Vectorizer, warnings_out: list[str]):
         f"removed {len(dropped)} linearly dependent constraint row(s): {dropped}"
     )
     return kept, False
-
-
-def _tri_pos(N: int, i: int, j: int) -> int:
-    # position of (i, j), i <= j, in row-major upper-triangle order
-    return i * N - i * (i - 1) // 2 + (j - i)
 
 
 # ---------------------------------------------------------------------------
@@ -293,45 +414,49 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
     """
     opts = opts or SdpOptions()
     warnings_out: list[str] = []
-    N = prob.dim
-    vec = _Vectorizer(N)
+    lay = _Layout(prob)
+    nu = prob.dim                    # barrier degree of the cone
 
-    kept = list(range(prob.num_constraints))
-    if opts.rank_filter and prob.num_constraints:
-        kept, inconsistent = _rank_filter(prob, vec, warnings_out)
-        if inconsistent:
-            return SdpSolution(
-                status=SdpStatus.PRIMAL_INFEASIBLE, X=None, y=None, S=None,
-                primal_obj=None, dual_obj=None, gap=None, iterations=0,
-                warnings=warnings_out + ["inconsistent dependent constraint rows"],
-                tolerances=opts.as_dict(),
-            )
-
-    gdicts = [prob.constraints[k][0] for k in kept]
+    Aplain = np.array([lay.row(g) for g, _ in prob.constraints]).reshape(
+        prob.num_constraints, lay.size)
+    kept, inconsistent = _rank_filter(Aplain, lay.weights, prob.b_vector(),
+                                      warnings_out)
+    if inconsistent:
+        return SdpSolution(
+            status=SdpStatus.PRIMAL_INFEASIBLE, X_blocks=None, y=None, S_blocks=None,
+            primal_obj=None, dual_obj=None, gap=None, iterations=0,
+            warnings=warnings_out + ["inconsistent dependent constraint rows"],
+            tolerances=opts.as_dict(),
+        )
     b = np.array([prob.constraints[k][1] for k in kept])
-    M = len(gdicts)
-    F = prob.F
+    M = len(kept)
+    Aplain = Aplain[kept]
+    Aw = Aplain * lay.weights
+    F = lay.row(prob.cost)
 
-    # weighted/plain svec rows of the constraints for fast operator apply
-    tri = len(vec.weights)
-    Aplain = np.zeros((M, tri))
-    for k, g in enumerate(gdicts):
-        for (i, j), v in g.items():
-            Aplain[k, _tri_pos(N, i, j)] = v
-    Aw = Aplain * vec.weights
-    dense_G = [prob.constraint_dense(k) for k in kept]
-
-    def gop(Xm: np.ndarray) -> np.ndarray:
-        return Aw @ vec.plain(Xm)
-
-    def gadj(yv: np.ndarray) -> np.ndarray:
-        return vec.expand(yv @ Aplain)
+    # Sparse structure for the Schur complement: per PSD block, the local
+    # entries (i, j, v) of every row, grouped by row, with v halved on the
+    # diagonal so that W G W = A B^T + B A^T for A = W[:, i] * v, B = W[:, j];
+    # across blocks, the nonzeros of each weighted row.
+    entries = []
+    for sl, iu in zip(lay.slices, lay.iu):
+        if iu is not None:
+            ks, cols = np.nonzero(Aplain[:, sl])
+            I, J = iu[0][cols], iu[1][cols]
+            V = Aplain[ks, sl.start + cols] * np.where(I == J, 0.5, 1.0)
+            starts = np.searchsorted(ks, np.arange(M + 1))
+            entries.append((I, J, V, starts, np.flatnonzero(np.diff(starts))))
+        else:
+            entries.append(None)
+    nz_rows, nz_cols = np.nonzero(Aw)
+    nz_vals = Aw[nz_rows, nz_cols]
+    row_starts = np.searchsorted(nz_rows, np.arange(M))
 
     bmax = float(np.max(np.abs(b))) if M else 0.0
     fmax = float(np.max(np.abs(F))) if F.size else 0.0
     rho = 1.0 + bmax + fmax
-    X = np.eye(N) * rho
-    S = np.eye(N) * rho
+    X = lay.identity() * rho
+    S = lay.identity() * rho
     y = np.zeros(M)
     tau, kappa = 1.0, 1.0
 
@@ -342,7 +467,7 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
     polish_used = 0
 
     def finish(status, Xh=None, yh=None, Sh=None, cert=None, iters=0):
-        pobj = float(np.tensordot(F, Xh)) if Xh is not None else None
+        pobj = lay.dot(F, Xh) if Xh is not None else None
         dobj = float(b @ yh) if yh is not None else None
         gap = pobj - dobj if (pobj is not None and dobj is not None) else None
         y_full = None
@@ -350,21 +475,20 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             y_full = np.zeros(prob.num_constraints)
             y_full[kept] = yh
         return SdpSolution(
-            status=status, X=Xh, y=y_full, S=Sh, primal_obj=pobj, dual_obj=dobj,
-            gap=gap, iterations=iters, trace=trace, warnings=warnings_out,
-            tolerances=opts.as_dict(), certificate=cert,
+            status=status, X_blocks=lay.mat(Xh) if Xh is not None else None, y=y_full,
+            S_blocks=lay.mat(Sh) if Sh is not None else None, primal_obj=pobj,
+            dual_obj=dobj, gap=gap, iterations=iters, trace=trace,
+            warnings=warnings_out, tolerances=opts.as_dict(), certificate=cert,
         )
 
     for it in range(opts.max_iter + 1):
-        X = _sym(X)
-        S = _sym(S)
-        FX = float(np.tensordot(F, X))
+        FX = lay.dot(F, X)
         by = float(b @ y) if M else 0.0
-        XS = float(np.tensordot(X, S))
-        mu = (XS + tau * kappa) / (N + 1)
+        XS = lay.dot(X, S)
+        mu = (XS + tau * kappa) / (nu + 1)
 
-        P = gop(X) - tau * b
-        D = gadj(y) + S - tau * F
+        P = Aw @ X - tau * b
+        D = y @ Aplain + S - tau * F
         g_res = kappa + FX - by
 
         rel_p = (float(np.max(np.abs(P))) / (tau * (1.0 + bmax))) if M else 0.0
@@ -389,8 +513,12 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             # Centering polish: Mehrotra's aggressive last steps leave X*S
             # far from mu*I even though trace complementarity is tiny, so we
             # recenter at the current mu until the slack product is clean.
-            Xh, Sh = _sym(X / tau), _sym(S / tau)
-            slack_rel = float(np.linalg.norm(Xh @ Sh)) / (1.0 + float(np.linalg.norm(Xh)))
+            Xh, Sh = X / tau, S / tau
+            # normalized by both sides: which one carries the moments
+            # depends on how the caller posed the problem
+            XS_norm = np.sqrt(sum(np.linalg.norm(x @ s if x.ndim == 2 else x * s) ** 2
+                                  for x, s in zip(lay.mat(Xh), lay.mat(Sh))))
+            slack_rel = XS_norm / (1.0 + np.sqrt(lay.dot(Xh, Xh)) + np.sqrt(lay.dot(Sh, Sh)))
             if best is None or slack_rel < best[0]:
                 best = (slack_rel, Xh, y / tau, Sh, it)
             polish_used += 1
@@ -419,18 +547,17 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
                 warnings_out.append(
                     "converged at reduced accuracy before numerical breakdown"
                 )
-                return finish(SdpStatus.OPTIMAL, _sym(X / tau), y / tau,
-                              _sym(S / tau), iters=it)
+                return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)
             return finish(status, iters=it)
 
         if tau <= opts.infeas_ratio * max(1.0, kappa):
             # the embedding's tau/kappa balance collapsed: no optimum exists
-            if by > 0 and float(np.max(np.abs(gadj(y) + S))) <= 1e-6 * by * (1 + fmax):
-                cert = {"kind": "dual_ray", "y": y / by, "S": S / by}
+            if by > 0 and float(np.max(np.abs(y @ Aplain + S))) <= 1e-6 * by * (1 + fmax):
+                cert = {"kind": "dual_ray", "y": y / by, "S": lay.mat(S / by)}
                 return finish(SdpStatus.PRIMAL_INFEASIBLE, cert=cert, iters=it)
-            gXnorm = float(np.max(np.abs(gop(X)))) if M else 0.0
+            gXnorm = float(np.max(np.abs(Aw @ X))) if M else 0.0
             if FX < 0 and gXnorm <= 1e-6 * (-FX):
-                cert = {"kind": "primal_ray", "X": _sym(X / (-FX))}
+                cert = {"kind": "primal_ray", "X": lay.mat(X / (-FX))}
                 return finish(SdpStatus.DUAL_INFEASIBLE, cert=cert, iters=it)
             # Weakly infeasible regime: tau and kappa vanish together and no
             # Farkas ray exists.  A bounded problem's scaled objective is
@@ -448,8 +575,12 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
                     "infeasibility inferred from dual objective divergence (no ray)"
                 )
                 return finish(SdpStatus.PRIMAL_INFEASIBLE, iters=it)
-            warnings_out.append("tau/kappa collapsed without a clean certificate")
-            return finish(SdpStatus.NUMERICAL_TROUBLE, iters=it)
+            # an objective still diverging steadily gets further iterations
+            # to grow past the data scale; anything else is a breakdown
+            if not (pobj < 0 and pobj <= 1.5 * min(past, 0.0)
+                    or dobj > 0 and dobj >= 1.5 * max(past_d, 0.0)):
+                warnings_out.append("tau/kappa collapsed without a clean certificate")
+                return finish(SdpStatus.NUMERICAL_TROUBLE, iters=it)
 
         if it == opts.max_iter:
             if best is not None:
@@ -458,28 +589,39 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
                 warnings_out.append(
                     "converged at reduced accuracy at the iteration cap"
                 )
-                return finish(SdpStatus.OPTIMAL, _sym(X / tau), y / tau,
-                              _sym(S / tau), iters=it)
-            return finish(SdpStatus.ITERATION_LIMIT, _sym(X / tau), y / tau,
-                          _sym(S / tau), iters=it)
+                return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)
+            return finish(SdpStatus.ITERATION_LIMIT, X / tau, y / tau, S / tau,
+                          iters=it)
 
+        Xb, Sb = lay.mat(X), lay.mat(S)
         try:
-            frame = _NtFrame(X, S)
+            frames = [_NtFrame(x, s) if x.ndim == 2 else _LpFrame(x, s)
+                      for x, s in zip(Xb, Sb)]
         except np.linalg.LinAlgError:
             warnings_out.append("NT scaling eigendecomposition failed")
             return best_or(SdpStatus.NUMERICAL_TROUBLE)
-        W, S_inv = frame.W, frame.S_inv
 
-        # Schur complement in the W metric
-        H = np.zeros((M, tri))
-        for k in range(M):
-            Hk = W @ dense_G[k] @ W
-            H[k] = _sym(Hk)[vec.iu]
-        Mmat = _sym(Aw @ H.T)
-        WFW = _sym(W @ F @ W)
-        gvec = gop(WFW)
-        phi = float(np.tensordot(F, WFW))
-        WDW = _sym(W @ D @ W)
+        def scaled(U: np.ndarray) -> np.ndarray:
+            return lay.vec([fr.scale(u) for fr, u in zip(frames, lay.mat(U))])
+
+        # Schur complement in the W metric: row k of H is W G_k W flattened,
+        # and entry (l, k) is <G_l, W G_k W>, gathered from row l's nonzeros
+        H = np.zeros((M, lay.size))
+        for fr, sl, iu, ent in zip(frames, lay.slices, lay.iu, entries):
+            if iu is None:
+                H[:, sl] = Aplain[:, sl] * fr.w2
+                continue
+            I, J, V, starts, rows = ent
+            WI, WJ = fr.W[:, I] * V, fr.W[:, J]
+            for k in rows:
+                Hk = WI[:, starts[k] : starts[k + 1]] @ WJ[:, starts[k] : starts[k + 1]].T
+                H[k, sl] = (Hk + Hk.T)[iu]
+        Mmat = _sym(np.add.reduceat(H[:, nz_cols] * nz_vals, row_starts, axis=1)
+                    if M else np.zeros((0, 0)))
+        WFW = scaled(F)
+        gvec = Aw @ WFW
+        phi = lay.dot(F, WFW)
+        WDW = scaled(D)
 
         chol = None
         jitter = 0.0
@@ -498,56 +640,57 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         v2 = chol.solve(u) if M else np.zeros(0)
 
         def direction(eta, Rc, rtk):
-            r1 = -gop(Rc) - eta * (gop(WDW) + P)
+            r1 = -(Aw @ Rc) - eta * (Aw @ WDW + P)
             v1 = chol.solve(r1) if M else np.zeros(0)
             den = float((b - gvec) @ v2) + phi + kappa / tau
-            num = (rtk / tau + eta * (g_res + float(np.tensordot(F, WDW)))
-                   + float(np.tensordot(F, Rc)) - float((b - gvec) @ v1))
+            num = (rtk / tau + eta * (g_res + lay.dot(F, WDW))
+                   + lay.dot(F, Rc) - float((b - gvec) @ v1))
             dtau = num / den
             dy = v1 + dtau * v2
             dkappa = (rtk - kappa * dtau) / tau
-            dS = -gadj(dy) + dtau * F - eta * D
-            dX = _sym(Rc - W @ dS @ W)
-            return dX, dy, _sym(dS), dtau, dkappa
+            dS = dtau * F - dy @ Aplain - eta * D
+            dX = Rc - scaled(dS)
+            return dX, dy, dS, dtau, dkappa
 
         if converged_now:
             # pure centering: keep residuals and mu, pull X*S toward mu*I
-            Rc = mu * S_inv - X
-            dX, dy, dS, dtau, dkappa = direction(0.0, _sym(Rc), mu - tau * kappa)
+            Rc = mu * lay.vec([fr.S_inv for fr in frames]) - X
+            dX, dy, dS, dtau, dkappa = direction(0.0, Rc, mu - tau * kappa)
         else:
             # predictor
             dXa, dya, dSa, dtaua, dkappaa = direction(1.0, -X, -tau * kappa)
-            if not all(np.all(np.isfinite(d)) for d in (dXa, dSa)) or not (
+            if not (np.all(np.isfinite(dXa)) and np.all(np.isfinite(dSa))) or not (
                 np.isfinite(dtaua) and np.isfinite(dkappaa)
             ):
                 warnings_out.append("non-finite search direction")
                 return best_or(SdpStatus.NUMERICAL_TROUBLE)
             alpha_a = min(
                 1.0,
-                _max_psd_step(X, dXa),
-                _max_psd_step(S, dSa),
+                _max_step(Xb, lay.mat(dXa)),
+                _max_step(Sb, lay.mat(dSa)),
                 (tau / -dtaua) if dtaua < 0 else np.inf,
                 (kappa / -dkappaa) if dkappaa < 0 else np.inf,
             )
             mu_aff = (
-                float(np.tensordot(X + alpha_a * dXa, S + alpha_a * dSa))
+                lay.dot(X + alpha_a * dXa, S + alpha_a * dSa)
                 + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
-            ) / (N + 1)
+            ) / (nu + 1)
             sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, opts.sigma_floor), 0.999)
 
             # corrector with the NT-scaled Mehrotra second-order term
-            Rc = frame.second_order_residual(sigma * mu, dXa, dSa)
+            Rc = lay.vec([fr.second_order_residual(sigma * mu, a, s)
+                          for fr, a, s in zip(frames, lay.mat(dXa), lay.mat(dSa))])
             rtk = sigma * mu - tau * kappa - dtaua * dkappaa
             dX, dy, dS, dtau, dkappa = direction(1.0 - sigma, Rc, rtk)
 
-        if not all(np.all(np.isfinite(d)) for d in (dX, dS)) or not (
+        if not (np.all(np.isfinite(dX)) and np.all(np.isfinite(dS))) or not (
             np.isfinite(dtau) and np.isfinite(dkappa)
         ):
             warnings_out.append("non-finite search direction")
             return best_or(SdpStatus.NUMERICAL_TROUBLE)
         bound = min(
-            _max_psd_step(X, dX),
-            _max_psd_step(S, dS),
+            _max_step(Xb, lay.mat(dX)),
+            _max_step(Sb, lay.mat(dS)),
             (tau / -dtau) if dtau < 0 else np.inf,
             (kappa / -dkappa) if dkappa < 0 else np.inf,
         )
@@ -619,7 +762,7 @@ def check_duality(prob: SdpProblem, sol: SdpSolution,
 
 
 # ---------------------------------------------------------------------------
-# Linear programming on the diagonal special case
+# Linear programming on the nonnegative block
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -631,26 +774,20 @@ class LpSolution:
 
 
 def solve_lp(c, rows, opts: SdpOptions | None = None) -> LpSolution:
-    """Minimize c @ x subject to a_k @ x = b_k and x >= 0.
-
-    Embeds the LP as a diagonal SDP (one diagonal slot per variable).  With
-    the fixed diagonal initialization all iterates remain exactly diagonal,
-    so no off-diagonal constraints are required; the variable values are the
-    diagonal of the optimal matrix.
-    """
+    """Minimize c @ x subject to a_k @ x = b_k and x >= 0, one diagonal block."""
     c = np.asarray(c, dtype=float)
     V = len(c)
-    F = np.diag(c)
     constraints = []
     for a, bk in rows:
         a = np.asarray(a, dtype=float)
         if len(a) != V:
             raise ValueError("row length mismatch")
-        constraints.append(({(i, i): a[i] for i in range(V) if a[i] != 0.0}, bk))
-    sol = solve(SdpProblem(V, F, constraints), opts)
+        constraints.append(({(i, i): a[i] for i in np.flatnonzero(a)}, bk))
+    problem = SdpProblem([-V], {(i, i): c[i] for i in np.flatnonzero(c)}, constraints)
+    sol = solve(problem, opts)
     if sol.status is not SdpStatus.OPTIMAL:
         return LpSolution(status=sol.status, x=None, value=None, y=sol.y)
-    x = np.diag(sol.X).copy()
+    x = sol.X_blocks[0]
     return LpSolution(status=sol.status, x=x, value=float(c @ x), y=sol.y)
 
 
@@ -659,31 +796,30 @@ def solve_lp(c, rows, opts: SdpOptions | None = None) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 def write_sdpa(prob: SdpProblem, path_or_file):
-    """Write the problem in SDPA sparse format (.dat-s), single dense block.
+    """Write the problem in SDPA sparse format (.dat-s), one block per block.
 
     SDPA's native problem is min c^T z with sum_k z_k F_k - F_0 PSD, which is
     our dual with c = -b, F_k = -G_k, F_0 = -F; the mapping is inverted by
-    ``read_sdpa``.
+    ``read_sdpa``.  Entries carry 1-based indices local to their block.
     """
     own = isinstance(path_or_file, str)
     fh = open(path_or_file, "w") if own else path_or_file
     try:
-        fh.write(f"{prob.num_constraints}\n1\n{prob.dim}\n")
+        fh.write(f"{prob.num_constraints}\n{len(prob.blocks)}\n")
+        fh.write(" ".join(str(s) for s in prob.blocks) + "\n")
         fh.write(" ".join(repr(float(-bk)) for _, bk in prob.constraints) + "\n")
-        for i in range(prob.dim):
-            for j in range(i, prob.dim):
-                v = prob.F[i, j]
-                if v != 0.0:
-                    fh.write(f"0 1 {i + 1} {j + 1} {float(-v)!r}\n")
-        for k, (g, _) in enumerate(prob.constraints):
+        for k, g in enumerate([prob.cost] + [g for g, _ in prob.constraints]):
             for (i, j), v in sorted(g.items()):
-                fh.write(f"{k + 1} 1 {i + 1} {j + 1} {float(-v)!r}\n")
+                blk, li = prob.locate(i)
+                lj = j - prob.offsets[blk]
+                fh.write(f"{k} {blk + 1} {li + 1} {lj + 1} {float(-v)!r}\n")
     finally:
         if own:
             fh.close()
 
 
 def read_sdpa(path_or_file) -> SdpProblem:
+    """Read an SDPA sparse file; malformed input raises ValueError."""
     own = isinstance(path_or_file, str)
     fh = open(path_or_file) if own else path_or_file
     try:
@@ -693,41 +829,29 @@ def read_sdpa(path_or_file) -> SdpProblem:
             if not line or line.startswith(('"', "*", "%")):
                 continue
             tokens.extend(line.replace(",", " ").replace("{", " ").replace("}", " ").split())
-        pos = 0
-
-        def take() -> str:
-            nonlocal pos
-            t = tokens[pos]
-            pos += 1
-            return t
-
-        m = int(take())
-        nblocks = int(take())
-        sizes = [int(float(take())) for _ in range(nblocks)]
-        if nblocks != 1 or sizes[0] <= 0:
-            raise ValueError("only single dense-block SDPA files are supported")
-        N = sizes[0]
-        cvec = [float(take()) for _ in range(m)]
-        F = np.zeros((N, N))
-        gdicts = [dict() for _ in range(m)]
-        while pos + 4 < len(tokens) + 1 and pos < len(tokens):
-            matno = int(take())
-            take()  # block number, always 1 here
-            i = int(take()) - 1
-            j = int(take()) - 1
-            v = float(take())
-            if i > j:
-                i, j = j, i
-            if matno == 0:
-                F[i, j] = -v
-                F[j, i] = -v
-            else:
-                gdicts[matno - 1][(i, j)] = -v
-        constraints = [(g, -ck) for g, ck in zip(gdicts, cvec)]
-        return SdpProblem(N, F, constraints)
     finally:
         if own:
             fh.close()
+    if len(tokens) < 2:
+        raise ValueError("SDPA data ends early")
+    m, nblocks = int(tokens[0]), int(tokens[1])
+    body = 2 + nblocks + m
+    if m < 0 or nblocks < 1 or len(tokens) < body:
+        raise ValueError("SDPA header is malformed or the data ends early")
+    sizes = [int(float(t)) for t in tokens[2 : 2 + nblocks]]
+    shape = SdpProblem(sizes, {}, [])
+    gdicts = [dict() for _ in range(m + 1)]
+    if (len(tokens) - body) % 5:
+        raise ValueError("SDPA entry list is truncated")
+    for at in range(body, len(tokens), 5):
+        matno, blk, i, j = (int(t) for t in tokens[at : at + 4])
+        if not (0 <= matno <= m and 1 <= blk <= nblocks
+                and 1 <= i <= abs(sizes[blk - 1]) and 1 <= j <= abs(sizes[blk - 1])):
+            raise ValueError(f"SDPA entry {matno} {blk} {i} {j} is out of range")
+        off = shape.offsets[blk - 1]
+        gdicts[matno][tuple(sorted((off + i - 1, off + j - 1)))] = -float(tokens[at + 4])
+    cvec = [float(t) for t in tokens[2 + nblocks : body]]
+    return SdpProblem(sizes, gdicts[0], [(g, -ck) for g, ck in zip(gdicts[1:], cvec)])
 
 
 def sdpa_dumps(prob: SdpProblem) -> str:

@@ -1,18 +1,17 @@
 """Sum-of-squares lower bounds by semidefinite programming.
 
-The largest lambda making ``f - lambda`` a sum of squares equals the optimal
+The largest lambda making ``f - lambda`` a sum of squares is the optimal
 value of a semidefinite program over the affine space of Gram matrices of f.
-We pose the solver problem on the moment side: minimize ``<A0(f), X>`` over
-PSD moment matrices X (entries indexed by monomial products, consistent
-across equal products, normalized against the constant monomial), whose dual
-is exactly the Gram-space lambda-maximization.  The solver's dual objective
-is therefore the SOS bound, the dual slack is the optimal shifted Gram
-matrix, and the primal matrix is the moment matrix that yields minimizers
-when it has rank one.
+``SosProgram`` poses it in image form: one row per monomial of degree at
+most 2d matches the coefficient of the Gram matrix's polynomial against f,
+lambda is eliminated through the constant coefficient, and the objective
+minimizes the Gram matrix's constant slot.  The solver's primal X is then
+the Gram matrix of ``f - lambda`` (the certificate) and its dual slack S is
+the moment matrix, which yields minimizers when it has rank one.
 
-Bounds of the form "largest lambda with g*(f - lambda) SOS" for a fixed
-positive multiplier g ride on the same construction with the normalization
-matrix built from g instead of from the constant monomial.
+The same builder poses every multiplier form used in the package: bounds of
+the form "largest lambda with g*(f - lambda) SOS" for a fixed positive
+multiplier g, and the Positivstellensatz identities of ``psatz``.
 
 All pipeline stages are pure; batches of polynomials can be minimized on a
 worker pool with no shared state.
@@ -129,57 +128,127 @@ class GramSpace:
         return A
 
 
+class SosProgram:
+    """Image-form SOS program: one coefficient-matching row per monomial.
+
+    Each ``add_sos(basis, factor)`` term is ``factor * v^T Q v`` with v the
+    monomial basis and Q one PSD block of the SDP's primal X, so X holds the
+    Gram matrices; each ``add_free(monos, factor)`` term is ``factor * t``
+    with t free on the given monomials, its coefficients split as u - v in
+    the nonnegative LP block.  ``match_coefficients`` equates the sum of the
+    terms with a target polynomial.  A row is a monomial, so the dual slack
+    S of a block with unit factor is a moment matrix.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.sos_terms: list = []        # (offset into X, basis, factor)
+        self.free_terms: list = []       # (offset into the LP block, monos, factor)
+        self.psd_size = 0
+        self.lp_size = 0
+        self.offset = None               # lambda = offset - primal objective
+
+    def add_sos(self, basis: MonomialVector, factor: Polynomial) -> int:
+        """Term factor * (an SOS over basis); returns its PSD block number."""
+        self.sos_terms.append((self.psd_size, basis, factor.to_float()))
+        self.psd_size += basis.N
+        return len(self.sos_terms) - 1
+
+    def add_free(self, monos, factor: Polynomial) -> int:
+        """Term factor * (a free polynomial on monos); index for ``free``."""
+        self.free_terms.append((self.lp_size, list(monos), factor.to_float()))
+        self.lp_size += 2 * len(monos)
+        return len(self.free_terms) - 1
+
+    def match_coefficients(self, target: Polynomial,
+                           lam: Polynomial | None = None) -> SdpProblem:
+        """The SDP of ``sum of terms == target``, coefficient by coefficient.
+
+        With ``lam``, a polynomial with nonzero constant coefficient, the
+        program maximizes lambda in ``sum of terms == target - lambda * lam``:
+        lambda is eliminated through the constant coefficient and ``bound``
+        reads it back.  Without it the objective is the trace of X, a
+        regularized feasibility search.
+        """
+        rows: dict = {}
+        for off, basis, factor in self.sos_terms:
+            for m, pairs in _product_classes(basis).items():
+                for e, c in factor.terms.items():
+                    row = rows.setdefault(monomial_mul(m, e), {})
+                    for i, j in pairs:
+                        key = (off + i, off + j)
+                        row[key] = row.get(key, 0.0) + c
+        for off, monos, factor in self.free_terms:
+            for idx, beta in enumerate(monos):
+                u = self.psd_size + off + 2 * idx
+                for gamma, c in factor.terms.items():
+                    row = rows.setdefault(monomial_mul(beta, gamma), {})
+                    row[(u, u)] = row.get((u, u), 0.0) + c
+                    row[(u + 1, u + 1)] = row.get((u + 1, u + 1), 0.0) - c
+        target = target.to_float()
+        monos = dict.fromkeys([*rows, *target.terms])
+        shift, r0, t0 = {}, {}, 0.0
+        if lam is None:
+            cost = {(i, i): 1.0 for i in range(self.psd_size + self.lp_size)}
+        else:
+            const = (0,) * self.n
+            g0 = float(lam.constant_coefficient())
+            r0, t0 = rows.pop(const, {}), float(target.terms.get(const, 0.0))
+            cost = {k: v / g0 for k, v in r0.items()}
+            self.offset = t0 / g0
+            shift = {m: float(c) / g0 for m, c in lam.terms.items()}
+            monos = {m: None for m in [*monos, *shift] if m != const}
+        constraints = []
+        for m in monos:
+            row, s = dict(rows.get(m, {})), shift.get(m, 0.0)
+            if s:
+                for k, v in r0.items():
+                    row[k] = row.get(k, 0.0) - s * v
+            rhs = float(target.terms.get(m, 0.0)) - s * t0
+            if row or rhs:
+                constraints.append((row, rhs))
+        blocks = [basis.N for _, basis, _ in self.sos_terms]
+        return SdpProblem(blocks + ([-self.lp_size] if self.lp_size else []),
+                          cost, constraints)
+
+    def bound(self, sol: SdpSolution) -> float:
+        """The maximized lambda at an optimal solution."""
+        return self.offset - sol.primal_obj
+
+    def free(self, sol: SdpSolution, term: int) -> Polynomial:
+        off, monos, _ = self.free_terms[term]
+        uv = sol.X_blocks[-1][off : off + 2 * len(monos)]
+        return Polynomial(self.n, {beta: c for beta, c in zip(monos, uv[0::2] - uv[1::2])
+                                   if c != 0.0})
+
+
 @dataclass
 class GramSdp:
-    """Moment-form SDP whose dual maximizes the SOS shift lambda.
+    """Image-form SDP for the largest lambda with f - lambda a sum of squares.
 
-    Constraint 0 normalizes the moment matrix against ``norm_matrix`` (the
-    constant monomial's Gram for plain SOS bounds); the remaining equalities
-    force entries with equal product monomials to agree.  The dual objective
-    equals the bound, and the dual slack is the optimal Gram matrix shifted
-    by lambda times the normalization matrix.
+    The primal X is the Gram matrix of f - lambda (constant slot minimized),
+    the dual slack S the moment matrix normalized at the constant monomial.
     """
 
     problem: SdpProblem
     vector: MonomialVector
     gram_space: GramSpace
-    norm_matrix: np.ndarray
+    program: SosProgram
 
     def optimal_shifted_gram(self, sol: SdpSolution) -> np.ndarray:
-        return sol.S
-
-    def bound(self, sol: SdpSolution) -> float:
-        return float(sol.y[0])
-
-
-def _moment_problem(objective: np.ndarray, norm: np.ndarray,
-                    vec: MonomialVector, gram_space: GramSpace) -> SdpProblem:
-    N = vec.N
-    constraints = []
-    nd = {}
-    for i in range(N):
-        for j in range(i, N):
-            if norm[i, j] != 0.0:
-                nd[(i, j)] = norm[i, j]  # dict holds matrix entries; the
-                # inner-product convention supplies the off-diagonal doubling
-    constraints.append((nd, 1.0))
-    for pairs in gram_space.classes.values():
-        if len(pairs) < 2:
-            continue
-        i0, j0 = pairs[0]
-        for (i, j) in pairs[1:]:
-            # entry equality X[i,j] = X[i0,j0], written for the
-            # symmetric-pair convention <G, X> = sum v*X_ij*(2 if off-diag)
-            g = {
-                (i, j): 1.0 if i == j else 0.5,
-                (i0, j0): -1.0 if i0 == j0 else -0.5,
-            }
-            constraints.append((g, 0.0))
-    return SdpProblem(N, objective, constraints)
+        """The Gram matrix X of f - lambda without the eigendirections where
+        the moment matrix S dominates: by complementarity X carries only the
+        interior point's O(mu) remainder there."""
+        X, S = sol.X_blocks[0], sol.S_blocks[0]
+        w, V = np.linalg.eigh(X)
+        keep = w > np.einsum("ij,ij->j", V, S @ V)
+        return (V[:, keep] * w[keep]) @ V[:, keep].T
 
 
-def build_gram_sdp(f: Polynomial) -> GramSdp:
-    """SDP computing the largest lambda with f - lambda a sum of squares.
+
+def build_gram_sdp(f: Polynomial, k: int = 0) -> GramSdp:
+    """SDP computing the largest lambda with g * (f - lambda) a sum of squares,
+    where g = 1 for k = 0 and g = 1 + sum x_i^(2k) otherwise.
 
     Requires even degree; an odd-degree polynomial is unbounded below and has
     no SOS shift at all.
@@ -191,31 +260,17 @@ def build_gram_sdp(f: Polynomial) -> GramSdp:
         raise OddDegreeError(
             f"degree {two_d} is odd: f is unbounded below, no SOS bound exists"
         )
-    vec = MonomialVector.build(f.n, two_d // 2)
-    gram_space = GramSpace.build(f.to_float(), vec)
-    norm = np.zeros((vec.N, vec.N))
-    norm[0, 0] = 1.0
-    objective = gram_space.particular_matrix()
-    problem = _moment_problem(objective, norm, vec, gram_space)
-    return GramSdp(problem=problem, vector=vec, gram_space=gram_space,
-                   norm_matrix=norm)
-
-
-def _weighted_gram_sdp(product: Polynomial, multiplier: Polynomial,
-                       vec: MonomialVector) -> GramSdp:
-    """SDP for the largest lambda with multiplier*(f - lambda) SOS.
-
-    ``product`` is multiplier*f; the normalization matrix is a Gram matrix of
-    the multiplier, so the dual feasibility reads
-    A - lambda*Gram(multiplier) PSD with A a Gram matrix of the product.
-    """
-    gram_space = GramSpace.build(product.to_float(), vec)
-    norm_space = GramSpace.build(multiplier.to_float(), vec)
-    norm = norm_space.particular_matrix()
-    objective = gram_space.particular_matrix()
-    problem = _moment_problem(objective, norm, vec, gram_space)
-    return GramSdp(problem=problem, vector=vec, gram_space=gram_space,
-                   norm_matrix=norm)
+    n = f.n
+    g = Polynomial.constant(n, 1.0)
+    for i in range(n if k else 0):
+        g = g + Polynomial.from_monomial(n, tuple(2 * k if j == i else 0
+                                                  for j in range(n)), 1.0)
+    vec = MonomialVector.build(n, two_d // 2 + k)
+    prog = SosProgram(n)
+    prog.add_sos(vec, Polynomial.constant(n, 1.0))
+    problem = prog.match_coefficients(g * f, lam=g)
+    gram_space = GramSpace.build((g * f).to_float(), vec)
+    return GramSdp(problem=problem, vector=vec, gram_space=gram_space, program=prog)
 
 
 # ---------------------------------------------------------------------------
@@ -375,44 +430,51 @@ def sos_lower_bound(f: Polynomial, opts: SdpOptions | None = None,
     """Largest lambda with f - lambda a sum of squares, by SDP.
 
     Returns -inf exactly when the shifted-Gram feasibility fails for every
-    lambda, which the solver detects as unboundedness of the moment problem.
+    lambda, which the solver detects as infeasibility of the Gram problem.
     Homogeneous scaling is applied up front and inverted on output; when the
     first pass reveals a bound far smaller than the coefficient scale the
     solve is repeated once with the factor matched to the bound itself, since
     unscaling would otherwise amplify solver tolerance past the answer.
     """
+    return _bound(f, 0, opts, with_certificate, alpha)
+
+
+def _bound(f: Polynomial, k: int, opts: SdpOptions | None,
+           with_certificate: bool, alpha: float | None) -> SosResult:
+    """The bound of ``build_gram_sdp(f, k)`` with homogeneous scaling."""
     two_d = f.degree()
     chosen = alpha is not None
     if alpha is None:
         alpha = _scaling_factor(f, two_d)
-    res = _sos_bound_at_scale(f, alpha, two_d, opts, with_certificate)
+    res = _sos_bound_at_scale(f, k, alpha, two_d, opts, with_certificate)
     if not chosen and res.status is SdpStatus.OPTIMAL and two_d > 0:
         lam_scaled = res.value / alpha**two_d
         if 0 < abs(lam_scaled) < 1e-5:
             alpha2 = max(1.0, abs(res.value) ** (1.0 / two_d))
             if abs(alpha2 - alpha) / alpha > 0.1:
-                return _sos_bound_at_scale(f, alpha2, two_d, opts, with_certificate)
+                return _sos_bound_at_scale(f, k, alpha2, two_d, opts, with_certificate)
     return res
 
 
-def _sos_bound_at_scale(f: Polynomial, alpha: float, two_d: int,
+def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
                         opts: SdpOptions | None,
                         with_certificate: bool) -> SosResult:
     fs = scale_homogeneous(f.to_float(), alpha, two_d) if alpha != 1.0 else f.to_float()
-    gs = build_gram_sdp(fs)
+    gs = build_gram_sdp(fs, k)
     sol = solve(gs.problem, opts)
     tols = dict(sol.tolerances)
     tols.update({"rank_tol": 1e-4, "moment_tol": 1e-4, "extract_tol": 1e-5,
                  "alpha": alpha})
-    if sol.status is SdpStatus.DUAL_INFEASIBLE:
+    if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return SosResult(MINUS_INFINITY, sol.status, None, None, gs.vector, alpha,
                          sol, gs, tols)
     if sol.status is not SdpStatus.OPTIMAL:
-        raise SdpFailure(sol.status, "(SOS bound)")
-    lam_s = gs.bound(sol)
+        raise SdpFailure(sol.status, f"(SOS bound, multiplier power {k})")
+    lam_s = gs.program.bound(sol)
     lam = lam_s * alpha**two_d
     d = gs.vector.d
-    moment = _unscale_moment(sol.X, gs.vector, alpha) if alpha != 1.0 else sol.X
+    moment = sol.S_blocks[0]
+    moment = _unscale_moment(moment, gs.vector, alpha) if alpha != 1.0 else moment
     cert = None
     if with_certificate:
         shifted_s = gs.optimal_shifted_gram(sol)   # Gram of f_s - lam_s
@@ -447,32 +509,7 @@ def higher_degree_bound(f: Polynomial, k: int,
     two_d = f.degree()
     if two_d % 2 != 0:
         raise OddDegreeError(f"degree {two_d} is odd")
-    alpha = _scaling_factor(f, two_d)
-    value = _multiplier_bound_at_scale(f, k, alpha, two_d, opts)
-    if value not in (MINUS_INFINITY, None) and 0 < abs(value) / alpha**two_d < 1e-5:
-        alpha2 = max(1.0, abs(value) ** (1.0 / two_d))
-        if abs(alpha2 - alpha) / alpha > 0.1:
-            return _multiplier_bound_at_scale(f, k, alpha2, two_d, opts)
-    return value
-
-
-def _multiplier_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
-                               opts: SdpOptions | None) -> float:
-    fs = scale_homogeneous(f.to_float(), alpha, two_d) if alpha != 1.0 else f.to_float()
-    n = f.n
-    g = Polynomial.constant(n, 1.0)
-    for i in range(n):
-        g = g + Polynomial.from_monomial(n, tuple(2 * k if j == i else 0
-                                                  for j in range(n)), 1.0)
-    product = g * fs
-    vec = MonomialVector.build(n, two_d // 2 + k)
-    gs = _weighted_gram_sdp(product, g, vec)
-    sol = solve(gs.problem, opts)
-    if sol.status is SdpStatus.DUAL_INFEASIBLE:
-        return MINUS_INFINITY
-    if sol.status is not SdpStatus.OPTIMAL:
-        raise SdpFailure(sol.status, f"(multiplier bound, k={k})")
-    return gs.bound(sol) * alpha**two_d
+    return _bound(f, k, opts, False, None).value
 
 
 # ---------------------------------------------------------------------------
@@ -550,25 +587,21 @@ def minimize(f: Polynomial, opts: SdpOptions | None = None, *,
 
 def _perturbed_moment(f: Polynomial, res: SosResult,
                       opts: SdpOptions | None) -> np.ndarray | None:
-    """Moment matrix of the objective nudged along a generic linear form."""
-    gs = res.gram_sdp
+    """Moment matrix of the SOS bound of f + eps * l, l a generic linear form."""
     vec = res.vector
     two_d = 2 * vec.d
     lam_s = res.value / res.alpha**two_d
     eps = 1e-4 * (1.0 + abs(lam_s))
-    F = gs.problem.F.copy()
     n = vec.n
+    fs = scale_homogeneous(f.to_float(), res.alpha, two_d) if res.alpha != 1.0 else f.to_float()
     for i in range(n):
-        mono = tuple(1 if t == i else 0 for t in range(n))
-        j = vec.index[mono]
-        F[0, j] += eps * (i + 1) / (2.0 * n)
-        F[j, 0] += eps * (i + 1) / (2.0 * n)
-    prob = SdpProblem(gs.problem.dim, F,
-                      [(g, bk) for g, bk in gs.problem.constraints])
-    sol = solve(prob, opts)
+        fs = fs + Polynomial.variable(n, i) * (eps * (i + 1) / n)
+    gs = build_gram_sdp(fs)
+    sol = solve(gs.problem, opts)
     if sol.status is not SdpStatus.OPTIMAL:
         return None
-    return _unscale_moment(sol.X, vec, res.alpha) if res.alpha != 1.0 else sol.X
+    moment = sol.S_blocks[0]
+    return _unscale_moment(moment, vec, res.alpha) if res.alpha != 1.0 else moment
 
 
 # ---------------------------------------------------------------------------

@@ -316,3 +316,54 @@ class TestSdpaFormat:
         write_sdpa(prob, path)
         prob2 = read_sdpa(path)
         assert solve(prob2).primal_obj == pytest.approx(2.0, abs=1e-6)
+
+
+class TestSdpaBlocks:
+    def test_multi_block_roundtrip(self):
+        # a 2x2 PSD block, a diagonal block of three and a 1x1 PSD block
+        prob = SdpProblem([2, -3, 1], {(0, 0): 1.0, (0, 1): 0.25, (3, 3): 2.0,
+                                       (5, 5): 1.0},
+                          [({(0, 0): 1.0, (2, 2): 1.0}, 1.0),
+                           ({(1, 1): 1.0, (3, 3): -1.0, (4, 4): 1.0}, 0.5),
+                           ({(0, 1): 0.5, (5, 5): 1.0}, 0.0)])
+        text = sdpa_dumps(prob)
+        assert text.splitlines()[1:3] == ["3", "2 -3 1"]
+        prob2 = sdpa_loads(text)
+        assert prob2.blocks == prob.blocks
+        assert prob2.cost == prob.cost
+        assert prob2.constraints == prob.constraints
+        s1, s2 = solve(prob), solve(prob2)
+        assert s1.status is s2.status is SdpStatus.OPTIMAL
+        assert s1.primal_obj == pytest.approx(s2.primal_obj, rel=1e-9)
+        assert s1.X_blocks[1].ndim == 1 and len(s1.X_blocks[1]) == 3
+
+    HEADER = "1\n1\n2\n1.0\n"
+
+    def test_zero_index_rejected(self):
+        with pytest.raises(ValueError):
+            sdpa_loads(self.HEADER + "1 1 0 1 1.0\n")
+
+    def test_negative_matrix_number_rejected(self):
+        with pytest.raises(ValueError):
+            sdpa_loads(self.HEADER + "-1 1 1 1 1.0\n")
+
+    def test_truncated_entry_rejected(self):
+        with pytest.raises(ValueError):
+            sdpa_loads(self.HEADER + "1 1 1 1 1.0\n0 1 2\n")
+
+    def test_off_diagonal_entry_in_diagonal_block_rejected(self):
+        with pytest.raises(ValueError):
+            sdpa_loads("1\n1\n-2\n1.0\n1 1 1 2 1.0\n")
+
+
+class TestSingleZeroRow:
+    # a lone row with no entries is dependent: dropped when b = 0,
+    # inconsistent otherwise
+    def test_consistent(self):
+        sol = solve(SdpProblem(1, np.array([[1.0]]), [({}, 0.0)]))
+        assert sol.status is SdpStatus.OPTIMAL
+        assert any("dependent" in w for w in sol.warnings)
+
+    def test_inconsistent(self):
+        sol = solve(SdpProblem(1, np.array([[1.0]]), [({}, 1.0)]))
+        assert sol.status is SdpStatus.PRIMAL_INFEASIBLE

@@ -1,11 +1,17 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polymin.groebner import minimize_by_eigenvalues
+import polymin.psatz
+import polymin.sdp
+from polymin.handelman import HandelmanInfeasibleError, PolytopeDescription, handelman_bound
 from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance, scale_homogeneous
+from polymin.psatz import NotFoundAtDegree, SemialgebraicSystem, find_witness
+from polymin.sdp import SdpSolution, SdpStatus
 from polymin.sos import (
     MINUS_INFINITY,
     GramSpace,
@@ -290,3 +296,65 @@ class TestEdgeCases:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             build_gram_sdp(Polynomial.zero(2))
+
+
+class TestBoundAtExtractedPoint:
+    # the (3,10) cell of the benchmark's sos-paper mix at seed_base 504, 509
+    # and 31 (plan cell 4, instance 0), where the bound once exceeded f at
+    # its own extracted minimizer by about 1e-5 relative
+    @pytest.mark.parametrize("seed", [4000516, 4000521, 4000043])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as conftest intends
+    def test_bound_not_above_f_at_minimizer(self, seed):
+        f = random_family_instance(FamilyParams(3, 5, 100, seed=seed))
+        res = minimize(f)
+        assert res.status is SdpStatus.OPTIMAL
+        assert res.extraction is not None and res.extraction.found
+        f_at_point = f.to_fraction().evaluate([Fraction(x) for x in res.extraction.point])
+        tol = Fraction(1e-5 * (1.0 + abs(res.bound)))
+        assert Fraction(res.bound) <= f_at_point + tol
+
+
+def _posed_blocks(monkeypatch, module) -> list:
+    """Block lists of the SDPs later posed through ``module.solve``; each is
+    answered as infeasible, so nothing is solved."""
+    seen = []
+
+    def capture(problem, opts=None):
+        seen.append(problem.blocks)
+        return SdpSolution(SdpStatus.PRIMAL_INFEASIBLE, None, None, None,
+                           None, None, None, 0)
+
+    monkeypatch.setattr(module, "solve", capture)
+    return seen
+
+
+class TestProgramSizes:
+    # image form: one row per monomial of degree <= 2d except the constant,
+    # which carries lambda; one PSD block of side C(n+d, d)
+    @pytest.mark.parametrize("n,two_d,rows,side", [
+        (3, 8, 164, 35), (3, 10, 285, 56), (3, 12, 454, 84),
+        (4, 8, 494, 70), (10, 4, 1000, 66)])
+    def test_plain_sos_program(self, n, two_d, rows, side):
+        f = random_family_instance(FamilyParams(n, two_d // 2, 100, seed=7))
+        problem = build_gram_sdp(f).problem
+        assert problem.num_constraints == rows == math.comb(n + two_d, two_d) - 1
+        assert problem.blocks == [side]
+
+    def test_handelman_program_is_one_lp_block(self, monkeypatch):
+        seen = _posed_blocks(monkeypatch, polymin.sdp)
+        box = PolytopeDescription(2, [parse("x1", 2), parse("1-x1", 2),
+                                      parse("x2", 2), parse("1-x2", 2)])
+        for D in (2, 5):
+            with pytest.raises(HandelmanInfeasibleError):
+                handelman_bound(parse("x1*x2", 2), box, D, check_bounded=False)
+        assert seen == [[-math.comb(4 + D, D)] for D in (2, 5)]
+
+    def test_witness_program_blocks(self, monkeypatch):
+        seen = _posed_blocks(monkeypatch, polymin.psatz)
+        sys_ = SemialgebraicSystem(2, inequalities=[parse("x1-x2^2+3", 2),
+                                                    parse("1-x1^2", 2)],
+                                   equalities=[parse("x2+x1^2+2", 2)])
+        assert isinstance(find_witness(sys_, 4), NotFoundAtDegree)
+        psd = [s for s in seen[0] if s > 0]
+        assert len(psd) == 1 + len(sys_.inequalities)
+        assert seen[0][len(psd):] == [-2 * 6]  # u - v pairs of t(x) of degree 2
