@@ -2,9 +2,11 @@
 
 Eigendecompositions delegate to LAPACK through numpy (`eigh` for symmetric
 input, `eig` for general input, i.e. balancing + Hessenberg reduction +
-shifted QR).  The pivoted semidefinite factorization and the SPD solve are
-implemented directly so rank deficiency and indefiniteness surface as
-explicit results rather than as exceptions from deep inside a solver loop.
+shifted QR), and the SPD Cholesky factor to LAPACK's ``potrf``; its
+triangular solves are blocked substitutions on LAPACK and BLAS.  The pivoted
+semidefinite factorization is implemented directly so that rank deficiency
+surfaces as an explicit result, and a failed Cholesky raises with the index
+and value of its failing pivot.
 
 Kernels are pure on owned inputs; independent factorizations and eigensolves
 may run concurrently with no shared mutable state.
@@ -190,8 +192,19 @@ def psd_factor(S: np.ndarray, tol: float = 1e-10) -> PsdFactorization:
     return PsdFactorization(True, B, len(rows), pivots=pivots)
 
 
+_BLOCK = 64   # diagonal block side of the blocked triangular solves
+
+
 class CholeskyFactor:
-    """Lower-triangular Cholesky factor with reusable triangular solves."""
+    """Lower-triangular Cholesky factor with reusable triangular solves.
+
+    The solves are blocked substitutions: each diagonal block of side _BLOCK
+    is solved by LAPACK and the rows below (above, for the transpose) are
+    updated with one BLAS product.  No inverse of L is formed; an explicit
+    inverse loses the substitution's backward stability on the interior-point
+    method's ill-conditioned Schur complements.  ``rhs`` may be a vector or a
+    matrix of right-hand-side columns.
+    """
 
     def __init__(self, L: np.ndarray):
         self.L = L
@@ -205,39 +218,53 @@ class CholeskyFactor:
         return self.backward(y)
 
     def forward(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve L y = rhs."""
         L = self.L
-        n = self.dimension
         y = np.array(rhs, dtype=float)
-        for i in range(n):
-            if i:
-                y[i] -= L[i, :i] @ y[:i]
-            y[i] /= L[i, i]
+        for s in range(0, self.dimension, _BLOCK):
+            e = s + _BLOCK
+            y[s:e] = np.linalg.solve(L[s:e, s:e], y[s:e])
+            y[e:] -= L[e:, s:e] @ y[s:e]
         return y
 
     def backward(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve L^T x = rhs."""
         L = self.L
-        n = self.dimension
         x = np.array(rhs, dtype=float)
-        for i in range(n - 1, -1, -1):
-            if i < n - 1:
-                x[i] -= L[i + 1 :, i] @ x[i + 1 :]
-            x[i] /= L[i, i]
+        for s in reversed(range(0, self.dimension, _BLOCK)):
+            e = s + _BLOCK
+            x[s:e] = np.linalg.solve(L[s:e, s:e].T, x[s:e])
+            x[:s] -= L[s:e, :s].T @ x[s:e]
         return x
 
 
 def spd_cholesky(S: np.ndarray) -> CholeskyFactor:
-    """Plain (unpivoted) Cholesky; raises NotPositiveDefiniteError on pivot <= 0."""
-    A = np.array(S, dtype=float)
+    """Plain (unpivoted) LAPACK Cholesky; raises NotPositiveDefiniteError on
+    the first pivot that is <= 0 or not finite."""
+    A = np.asarray(S, dtype=float)
+    try:
+        L = np.linalg.cholesky(A)
+        if np.all(np.isfinite(np.diagonal(L))):
+            return CholeskyFactor(L)
+    except np.linalg.LinAlgError:
+        pass
+    raise NotPositiveDefiniteError(*_failing_pivot(A))
+
+
+def _failing_pivot(A: np.ndarray) -> tuple[int, float]:
+    """(index, value) of the first pivot <= 0 or not finite, found by
+    replaying the factorization column by column once LAPACK has refused."""
     n = A.shape[0]
     L = np.zeros_like(A)
     for j in range(n):
         d = A[j, j] - L[j, :j] @ L[j, :j]
         if d <= 0 or not np.isfinite(d):
-            raise NotPositiveDefiniteError(j, float(d))
+            return j, float(d)
         L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return CholeskyFactor(L)
+        L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    # the replay's rounding passed the pivot LAPACK refused: report the smallest
+    j = int(np.argmin(np.diagonal(L)))
+    return j, float(L[j, j] ** 2)
 
 
 def solve_spd(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ import numpy as np
 
 from .poly import Polynomial
 
+_EPS = float(np.finfo(float).eps)
+_NOISE_UNITS = 10.0   # predicted gains below this many rounding units of f stop the descent
+
 
 @dataclass
 class RefineResult:
@@ -24,11 +27,16 @@ def local_refine(f: Polynomial, x0, max_iter: int = 100) -> RefineResult:
     The Hessian is made positive definite by flipping the sign of negative
     eigenvalues (so the step is always a descent direction for f) and the step
     is backtracked with an Armijo test on f.  Stops when
-    ||grad f|| <= 1e-10 * (1 + |f(x)|).  Converges to a stationary point of
-    the starting basin; no global optimality is implied.
+    ||grad f|| <= 1e-10 * (1 + |f(x)|), or once the step's predicted gain,
+    half the Newton decrement g^T H^-1 g, is within ten units of f's
+    rounding noise eps * sum |c_m| |x^m| at x: there the Armijo test can no
+    longer tell the step's gain from roundoff, so the step is taken whole and
+    the result reported as converged.  Converges to a stationary point of the
+    starting basin; no global optimality is implied.
     """
     fl = f.to_float()
     n = fl.n
+    f_abs = Polynomial(n, {m: abs(c) for m, c in fl.terms.items()}, _clean=True)
     grads = [fl.differentiate(i) for i in range(n)]
     hess = [[grads[i].differentiate(j) for j in range(n)] for i in range(n)]
     x = np.array(x0, dtype=float)
@@ -47,6 +55,11 @@ def local_refine(f: Polynomial, x0, max_iter: int = 100) -> RefineResult:
         w = np.maximum(np.abs(w), 1e-8 * scale)
         d = -(U / w) @ (U.T @ g)
         slope = float(g @ d)  # negative by construction
+        if -slope / 2 <= _NOISE_UNITS * _EPS * f_abs.evaluate(np.abs(x)):
+            x = x + d
+            g = np.array([gi.evaluate(x) for gi in grads])
+            return RefineResult(tuple(float(v) for v in x), float(fl.evaluate(x)), True,
+                                it + 1, float(np.max(np.abs(g))))
         t = 1.0
         while True:
             x_new = x + t * d

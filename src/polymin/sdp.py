@@ -14,7 +14,7 @@ primal or dual infeasibility is detected through the collapse of the
 embedding's tau/kappa ratio instead of by divergence heuristics.  Scaling,
 step lengths and complementarity act block by block; the (dense, SPD) Schur
 complement of the Newton system is gathered from each constraint's nonzeros
-and solved with the package's own Cholesky.
+and factored by LAPACK's Cholesky, and its solves are blocked substitutions.
 
 A solve call is single-threaded, deterministic and reentrant; independent
 problem instances may be solved concurrently.
@@ -262,23 +262,35 @@ def _tri_pos(N: int, i: int, j: int) -> int:
     return i * N - i * (i - 1) // 2 + (j - i)
 
 
-def _max_psd_step(Xmat: np.ndarray, dX: np.ndarray) -> float:
-    """Largest alpha with Xmat + alpha*dX still PSD (Xmat PD); 0 on breakdown."""
-    if not (np.all(np.isfinite(Xmat)) and np.all(np.isfinite(dX))):
+def _psd_whitener(x: np.ndarray):
+    """A map dU -> R dU R^T with R x R^T = I for a PD block x, or None when
+    x is not finite.  x + alpha dU stays PSD while alpha <= -1/lambda_min of
+    the image, so one factor of x serves every direction of an iteration."""
+    if not np.all(np.isfinite(x)):
+        return None
+    try:
+        chol = spd_cholesky(x)
+        return lambda du: chol.forward(chol.forward(du).T)
+    except NotPositiveDefiniteError:
+        pass
+    try:
+        w, U = np.linalg.eigh(_sym(x))
+    except np.linalg.LinAlgError:
+        return None
+    w = np.maximum(w, 1e-14 * max(1.0, float(np.max(np.abs(w)))))
+    R = (U / np.sqrt(w)) @ U.T
+    return lambda du: R @ du @ R
+
+
+def _max_psd_step(whiten, dX: np.ndarray) -> float:
+    """Largest alpha with Xmat + alpha*dX still PSD, given the whitener of
+    Xmat (Xmat PD); 0 on breakdown."""
+    if whiten is None or not np.all(np.isfinite(dX)):
         return 0.0
     try:
-        chol = spd_cholesky(Xmat)
-        Z = chol.forward(dX)
-        A = chol.forward(Z.T)
-        lam_min = float(np.linalg.eigvalsh(_sym(A))[0])
-    except (NotPositiveDefiniteError, np.linalg.LinAlgError):
-        try:
-            w, U = np.linalg.eigh(_sym(Xmat))
-            w = np.maximum(w, 1e-14 * max(1.0, float(np.max(np.abs(w)))))
-            R = (U / np.sqrt(w)) @ U.T
-            lam_min = float(np.linalg.eigvalsh(_sym(R @ dX @ R))[0])
-        except np.linalg.LinAlgError:
-            return 0.0
+        lam_min = float(np.linalg.eigvalsh(_sym(whiten(dX)))[0])
+    except np.linalg.LinAlgError:
+        return 0.0
     if not np.isfinite(lam_min):
         return 0.0
     if lam_min >= -1e-16:
@@ -286,12 +298,13 @@ def _max_psd_step(Xmat: np.ndarray, dX: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-def _max_step(X: list, dX: list) -> float:
-    """Largest alpha keeping every block of X + alpha*dX in its cone."""
+def _max_step(X: list, whiteners: list, dX: list) -> float:
+    """Largest alpha keeping every block of X + alpha*dX in its cone;
+    ``whiteners`` holds _psd_whitener of each PSD block of X."""
     bound = np.inf
-    for x, dx in zip(X, dX):
+    for x, wh, dx in zip(X, whiteners, dX):
         if x.ndim == 2:
-            bound = min(bound, _max_psd_step(x, dx))
+            bound = min(bound, _max_psd_step(wh, dx))
         elif np.any(dx < 0):
             neg = dx < 0
             bound = min(bound, float(np.min(-x[neg] / dx[neg])))
@@ -378,6 +391,15 @@ def _rank_filter(Aplain: np.ndarray, weights: np.ndarray, b: np.ndarray,
         return [], False
     weighted = Aplain * weights
     gram = weighted @ Aplain.T
+    # Independent rows, the builders' case, pass one LAPACK Cholesky whose
+    # pivots all clear psd_factor's threshold; anything else goes to the
+    # pivoted search, which picks the rows to keep.
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+        if np.min(pivots) > 1e-13 * np.max(np.abs(gram)):
+            return list(range(M)), False
+    except np.linalg.LinAlgError:
+        pass
     fact = psd_factor(_sym(gram), tol=1e-13)
     kept = sorted(fact.pivots[: fact.rank]) if fact.rank else []
     if len(kept) == M:
@@ -632,16 +654,16 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
                 break
             except NotPositiveDefiniteError:
                 jitter = max(jitter * 100, 1e-13 * max(base, 1e-30))
-        if chol is None and M:
+        if chol is None:
             warnings_out.append("Schur complement lost positive definiteness")
             return best_or(SdpStatus.NUMERICAL_TROUBLE)
 
         u = gvec + b
-        v2 = chol.solve(u) if M else np.zeros(0)
 
-        def direction(eta, Rc, rtk):
-            r1 = -(Aw @ Rc) - eta * (Aw @ WDW + P)
-            v1 = chol.solve(r1) if M else np.zeros(0)
+        def schur_rhs(eta, Rc):
+            return -(Aw @ Rc) - eta * (Aw @ WDW + P)
+
+        def direction(eta, Rc, rtk, v1):
             den = float((b - gvec) @ v2) + phi + kappa / tau
             num = (rtk / tau + eta * (g_res + lay.dot(F, WDW))
                    + lay.dot(F, Rc) - float((b - gvec) @ v1))
@@ -654,11 +676,16 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
 
         if converged_now:
             # pure centering: keep residuals and mu, pull X*S toward mu*I
-            Rc = mu * lay.vec([fr.S_inv for fr in frames]) - X
-            dX, dy, dS, dtau, dkappa = direction(0.0, Rc, mu - tau * kappa)
+            eta, Rc, rtk = 0.0, mu * lay.vec([fr.S_inv for fr in frames]) - X, mu - tau * kappa
         else:
-            # predictor
-            dXa, dya, dSa, dtaua, dkappaa = direction(1.0, -X, -tau * kappa)
+            eta, Rc, rtk = 1.0, -X, -tau * kappa      # predictor
+        # v2 and the first direction's right-hand side share one solve
+        v2, v1 = chol.solve(np.column_stack([u, schur_rhs(eta, Rc)])).T
+        dX, dy, dS, dtau, dkappa = direction(eta, Rc, rtk, v1)
+        x_whiten = [_psd_whitener(x) if x.ndim == 2 else None for x in Xb]
+        s_whiten = [_psd_whitener(s) if s.ndim == 2 else None for s in Sb]
+        if not converged_now:
+            dXa, dSa, dtaua, dkappaa = dX, dS, dtau, dkappa
             if not (np.all(np.isfinite(dXa)) and np.all(np.isfinite(dSa))) or not (
                 np.isfinite(dtaua) and np.isfinite(dkappaa)
             ):
@@ -666,8 +693,8 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
                 return best_or(SdpStatus.NUMERICAL_TROUBLE)
             alpha_a = min(
                 1.0,
-                _max_step(Xb, lay.mat(dXa)),
-                _max_step(Sb, lay.mat(dSa)),
+                _max_step(Xb, x_whiten, lay.mat(dXa)),
+                _max_step(Sb, s_whiten, lay.mat(dSa)),
                 (tau / -dtaua) if dtaua < 0 else np.inf,
                 (kappa / -dkappaa) if dkappaa < 0 else np.inf,
             )
@@ -681,7 +708,8 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             Rc = lay.vec([fr.second_order_residual(sigma * mu, a, s)
                           for fr, a, s in zip(frames, lay.mat(dXa), lay.mat(dSa))])
             rtk = sigma * mu - tau * kappa - dtaua * dkappaa
-            dX, dy, dS, dtau, dkappa = direction(1.0 - sigma, Rc, rtk)
+            dX, dy, dS, dtau, dkappa = direction(
+                1.0 - sigma, Rc, rtk, chol.solve(schur_rhs(1.0 - sigma, Rc)))
 
         if not (np.all(np.isfinite(dX)) and np.all(np.isfinite(dS))) or not (
             np.isfinite(dtau) and np.isfinite(dkappa)
@@ -689,8 +717,8 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             warnings_out.append("non-finite search direction")
             return best_or(SdpStatus.NUMERICAL_TROUBLE)
         bound = min(
-            _max_step(Xb, lay.mat(dX)),
-            _max_step(Sb, lay.mat(dS)),
+            _max_step(Xb, x_whiten, lay.mat(dX)),
+            _max_step(Sb, s_whiten, lay.mat(dS)),
             (tau / -dtau) if dtau < 0 else np.inf,
             (kappa / -dkappa) if dkappa < 0 else np.inf,
         )

@@ -6,7 +6,7 @@ import pytest
 
 from polymin.bench import CSV_COLUMNS, BenchmarkPlan, run_benchmark
 from polymin.cli import main
-from polymin.poly import parse
+from polymin.poly import FamilyParams, parse, random_family_instance
 from polymin.refine import local_refine
 
 from conftest import SYMMETRIC_QUARTIC, permutations_match
@@ -37,6 +37,16 @@ class TestLocalRefine:
         res = local_refine(symmetric_quartic, [0.5, -0.5, -1.5])
         if res.converged:
             assert res.grad_norm <= 1e-8 * (1 + abs(res.value))
+
+    def test_stops_at_rounding_noise(self):
+        # sos-paper's (3,8) instance for bench seed 1 from its extracted
+        # minimizer: the Newton step's predicted gain is below f's rounding
+        # noise (|f| ~ 4e16), so the Armijo test cannot accept a full step
+        f = random_family_instance(FamilyParams(3, 4, 100, seed=2000007))
+        start = [-94.28202500179624, -120.26098362637971, 145.68781509071962]
+        res = local_refine(f, start)
+        assert res.converged
+        assert res.iterations <= 10
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
@@ -209,7 +219,7 @@ class TestPsatzExactFallback:
 
 class TestCliFileInputs:
     def test_polynomial_json_file(self, tmp_path, capsys):
-        from polymin.poly import parse
+        from polymin.poly import FamilyParams, parse, random_family_instance
         path = tmp_path / "f.json"
         path.write_text(parse("x1^2-2*x1+5").to_json())
         code = main(["minimize", "--file", str(path), "--extract", "--json"])

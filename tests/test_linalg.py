@@ -150,11 +150,18 @@ class TestSolveSpd:
         assert np.max(np.abs(x - 1.0)) <= 1e-8
 
     def test_residual_contract(self):
+        # sizes past the solves' diagonal block side, and one input with
+        # condition number 1e12
         rng = np.random.default_rng(88)
+        Q, _ = np.linalg.qr(rng.normal(size=(150, 150)))
+        ill = (Q * np.logspace(0, -12, 150)) @ Q.T
+        inputs = []
         for _ in range(20):
-            n = int(rng.integers(1, 25))
+            n = int(rng.integers(1, 200))
             G = rng.normal(size=(n, n))
-            S = G @ G.T + n * np.eye(n)
+            inputs.append(G @ G.T + n * np.eye(n))
+        for S in inputs + [(ill + ill.T) / 2]:
+            n = len(S)
             rhs = rng.normal(size=n)
             x = solve_spd(S, rhs)
             res = np.linalg.norm(S @ x - rhs)

@@ -225,6 +225,30 @@ class TestRankFilter:
                           [({(0, 0): 1.0}, 3.0), ({(0, 0): 2.0}, 7.0)])
         assert solve(prob).status is SdpStatus.PRIMAL_INFEASIBLE
 
+    @staticmethod
+    def _lp_with_dependent_row(b_dependent, nudge=0.0):
+        # rows 0..99: x_k + x_100 = 1; row 100 = 0.1 * (rows 3 + 40 + 90), the
+        # shortest row, so the pivoted search reaches it last and drops it;
+        # its index lies past the blocked solves' first diagonal block
+        rows = [({(k, k): 1.0, (100, 100): 1.0}, 1.0) for k in range(100)]
+        rows.append(({(3, 3): 0.1, (40, 40): 0.1, (90, 90): 0.1, (100, 100): 0.3,
+                      (50, 50): nudge}, b_dependent))
+        return SdpProblem([-101], {(i, i): 1.0 for i in range(101)}, rows)
+
+    # nudge 1e-6 leaves a last Cholesky pivot of ~1e-14: LAPACK accepts it,
+    # but it lies under the rank threshold 1e-13 * max|gram|
+    @pytest.mark.parametrize("nudge", [0.0, 1e-6])
+    def test_dependent_row_among_many(self, nudge):
+        sol = solve(self._lp_with_dependent_row(0.3, nudge))
+        assert sol.status is SdpStatus.OPTIMAL
+        assert any("dependent" in w and "[100]" in w for w in sol.warnings)
+        assert len(sol.y) == 101 and sol.y[100] == 0.0
+        assert sol.primal_obj == pytest.approx(1.0, abs=1e-6)
+
+    def test_inconsistent_row_among_many(self):
+        sol = solve(self._lp_with_dependent_row(0.4))
+        assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+
 
 class TestCheckDuality:
     def test_contract_on_optimal(self):

@@ -313,6 +313,15 @@ class TestBoundAtExtractedPoint:
         tol = Fraction(1e-5 * (1.0 + abs(res.bound)))
         assert Fraction(res.bound) <= f_at_point + tol
 
+    def test_first_instance_solves_cleanly(self):
+        # 4000516 solves in about 20 clean iterations; it breaks down when the
+        # Schur solves lose substitution accuracy (through an explicit
+        # inverse of the Cholesky factor, for one)
+        f = random_family_instance(FamilyParams(3, 5, 100, seed=4000516))
+        res = sos_lower_bound(f)
+        assert res.status is SdpStatus.OPTIMAL
+        assert res.solution.warnings == []
+
 
 def _posed_blocks(monkeypatch, module) -> list:
     """Block lists of the SDPs later posed through ``module.solve``; each is
