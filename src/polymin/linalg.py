@@ -153,10 +153,12 @@ def psd_factor(S: np.ndarray, tol: float = 1e-10) -> PsdFactorization:
     """Pivoted outer-product (Cholesky-like) factorization of a PSD matrix.
 
     Succeeds iff the smallest eigenvalue is >= -tol*||S||, returning B with
-    S ~= B^T B and rank(B) = number of pivots exceeding tol*||S||.  On an
-    indefinite input the offending negative pivot is reported instead of
-    raising, since rank deficiency is the common case for optimal Gram
-    matrices.
+    S ~= B^T B and rank(B) = number of pivots exceeding tol*||S||.  Once no
+    pivot exceeds that threshold, one symmetric eigensolve of the block left
+    over decides: on an indefinite input its smallest eigenvalue is reported
+    as ``failure_pivot``, and the index where that eigenvector is largest as
+    ``failure_index``, instead of raising, since rank deficiency is the
+    common case for optimal Gram matrices.
     """
     A = np.array(S, dtype=float)
     n = A.shape[0]
@@ -182,12 +184,15 @@ def psd_factor(S: np.ndarray, tol: float = 1e-10) -> PsdFactorization:
         A[j, :] = 0.0
         A[:, j] = 0.0
         active[j] = False
-    remaining = np.where(active, np.diag(A), 0.0)
-    worst = float(np.min(remaining)) if n else 0.0
-    if worst < -threshold:
-        idx = int(np.argmin(remaining))
-        return PsdFactorization(False, None, len(rows), failure_pivot=worst,
-                                failure_index=idx, pivots=pivots)
+    # every remaining pivot is small, but the block they leave may still be
+    # indefinite (a zero diagonal with nonzero entries off it)
+    rest = np.flatnonzero(active)
+    if rest.size:
+        w, V = np.linalg.eigh(A[np.ix_(rest, rest)])
+        if w[0] < -threshold:
+            idx = int(rest[np.argmax(np.abs(V[:, 0]))])
+            return PsdFactorization(False, None, len(rows), failure_pivot=float(w[0]),
+                                    failure_index=idx, pivots=pivots)
     B = np.array(rows) if rows else np.zeros((0, n))
     return PsdFactorization(True, B, len(rows), pivots=pivots)
 

@@ -22,6 +22,7 @@ problem instances may be solved concurrently.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import io
 from dataclasses import dataclass, field
@@ -51,7 +52,6 @@ class SdpFailure(RuntimeError):
 class SdpOptions:
     feas_tol: float = 1e-8
     gap_tol: float = 1e-8
-    psd_tol: float = 1e-9
     max_iter: int = 200
     step_fraction: float = 0.95
     sigma_floor: float = 0.05     # minimum centering weight, keeps iterates near-central
@@ -60,12 +60,7 @@ class SdpOptions:
     polish_iters: int = 8        # extra centering steps allowed after convergence
 
     def as_dict(self) -> dict:
-        return {
-            "feas_tol": self.feas_tol,
-            "gap_tol": self.gap_tol,
-            "psd_tol": self.psd_tol,
-            "max_iter": self.max_iter,
-        }
+        return dataclasses.asdict(self)
 
 
 class SdpProblem:
@@ -520,6 +515,11 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         denom_obj = 1.0 + abs(pobj) + abs(dobj)
         rel_gap = abs(pobj - dobj) / denom_obj
         compl = (XS / tau**2) / denom_obj
+        # breakdown exits may still carry a usable answer: accept when the
+        # current iterate is within 100x of the strict tolerances
+        relaxed_ok = (max(rel_p, rel_d) <= 100 * opts.feas_tol
+                      and rel_gap <= 100 * opts.gap_tol
+                      and compl <= 1e4 * opts.gap_tol)
 
         trace.append(IterateRecord(
             iteration=it, mu=mu, tau=tau, kappa=kappa, alpha=last_alpha,
@@ -550,22 +550,10 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             # roundoff pushed a converged iterate back out; stop polishing
             return finish(SdpStatus.OPTIMAL, best[1], best[2], best[3], iters=it)
 
-        def relaxed_ok():
-            # breakdown exits may still carry a usable answer: accept when
-            # the current iterate is within 100x of the strict tolerances
-            rec = trace[-1]
-            denom = 1.0 + abs(rec.primal_obj) + abs(rec.dual_obj)
-            rgap = abs(rec.primal_obj - rec.dual_obj) / denom
-            cmpl = (max(rec.embedding_gap - rec.tau * rec.kappa, 0.0)
-                    / rec.tau**2 / denom)
-            return (max(rec.rel_primal, rec.rel_dual) <= 100 * opts.feas_tol
-                    and rgap <= 100 * opts.gap_tol
-                    and cmpl <= 1e4 * opts.gap_tol)
-
         def best_or(status):
             if best is not None:
                 return finish(SdpStatus.OPTIMAL, best[1], best[2], best[3], iters=it)
-            if trace and relaxed_ok():
+            if relaxed_ok:
                 warnings_out.append(
                     "converged at reduced accuracy before numerical breakdown"
                 )
@@ -607,7 +595,7 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         if it == opts.max_iter:
             if best is not None:
                 return finish(SdpStatus.OPTIMAL, best[1], best[2], best[3], iters=it)
-            if relaxed_ok():
+            if relaxed_ok:
                 warnings_out.append(
                     "converged at reduced accuracy at the iteration cap"
                 )

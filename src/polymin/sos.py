@@ -9,6 +9,11 @@ minimizes the Gram matrix's constant slot.  The solver's primal X is then
 the Gram matrix of ``f - lambda`` (the certificate) and its dual slack S is
 the moment matrix, which yields minimizers when it has rank one.
 
+``MonomialVector`` owns the map from Gram entries to monomial coefficients:
+it groups the Gram index pairs by product monomial once, and the program
+rows, the Gram space, the certificate's scale and residual all read that one
+grouping.
+
 The same builder poses every multiplier form used in the package: bounds of
 the form "largest lambda with g*(f - lambda) SOS" for a fixed positive
 multiplier g, and the Positivstellensatz identities of ``psatz``.
@@ -45,19 +50,37 @@ class OddDegreeError(ValueError):
 
 @dataclass(frozen=True)
 class MonomialVector:
-    """All monomials of degree <= d in n variables, constant monomial first."""
+    """All monomials of degree <= d in n variables, constant monomial first.
+
+    The vector owns the Gram-to-monomial map: Gram entry (i, j) contributes
+    to the coefficient of x^(m_i + m_j).  ``build`` groups the index pairs
+    i <= j by product monomial once, as the ``classes`` dict and as the flat
+    arrays ``rows``, ``cols`` and ``slots`` (the class number of each pair,
+    in ``classes`` order); ``coefficients`` applies the map to a matrix.
+    """
 
     n: int
     d: int
     entries: tuple
     index: dict = field(repr=False)
+    classes: dict = field(repr=False, compare=False)
+    rows: np.ndarray = field(repr=False, compare=False)
+    cols: np.ndarray = field(repr=False, compare=False)
+    slots: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, n: int, d: int) -> "MonomialVector":
         entries = tuple(monomials_up_to_degree(n, d))
         assert entries[0] == (0,) * n, "constant monomial must come first"
+        classes: dict = {}
+        for i, mi in enumerate(entries):
+            for j in range(i, len(entries)):
+                classes.setdefault(monomial_mul(mi, entries[j]), []).append((i, j))
+        rows, cols, slots = (np.array(a, dtype=np.intp) for a in zip(
+            *[(i, j, c) for c, pairs in enumerate(classes.values()) for i, j in pairs]))
         return cls(n=n, d=d, entries=entries,
-                   index={m: i for i, m in enumerate(entries)})
+                   index={m: i for i, m in enumerate(entries)}, classes=classes,
+                   rows=rows, cols=cols, slots=slots)
 
     @property
     def N(self) -> int:
@@ -67,16 +90,11 @@ class MonomialVector:
         """Polynomial with the given coefficients against this vector."""
         return Polynomial(self.n, {m: c for m, c in zip(self.entries, coeffs)})
 
-
-def _product_classes(vec: MonomialVector):
-    """Group the unordered index pairs (i <= j) by their product monomial."""
-    classes: dict = {}
-    for i in range(vec.N):
-        mi = vec.entries[i]
-        for j in range(i, vec.N):
-            m = monomial_mul(mi, vec.entries[j])
-            classes.setdefault(m, []).append((i, j))
-    return classes
+    def coefficients(self, A: np.ndarray) -> np.ndarray:
+        """Coefficients of v^T A v for symmetric A, one per key of ``classes``."""
+        A = np.asarray(A, dtype=float)
+        weights = A[self.rows, self.cols] * np.where(self.rows == self.cols, 1.0, 2.0)
+        return np.bincount(self.slots, weights=weights, minlength=len(self.classes))
 
 
 @dataclass
@@ -93,7 +111,7 @@ class GramSpace:
 
     @classmethod
     def build(cls, f: Polynomial, vec: MonomialVector) -> "GramSpace":
-        classes = _product_classes(vec)
+        classes = vec.classes
         expected = math.comb(f.n + 2 * vec.d, 2 * vec.d)
         assert len(classes) == expected, "product classes must cover all monomials"
         for m in f.terms:
@@ -116,15 +134,11 @@ class GramSpace:
 
     def particular_matrix(self) -> np.ndarray:
         """A Gram matrix of f with each coefficient spread evenly over its class."""
-        N = self.vector.N
-        A = np.zeros((N, N))
-        for m, pairs in self.classes.items():
-            t = self.targets[m]
-            if t == 0.0:
-                continue
-            total = sum(1 if i == j else 2 for i, j in pairs)
-            for i, j in pairs:
-                A[i, j] = A[j, i] = t / total
+        vec = self.vector
+        targets = np.array([self.targets[m] for m in self.classes])
+        spread = targets / vec.coefficients(np.ones((vec.N, vec.N)))
+        A = np.zeros((vec.N, vec.N))
+        A[vec.rows, vec.cols] = A[vec.cols, vec.rows] = spread[vec.slots]
         return A
 
 
@@ -172,7 +186,7 @@ class SosProgram:
         """
         rows: dict = {}
         for off, basis, factor in self.sos_terms:
-            for m, pairs in _product_classes(basis).items():
+            for m, pairs in basis.classes.items():
                 for e, c in factor.terms.items():
                     row = rows.setdefault(monomial_mul(m, e), {})
                     for i, j in pairs:
@@ -301,40 +315,23 @@ def extract_certificate(A: np.ndarray, lam: float, vec: MonomialVector,
     """Square decomposition of the polynomial represented by A minus lam.
 
     A is a Gram matrix over vec; the squares are the rows of the semidefinite
-    factor of A - lam*E11 applied to the monomial vector, and the residual is
-    the largest coefficient error of ``sum b_j^2`` against X^T A X - lam.
+    factor B of A - lam*E11 applied to the monomial vector, and the residual is
+    the largest coefficient of ``sum b_j^2 - (v^T A v - lam)``, read off
+    B^T B - (A - lam*E11) through the vector's Gram-to-monomial map.
     """
     A = np.asarray(A, dtype=float)
     shifted = A.copy()
     shifted[0, 0] -= lam
     fact = psd_factor(shifted, tol=psd_tol)
-    target = _gram_to_polynomial(shifted, vec)
-    scale = 1.0 + target.max_abs_coefficient()
+    scale = 1.0 + float(np.max(np.abs(vec.coefficients(shifted))))
     cert_tol = 1e-5 * scale
     if not fact.success:
         return SosCertificate(lam=lam, gram=A, squares=[], residual=float("inf"),
                               cert_tol=cert_tol, target_scale=scale)
     squares = [vec.polynomial(row) for row in fact.B]
-    resum = Polynomial.zero(vec.n)
-    for b in squares:
-        resum = resum + b * b
-    diff = resum - target
-    residual = diff.max_abs_coefficient()
+    residual = float(np.max(np.abs(vec.coefficients(fact.B.T @ fact.B - shifted))))
     return SosCertificate(lam=lam, gram=A, squares=squares, residual=residual,
                           cert_tol=cert_tol, target_scale=scale)
-
-
-def _gram_to_polynomial(A: np.ndarray, vec: MonomialVector) -> Polynomial:
-    terms: dict = {}
-    N = vec.N
-    for i in range(N):
-        mi = vec.entries[i]
-        for j in range(i, N):
-            v = A[i, j] * (2.0 if i < j else 1.0)
-            if v != 0.0:
-                m = monomial_mul(mi, vec.entries[j])
-                terms[m] = terms.get(m, 0.0) + v
-    return Polynomial(vec.n, terms)
 
 
 @dataclass
@@ -587,7 +584,8 @@ def minimize(f: Polynomial, opts: SdpOptions | None = None, *,
 
 def _perturbed_moment(f: Polynomial, res: SosResult,
                       opts: SdpOptions | None) -> np.ndarray | None:
-    """Moment matrix of the SOS bound of f + eps * l, l a generic linear form."""
+    """Moment matrix of the SOS bound of f + eps * l, l a generic linear form,
+    posed by matching the perturbed coefficients on the program res solved."""
     vec = res.vector
     two_d = 2 * vec.d
     lam_s = res.value / res.alpha**two_d
@@ -596,8 +594,8 @@ def _perturbed_moment(f: Polynomial, res: SosResult,
     fs = scale_homogeneous(f.to_float(), res.alpha, two_d) if res.alpha != 1.0 else f.to_float()
     for i in range(n):
         fs = fs + Polynomial.variable(n, i) * (eps * (i + 1) / n)
-    gs = build_gram_sdp(fs)
-    sol = solve(gs.problem, opts)
+    problem = res.gram_sdp.program.match_coefficients(fs, lam=Polynomial.constant(n, 1.0))
+    sol = solve(problem, opts)
     if sol.status is not SdpStatus.OPTIMAL:
         return None
     moment = sol.S_blocks[0]

@@ -127,6 +127,17 @@ class TestPsdFactor:
             assert err <= 10 * tol * scale
             assert res.rank <= r
 
+    @pytest.mark.parametrize("S, support", [
+        ([[0.0, 1.0], [1.0, 0.0]], {0, 1}),
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], {1, 2}),
+    ])
+    def test_indefinite_zero_diagonal_rejected(self, S, support):
+        # eigenvalue -1 hides behind a diagonal with no negative pivot
+        res = psd_factor(np.array(S), tol=1e-10)
+        assert not res.success and res.B is None
+        assert res.failure_pivot == pytest.approx(-1.0)
+        assert res.failure_index in support
+
     def test_near_psd_tolerance(self):
         S = np.diag([1.0, -1e-13])
         assert psd_factor(S, tol=1e-10).success

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -104,6 +105,10 @@ class TestSolveBasics:
             assert abs(v - b[k]) <= 1e-8 * (1 + abs(b[k]))
         assert sol.gap >= -1e-8
         assert sol.gap <= 1e-8 * (1 + abs(sol.primal_obj))
+
+    def test_tolerances_report_every_option(self):
+        sol = solve(SdpProblem(1, np.array([[1.0]]), [({(0, 0): 1.0}, 3.0)]))
+        assert sol.tolerances == dataclasses.asdict(SdpOptions())
 
     def test_determinism(self):
         rng = np.random.default_rng(77)

@@ -42,6 +42,28 @@ class TestMonomialVector:
         assert vec.index[(0, 0, 0)] == 0
 
 
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (3, 2)])
+    def test_coefficients_match_expansion(self, n, d):
+        vec = MonomialVector.build(n, d)
+        G = np.random.default_rng(10 * n + d).normal(size=(vec.N, vec.N))
+        A = G + G.T
+        expected = expand_gram(A, vec)
+        got = dict(zip(vec.classes, vec.coefficients(A)))
+        assert set(expected.terms) <= set(got)
+        for m, c in got.items():
+            assert abs(c - float(expected.terms.get(m, 0.0))) <= 1e-12 * (1.0 + abs(c))
+
+
+def expand_gram(A, vec):
+    """v^T A v by polynomial arithmetic over every ordered index pair."""
+    v = [Polynomial.from_monomial(vec.n, m, 1.0) for m in vec.entries]
+    out = Polynomial.zero(vec.n)
+    for i in range(vec.N):
+        for j in range(vec.N):
+            out = out + v[i] * v[j] * float(A[i, j])
+    return out
+
+
 class TestGramSpace:
     def test_symmetric_quartic_counts(self, symmetric_quartic):
         gs = build_gram_sdp(symmetric_quartic)
@@ -172,6 +194,36 @@ class TestExtractCertificate:
         A = np.diag([1.0, -1.0])
         cert = extract_certificate(A, 0.0, vec)
         assert not cert.ok and cert.squares == []
+
+
+    @pytest.mark.parametrize("n, d, seed", [(2, 2, 4100001), (3, 2, 4100002),
+                                            (2, 3, 4100003)])
+    def test_residual_matches_reexpansion(self, n, d, seed):
+        f = random_family_instance(FamilyParams(n, d, 100, seed=seed))
+        res = sos_lower_bound(f)
+        cert = res.certificate
+        assert cert.squares
+        shifted = cert.gram.copy()
+        shifted[0, 0] -= cert.lam
+        resum = Polynomial.zero(n)
+        for b in cert.squares:
+            resum = resum + b * b
+        reexpanded = (resum - expand_gram(shifted, res.vector)).max_abs_coefficient()
+        assert abs(cert.residual - reexpanded) <= 1e-9 * cert.target_scale
+
+
+class TestRematchProgram:
+    @pytest.mark.parametrize("seed", [4100011, 4100012])
+    def test_perturbed_target_equals_fresh_build(self, seed):
+        f = random_family_instance(FamilyParams(3, 2, 100, seed=seed)).to_float()
+        gs = build_gram_sdp(f)
+        target = f + Polynomial.variable(3, 0) * 1e-4 + Polynomial.variable(3, 2) * 3e-4
+        again = gs.program.match_coefficients(target, lam=Polynomial.constant(3, 1.0))
+        fresh = build_gram_sdp(target).problem
+        assert again.blocks == fresh.blocks
+        assert again.cost == fresh.cost
+        assert again.constraints == fresh.constraints
+        assert gs.program.offset == f.constant_coefficient()
 
 
 class TestExtractMinimizer:
