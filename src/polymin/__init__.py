@@ -46,7 +46,6 @@ from .psatz import (
 )
 from .refine import local_refine
 from .sdp import (
-    SdpOptions,
     SdpProblem,
     SdpSolution,
     SdpStatus,

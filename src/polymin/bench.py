@@ -7,9 +7,8 @@ seeded family generator, so a plan plus its base seed reproduces the exact
 same polynomial stream; per-method wall time covers the method call only.
 
 Cells whose critical-point count exceeds the oracle cap run the SDP method
-only.  Instance-level parallelism is available through a process pool; each
-worker owns its instances end to end and the reducer is sequential, so the
-report of a given plan is deterministic (timings aside).
+only.  Instances run one after another in plan order, so the report of a
+given plan is deterministic (timings aside).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .groebner import (
@@ -44,9 +42,7 @@ class BenchmarkPlan:
     K_values: list = field(default_factory=lambda: [100])
     methods: list = field(default_factory=lambda: ["sos", "eig-oracle"])
     seed_base: int = 20240001
-    time_cap_s: float | None = None
     mu_cap: int = 3000
-    workers: int = 1
 
     def __post_init__(self):
         if self.instances < 1:
@@ -67,9 +63,7 @@ class BenchmarkPlan:
             "K_values": list(self.K_values),
             "methods": list(self.methods),
             "seed_base": self.seed_base,
-            "time_cap_s": self.time_cap_s,
             "mu_cap": self.mu_cap,
-            "workers": self.workers,
         }
 
     @classmethod
@@ -80,13 +74,11 @@ class BenchmarkPlan:
             K_values=[int(k) for k in data.get("K_values", [100])],
             methods=list(data.get("methods", ["sos", "eig-oracle"])),
             seed_base=int(data.get("seed_base", 20240001)),
-            time_cap_s=data.get("time_cap_s"),
             mu_cap=int(data.get("mu_cap", 3000)),
-            workers=int(data.get("workers", 1)),
         )
 
     def instance_seed(self, cell_index: int, k_index: int, instance: int) -> int:
-        # fixed arithmetic so plans are reproducible across runs and workers
+        # fixed arithmetic so plans are reproducible across runs
         return (self.seed_base + 1_000_003 * cell_index
                 + 10_007 * k_index + instance) & ((1 << 63) - 1)
 
@@ -151,9 +143,8 @@ class BenchmarkReport:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def _run_instance(args) -> list:
-    """Worker body: generate one instance, run the selected methods."""
-    n, two_d, K, seed, methods, mu_cap, time_cap = args
+def _run_instance(n: int, two_d: int, K: int, seed: int, methods, mu_cap: int) -> list:
+    """Generate one instance and run the selected methods on it."""
     f = random_family_instance(FamilyParams(n=n, d=two_d // 2, K=K, seed=seed))
     base = {"n": n, "two_d": two_d, "K": K, "seed": seed}
     rows = []
@@ -166,7 +157,7 @@ def _run_instance(args) -> list:
         t0 = time.perf_counter()
         try:
             if method == "sos":
-                res = minimize(f, extract=True, refine=True)
+                res = minimize(f)
                 bound = None if res.bound == MINUS_INFINITY else res.bound
                 extract_ok = bool(res.extraction and res.extraction.found)
                 row["status"] = res.status.value
@@ -183,10 +174,7 @@ def _run_instance(args) -> list:
         except (SdpFailure, NotGroebnerError, NoRealCriticalPointsError,
                 MuCapExceededError) as exc:
             row["status"] = f"error:{type(exc).__name__}"
-        wall = (time.perf_counter() - t0) * 1000.0
-        row["wall_ms"] = round(wall, 3)
-        if time_cap is not None and wall > time_cap * 1000.0:
-            row["over_time_cap"] = True
+        row["wall_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
         rows.append(row)
     agree = ""
     if bound is not None and oracle_min is not None:
@@ -199,19 +187,11 @@ def _run_instance(args) -> list:
 
 def run_benchmark(plan: BenchmarkPlan) -> BenchmarkReport:
     """Execute the plan; per-instance failures are recorded, never raised."""
-    tasks = []
-    for ci, (n, two_d) in enumerate(plan.cells):
-        for ki, K in enumerate(plan.K_values):
-            for inst in range(plan.instances):
-                seed = plan.instance_seed(ci, ki, inst)
-                tasks.append((n, two_d, K, seed, tuple(plan.methods),
-                              plan.mu_cap, plan.time_cap_s))
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            all_rows = list(pool.map(_run_instance, tasks))
-    else:
-        all_rows = [_run_instance(t) for t in tasks]
-    rows = [r for chunk in all_rows for r in chunk]
+    rows = [r for ci, (n, two_d) in enumerate(plan.cells)
+            for ki, K in enumerate(plan.K_values)
+            for inst in range(plan.instances)
+            for r in _run_instance(n, two_d, K, plan.instance_seed(ci, ki, inst),
+                                   plan.methods, plan.mu_cap)]
 
     cells = []
     for ci, (n, two_d) in enumerate(plan.cells):

@@ -37,6 +37,8 @@ from .poly import (
 
 DEFAULT_MU_CAP = 200_000
 CHARPOLY_EXACT_CAP = 64
+POINT_TOL = 1e-6    # eigenvector coordinate-ratio consistency, relative to 1 + |x_i|
+GRAD_TOL = 1e-6     # gradient residual at a point, relative to 1 + max|coefficient|
 
 
 class NotGroebnerError(ValueError):
@@ -304,14 +306,7 @@ class OracleResult:
     tf_nnz: int
 
 
-def minimize_by_eigenvalues(
-    f: Polynomial,
-    *,
-    point_tol: float = 1e-6,
-    grad_tol: float | None = None,
-    mu_cap: int = DEFAULT_MU_CAP,
-    auto_scale: bool = True,
-) -> OracleResult:
+def minimize_by_eigenvalues(f: Polynomial, *, mu_cap: int = DEFAULT_MU_CAP) -> OracleResult:
     """Global minimum of f as the smallest real eigenvalue of its
     multiplication matrix, with minimizers read off eigenvector coordinate
     ratios.
@@ -327,35 +322,34 @@ def minimize_by_eigenvalues(
     exactly); mildly scaled inputs are left untouched.
     """
     fe = f.to_fraction() if not f.is_exact() else f
-    if auto_scale:
-        two_d = fe.degree()
-        if two_d >= 2 and two_d % 2 == 0:
-            alpha_f = suggested_scaling(fe, two_d)
-            if alpha_f >= 2.0:
-                alpha = Fraction(alpha_f).limit_denominator(16)
-                fs = scale_homogeneous(fe, alpha, two_d)
-                inner = minimize_by_eigenvalues(
-                    fs, point_tol=point_tol, grad_tol=grad_tol,
-                    mu_cap=mu_cap, auto_scale=False,
-                )
-                factor = float(alpha) ** two_d
-                eigen = inner.eigen
-                # the scaled objective's matrix is similar to 1/factor times
-                # the original one, so the spectrum maps back exactly
-                unscaled = EigenResult(
-                    values=eigen.values * factor,
-                    vectors=eigen.vectors,
-                    real_values=[v * factor for v in eigen.real_values],
-                    real_multiplicities=list(eigen.real_multiplicities),
-                    real_clusters=[list(c) for c in eigen.real_clusters],
-                )
-                return OracleResult(
-                    fstar=inner.fstar * factor,
-                    points=[tuple(float(alpha) * c for c in p) for p in inner.points],
-                    mu=inner.mu,
-                    eigen=unscaled,
-                    tf_nnz=inner.tf_nnz,
-                )
+    two_d = fe.degree()
+    alpha_f = suggested_scaling(fe, two_d) if two_d >= 2 and two_d % 2 == 0 else 1.0
+    if alpha_f < 2.0:
+        return _minimize_as_given(fe, mu_cap)
+    alpha = Fraction(alpha_f).limit_denominator(16)
+    inner = _minimize_as_given(scale_homogeneous(fe, alpha, two_d), mu_cap)
+    factor = float(alpha) ** two_d
+    eigen = inner.eigen
+    # the scaled objective's matrix is similar to 1/factor times the original
+    # one, so the spectrum maps back exactly
+    unscaled = EigenResult(
+        values=eigen.values * factor,
+        vectors=eigen.vectors,
+        real_values=[v * factor for v in eigen.real_values],
+        real_multiplicities=list(eigen.real_multiplicities),
+        real_clusters=[list(c) for c in eigen.real_clusters],
+    )
+    return OracleResult(
+        fstar=inner.fstar * factor,
+        points=[tuple(float(alpha) * c for c in p) for p in inner.points],
+        mu=inner.mu,
+        eigen=unscaled,
+        tf_nnz=inner.tf_nnz,
+    )
+
+
+def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
+    """``minimize_by_eigenvalues`` on the exact f as given, without scaling."""
     gens = critical_ideal_generators(fe)
     if not is_groebner(gens):
         raise NotGroebnerError(
@@ -375,8 +369,7 @@ def minimize_by_eigenvalues(
         raise NoRealCriticalPointsError(
             "multiplication matrix has no real eigenvalue under the tolerance rule"
         )
-    if grad_tol is None:
-        grad_tol = 1e-6 * (1.0 + fe.max_abs_coefficient())
+    grad_tol = GRAD_TOL * (1.0 + fe.max_abs_coefficient())
     grads = [fe.to_float().differentiate(i) for i in range(fe.n)]
     # Walk the real clusters in ascending order until one yields a validated
     # real critical point.  A complex critical point can carry a real
@@ -386,7 +379,7 @@ def minimize_by_eigenvalues(
         candidates = _eigenspace_vectors(eigen, cluster, Tx_dense)
         points: list[tuple] = []
         for v in candidates:
-            p = _point_from_vector(v, Tx_dense, point_tol)
+            p = _point_from_vector(v, Tx_dense)
             if p is None:
                 continue
             if max(abs(g.evaluate(p)) for g in grads) > grad_tol:
@@ -402,7 +395,7 @@ def minimize_by_eigenvalues(
     # generic linear form has a tame matrix with the same joint eigenvectors,
     # so enumerate all candidate points from it and minimize over the
     # validated real critical points instead.
-    result = _minimize_via_linear_form(fe, Tx_dense, grads, grad_tol, point_tol)
+    result = _minimize_via_linear_form(fe, Tx_dense, grads, grad_tol)
     if result is not None:
         vals, points = result
         return OracleResult(fstar=vals, points=points, mu=mu, eigen=eigen,
@@ -412,7 +405,7 @@ def minimize_by_eigenvalues(
     )
 
 
-def _minimize_via_linear_form(fe, Tx_dense, grads, grad_tol, point_tol):
+def _minimize_via_linear_form(fe, Tx_dense, grads, grad_tol):
     n = len(Tx_dense)
     fl = fe.to_float()
     for attempt in range(3):
@@ -425,7 +418,7 @@ def _minimize_via_linear_form(fe, Tx_dense, grads, grad_tol, point_tol):
         found: list[tuple] = []
         for k in range(vecs.shape[1]):
             v = _realize(vecs[:, k])
-            p = _point_from_vector(v, Tx_dense, point_tol)
+            p = _point_from_vector(v, Tx_dense)
             if p is None:
                 continue
             if max(abs(g.evaluate(p)) for g in grads) > grad_tol:
@@ -481,7 +474,7 @@ def _realize(v: np.ndarray) -> np.ndarray:
     return (v / phase).real
 
 
-def _point_from_vector(v: np.ndarray, Tx_dense, point_tol: float):
+def _point_from_vector(v: np.ndarray, Tx_dense):
     scale = np.max(np.abs(v))
     if scale == 0:
         return None
@@ -493,7 +486,7 @@ def _point_from_vector(v: np.ndarray, Tx_dense, point_tol: float):
     for Tx in Tx_dense:
         u = Tx @ v
         p_i = u[j] / v[j]
-        if np.max(np.abs(u - p_i * v)) > point_tol * (1.0 + abs(p_i)):
+        if np.max(np.abs(u - p_i * v)) > POINT_TOL * (1.0 + abs(p_i)):
             return None
         point.append(float(p_i))
     return tuple(point)

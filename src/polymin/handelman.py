@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import Polynomial, monomials_up_to_degree, parse
-from .sdp import SdpOptions, SdpStatus, solve_lp
+from .sdp import SdpStatus, solve_lp
 
 DEFAULT_COLUMN_CAP = 200_000
 
@@ -73,7 +73,7 @@ class PolytopeDescription:
             n = max(infer_variable_count(s) for s in items)
         return cls(n=n, facets=[parse(s, n) for s in items])
 
-    def check_bounded(self, opts: SdpOptions | None = None):
+    def check_bounded(self):
         """Reject unbounded input: maximize +-x_k over the set by LP.
 
         Each direction is an LP in split variables x = u - v with slacks; an
@@ -96,7 +96,7 @@ class PolytopeDescription:
                         a[n + j] = -coef
                     a[2 * n + i] = -1.0
                     rows.append((a, -float(ell.constant_coefficient())))
-                res = solve_lp(c, rows, opts)
+                res = solve_lp(c, rows)
                 if res.status is SdpStatus.DUAL_INFEASIBLE:
                     raise UnboundedPolytopeError(
                         f"the set is unbounded in the {'+' if sign > 0 else '-'}x{k + 1} direction"
@@ -146,7 +146,6 @@ def _facet_powers(P: PolytopeDescription, D: int, cap: int):
 
 def handelman_bound(f: Polynomial, P: PolytopeDescription, D: int,
                     column_cap: int = DEFAULT_COLUMN_CAP,
-                    opts: SdpOptions | None = None,
                     check_bounded: bool = True) -> HandelmanBound:
     """The degree-D product-representation lower bound for f over P.
 
@@ -160,7 +159,7 @@ def handelman_bound(f: Polynomial, P: PolytopeDescription, D: int,
     if D < f.degree():
         raise ValueError(f"degree {D} is below deg(f) = {f.degree()}")
     if check_bounded:
-        P.check_bounded(opts)
+        P.check_bounded()
     alphas, powers = _facet_powers(P, D, column_cap)
     fl = f.to_float()
     monos = [m for m in monomials_up_to_degree(f.n, D) if any(m)]
@@ -169,7 +168,7 @@ def handelman_bound(f: Polynomial, P: PolytopeDescription, D: int,
     for m in monos:
         a_row = np.array([float(powers[a].terms.get(m, 0.0)) for a in alphas])
         rows.append((a_row, float(fl.terms.get(m, 0.0))))
-    res = solve_lp(c, rows, opts)
+    res = solve_lp(c, rows)
     if res.status is SdpStatus.PRIMAL_INFEASIBLE:
         raise HandelmanInfeasibleError(D)
     if res.status is not SdpStatus.OPTIMAL:
@@ -187,17 +186,15 @@ def handelman_bound(f: Polynomial, P: PolytopeDescription, D: int,
 
 
 def handelman_ladder(f: Polynomial, P: PolytopeDescription, D_max: int,
-                     column_cap: int = DEFAULT_COLUMN_CAP,
-                     opts: SdpOptions | None = None) -> list[HandelmanBound]:
+                     column_cap: int = DEFAULT_COLUMN_CAP) -> list[HandelmanBound]:
     """Bounds for D = deg(f) .. D_max; the sequence is nondecreasing."""
     if D_max < f.degree():
         raise ValueError("D_max is below deg(f)")
-    P.check_bounded(opts)
+    P.check_bounded()
     out = []
     for D in range(max(f.degree(), 1), D_max + 1):
         try:
-            out.append(handelman_bound(f, P, D, column_cap, opts,
-                                        check_bounded=False))
+            out.append(handelman_bound(f, P, D, column_cap, check_bounded=False))
         except HandelmanInfeasibleError:
             continue
     return out

@@ -31,11 +31,12 @@ from fractions import Fraction
 
 from .linalg import psd_factor
 from .poly import Polynomial, monomials_up_to_degree, parse
-from .sdp import SdpFailure, SdpOptions, SdpStatus, solve
+from .sdp import SdpFailure, SdpStatus, solve
 from .sos import MINUS_INFINITY, MonomialVector, SosProgram, sos_lower_bound
 
 WITNESS_FLOAT_TOL = 1e-6
 RATIONALIZE_DENOMINATOR_CAP = 10**6
+NO_ROOT_MARGIN = 1e-6       # residual bounds above this prove there is no real root
 
 
 class PsatzSolverError(RuntimeError):
@@ -170,8 +171,7 @@ def _multiplier_program(sys: SemialgebraicSystem, D: int):
     return prog, ineq_terms, eq_terms
 
 
-def find_witness(sys: SemialgebraicSystem, D: int,
-                 opts: SdpOptions | None = None):
+def find_witness(sys: SemialgebraicSystem, D: int):
     """Search for a degree-D infeasibility witness; D must be even, >= 2.
 
     Returns a float-verified Witness on success and NotFoundAtDegree when the
@@ -183,7 +183,7 @@ def find_witness(sys: SemialgebraicSystem, D: int,
         raise ValueError("witness degree must be an even integer >= 2")
     n = sys.n
     prog, ineq_terms, eq_terms = _multiplier_program(sys, D)
-    sol = solve(prog.match_coefficients(Polynomial.constant(n, -1.0)), opts)
+    sol = solve(prog.match_coefficients(Polynomial.constant(n, -1.0)))
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return NotFoundAtDegree(D)
     if sol.status is not SdpStatus.OPTIMAL:
@@ -289,8 +289,7 @@ class RealFeasibilityResult:
     verdict: FeasibilityVerdict
 
 
-def real_feasibility_bound(gs: list[Polynomial], feas_margin: float = 1e-6,
-                           opts: SdpOptions | None = None) -> RealFeasibilityResult:
+def real_feasibility_bound(gs: list[Polynomial]) -> RealFeasibilityResult:
     """SOS bound on the sum of squared residuals of a polynomial system.
 
     A strictly positive bound proves the system has no real solution; a zero
@@ -299,9 +298,9 @@ def real_feasibility_bound(gs: list[Polynomial], feas_margin: float = 1e-6,
     from .poly import sum_of_squared_residuals
 
     f = sum_of_squared_residuals(gs)
-    res = sos_lower_bound(f, opts, with_certificate=False)
+    res = sos_lower_bound(f, with_certificate=False)
     verdict = (FeasibilityVerdict.NO_REAL_ROOT
-               if res.value > feas_margin else FeasibilityVerdict.INCONCLUSIVE)
+               if res.value > NO_ROOT_MARGIN else FeasibilityVerdict.INCONCLUSIVE)
     return RealFeasibilityResult(bound=res.value, verdict=verdict)
 
 
@@ -309,8 +308,7 @@ def real_feasibility_bound(gs: list[Polynomial], feas_margin: float = 1e-6,
 # Bounded-degree minimization over a system
 # ---------------------------------------------------------------------------
 
-def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int,
-                         opts: SdpOptions | None = None) -> float:
+def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int) -> float:
     """Largest lambda certified by a degree-D multiplier identity
     f - lambda = s0 + sum_i s_i f_i + sum_j t_j g_j with the s's SOS.
 
@@ -327,7 +325,7 @@ def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int,
     if f.degree() > D:
         raise ValueError("degree budget is below deg(f)")
     prog, _, _ = _multiplier_program(sys, D)
-    sol = solve(prog.match_coefficients(f, lam=Polynomial.constant(sys.n, 1.0)), opts)
+    sol = solve(prog.match_coefficients(f, lam=Polynomial.constant(sys.n, 1.0)))
     if sol.status is SdpStatus.OPTIMAL:
         return prog.bound(sol)
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:

@@ -10,6 +10,7 @@ from .poly import Polynomial
 
 _EPS = float(np.finfo(float).eps)
 _NOISE_UNITS = 10.0   # predicted gains below this many rounding units of f stop the descent
+_MAX_ITER = 100
 
 
 @dataclass
@@ -21,7 +22,7 @@ class RefineResult:
     grad_norm: float
 
 
-def local_refine(f: Polynomial, x0, max_iter: int = 100) -> RefineResult:
+def local_refine(f: Polynomial, x0) -> RefineResult:
     """Damped Newton descent toward a stationary point of f from x0.
 
     The Hessian is made positive definite by flipping the sign of negative
@@ -43,7 +44,7 @@ def local_refine(f: Polynomial, x0, max_iter: int = 100) -> RefineResult:
     if x.shape != (n,):
         raise ValueError(f"start point must have length {n}")
     fx = fl.evaluate(x)
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         g = np.array([gi.evaluate(x) for gi in grads])
         gnorm = float(np.max(np.abs(g))) if n else 0.0
         if gnorm <= 1e-10 * (1.0 + abs(fx)):
@@ -75,4 +76,4 @@ def local_refine(f: Polynomial, x0, max_iter: int = 100) -> RefineResult:
     gnorm = float(np.max(np.abs(g))) if n else 0.0
     converged = gnorm <= 1e-10 * (1.0 + abs(fx))
     return RefineResult(tuple(float(v) for v in x), float(fx), converged,
-                        max_iter, gnorm)
+                        _MAX_ITER, gnorm)

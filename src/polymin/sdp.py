@@ -22,7 +22,6 @@ problem instances may be solved concurrently.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import io
 from dataclasses import dataclass, field
@@ -48,19 +47,23 @@ class SdpFailure(RuntimeError):
         self.status = status
 
 
-@dataclass
-class SdpOptions:
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-8
-    max_iter: int = 200
-    step_fraction: float = 0.95
-    sigma_floor: float = 0.05     # minimum centering weight, keeps iterates near-central
-    infeas_ratio: float = 1e-8   # tau/kappa collapse threshold of the embedding
-    slack_goal: float = 1e-8     # target for ||X S|| / (1 + ||X|| + ||S||) in polish
-    polish_iters: int = 8        # extra centering steps allowed after convergence
+# One accuracy for every program the package poses; every solution reports
+# these values in its ``tolerances``.
+FEAS_TOL = 1e-8
+GAP_TOL = 1e-8
+MAX_ITER = 200
+STEP_FRACTION = 0.95
+SIGMA_FLOOR = 0.05      # minimum centering weight, keeps iterates near-central
+INFEAS_RATIO = 1e-8     # tau/kappa collapse threshold of the embedding
+SLACK_GOAL = 1e-8       # target for ||X S|| / (1 + ||X|| + ||S||) in polish
+POLISH_ITERS = 8        # extra centering steps allowed after convergence
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+
+def _tolerances() -> dict:
+    return {"feas_tol": FEAS_TOL, "gap_tol": GAP_TOL, "max_iter": MAX_ITER,
+            "step_fraction": STEP_FRACTION, "sigma_floor": SIGMA_FLOOR,
+            "infeas_ratio": INFEAS_RATIO, "slack_goal": SLACK_GOAL,
+            "polish_iters": POLISH_ITERS}
 
 
 class SdpProblem:
@@ -422,14 +425,13 @@ def _rank_filter(Aplain: np.ndarray, weights: np.ndarray, b: np.ndarray,
 # Main solver
 # ---------------------------------------------------------------------------
 
-def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
+def solve(prob: SdpProblem) -> SdpSolution:
     """Solve the SDP on the homogeneous self-dual embedding.
 
-    Deterministic for identical inputs and options: fixed initialization
+    Deterministic for identical inputs: fixed initialization
     X = S = I * (1 + max|b| + max|F|), y = 0, tau = kappa = 1, and no
     randomized pivoting anywhere.
     """
-    opts = opts or SdpOptions()
     warnings_out: list[str] = []
     lay = _Layout(prob)
     nu = prob.dim                    # barrier degree of the cone
@@ -443,7 +445,7 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             status=SdpStatus.PRIMAL_INFEASIBLE, X_blocks=None, y=None, S_blocks=None,
             primal_obj=None, dual_obj=None, gap=None, iterations=0,
             warnings=warnings_out + ["inconsistent dependent constraint rows"],
-            tolerances=opts.as_dict(),
+            tolerances=_tolerances(),
         )
     b = np.array([prob.constraints[k][1] for k in kept])
     M = len(kept)
@@ -495,10 +497,10 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             status=status, X_blocks=lay.mat(Xh) if Xh is not None else None, y=y_full,
             S_blocks=lay.mat(Sh) if Sh is not None else None, primal_obj=pobj,
             dual_obj=dobj, gap=gap, iterations=iters, trace=trace,
-            warnings=warnings_out, tolerances=opts.as_dict(), certificate=cert,
+            warnings=warnings_out, tolerances=_tolerances(), certificate=cert,
         )
 
-    for it in range(opts.max_iter + 1):
+    for it in range(MAX_ITER + 1):
         FX = lay.dot(F, X)
         by = float(b @ y) if M else 0.0
         XS = lay.dot(X, S)
@@ -515,11 +517,11 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         denom_obj = 1.0 + abs(pobj) + abs(dobj)
         rel_gap = abs(pobj - dobj) / denom_obj
         compl = (XS / tau**2) / denom_obj
-        # breakdown exits may still carry a usable answer: accept when the
-        # current iterate is within 100x of the strict tolerances
-        relaxed_ok = (max(rel_p, rel_d) <= 100 * opts.feas_tol
-                      and rel_gap <= 100 * opts.gap_tol
-                      and compl <= 1e4 * opts.gap_tol)
+        # breakdown and iteration-cap exits may still carry a usable answer:
+        # accept when the current iterate is within 100x of the strict tolerances
+        relaxed_ok = (max(rel_p, rel_d) <= 100 * FEAS_TOL
+                      and rel_gap <= 100 * GAP_TOL
+                      and compl <= 1e4 * GAP_TOL)
 
         trace.append(IterateRecord(
             iteration=it, mu=mu, tau=tau, kappa=kappa, alpha=last_alpha,
@@ -528,8 +530,8 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         ))
 
         converged_now = (
-            rel_p <= opts.feas_tol and rel_d <= opts.feas_tol
-            and rel_gap <= opts.gap_tol and compl <= opts.gap_tol
+            rel_p <= FEAS_TOL and rel_d <= FEAS_TOL
+            and rel_gap <= GAP_TOL and compl <= GAP_TOL
         )
         if converged_now:
             # Centering polish: Mehrotra's aggressive last steps leave X*S
@@ -544,7 +546,7 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             if best is None or slack_rel < best[0]:
                 best = (slack_rel, Xh, y / tau, Sh, it)
             polish_used += 1
-            if best[0] <= opts.slack_goal or polish_used > opts.polish_iters:
+            if best[0] <= SLACK_GOAL or polish_used > POLISH_ITERS:
                 return finish(SdpStatus.OPTIMAL, best[1], best[2], best[3], iters=it)
         elif best is not None:
             # roundoff pushed a converged iterate back out; stop polishing
@@ -553,14 +555,16 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         def best_or(status):
             if best is not None:
                 return finish(SdpStatus.OPTIMAL, best[1], best[2], best[3], iters=it)
+            capped = status is SdpStatus.ITERATION_LIMIT
             if relaxed_ok:
-                warnings_out.append(
-                    "converged at reduced accuracy before numerical breakdown"
-                )
-                return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)
-            return finish(status, iters=it)
+                warnings_out.append("converged at reduced accuracy " + (
+                    "at the iteration cap" if capped else "before numerical breakdown"))
+                status = SdpStatus.OPTIMAL
+            elif not capped:
+                return finish(status, iters=it)
+            return finish(status, X / tau, y / tau, S / tau, iters=it)
 
-        if tau <= opts.infeas_ratio * max(1.0, kappa):
+        if tau <= INFEAS_RATIO * max(1.0, kappa):
             # the embedding's tau/kappa balance collapsed: no optimum exists
             if by > 0 and float(np.max(np.abs(y @ Aplain + S))) <= 1e-6 * by * (1 + fmax):
                 cert = {"kind": "dual_ray", "y": y / by, "S": lay.mat(S / by)}
@@ -592,16 +596,8 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
                 warnings_out.append("tau/kappa collapsed without a clean certificate")
                 return finish(SdpStatus.NUMERICAL_TROUBLE, iters=it)
 
-        if it == opts.max_iter:
-            if best is not None:
-                return finish(SdpStatus.OPTIMAL, best[1], best[2], best[3], iters=it)
-            if relaxed_ok:
-                warnings_out.append(
-                    "converged at reduced accuracy at the iteration cap"
-                )
-                return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)
-            return finish(SdpStatus.ITERATION_LIMIT, X / tau, y / tau, S / tau,
-                          iters=it)
+        if it == MAX_ITER:
+            return best_or(SdpStatus.ITERATION_LIMIT)
 
         Xb, Sb = lay.mat(X), lay.mat(S)
         try:
@@ -672,25 +668,30 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
         dX, dy, dS, dtau, dkappa = direction(eta, Rc, rtk, v1)
         x_whiten = [_psd_whitener(x) if x.ndim == 2 else None for x in Xb]
         s_whiten = [_psd_whitener(s) if s.ndim == 2 else None for s in Sb]
+
+        def step_bound(dX, dS, dtau, dkappa):
+            """Largest step keeping X, S, tau and kappa in their cones; None
+            (with a warning) for a non-finite direction."""
+            if not (np.all(np.isfinite(dX)) and np.all(np.isfinite(dS))
+                    and np.isfinite(dtau) and np.isfinite(dkappa)):
+                warnings_out.append("non-finite search direction")
+                return None
+            return min(_max_step(Xb, x_whiten, lay.mat(dX)),
+                       _max_step(Sb, s_whiten, lay.mat(dS)),
+                       (tau / -dtau) if dtau < 0 else np.inf,
+                       (kappa / -dkappa) if dkappa < 0 else np.inf)
+
         if not converged_now:
             dXa, dSa, dtaua, dkappaa = dX, dS, dtau, dkappa
-            if not (np.all(np.isfinite(dXa)) and np.all(np.isfinite(dSa))) or not (
-                np.isfinite(dtaua) and np.isfinite(dkappaa)
-            ):
-                warnings_out.append("non-finite search direction")
+            bound = step_bound(dXa, dSa, dtaua, dkappaa)
+            if bound is None:
                 return best_or(SdpStatus.NUMERICAL_TROUBLE)
-            alpha_a = min(
-                1.0,
-                _max_step(Xb, x_whiten, lay.mat(dXa)),
-                _max_step(Sb, s_whiten, lay.mat(dSa)),
-                (tau / -dtaua) if dtaua < 0 else np.inf,
-                (kappa / -dkappaa) if dkappaa < 0 else np.inf,
-            )
+            alpha_a = min(1.0, bound)
             mu_aff = (
                 lay.dot(X + alpha_a * dXa, S + alpha_a * dSa)
                 + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
             ) / (nu + 1)
-            sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, opts.sigma_floor), 0.999)
+            sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, SIGMA_FLOOR), 0.999)
 
             # corrector with the NT-scaled Mehrotra second-order term
             Rc = lay.vec([fr.second_order_residual(sigma * mu, a, s)
@@ -699,18 +700,10 @@ def solve(prob: SdpProblem, opts: SdpOptions | None = None) -> SdpSolution:
             dX, dy, dS, dtau, dkappa = direction(
                 1.0 - sigma, Rc, rtk, chol.solve(schur_rhs(1.0 - sigma, Rc)))
 
-        if not (np.all(np.isfinite(dX)) and np.all(np.isfinite(dS))) or not (
-            np.isfinite(dtau) and np.isfinite(dkappa)
-        ):
-            warnings_out.append("non-finite search direction")
+        bound = step_bound(dX, dS, dtau, dkappa)
+        if bound is None:
             return best_or(SdpStatus.NUMERICAL_TROUBLE)
-        bound = min(
-            _max_step(Xb, x_whiten, lay.mat(dX)),
-            _max_step(Sb, s_whiten, lay.mat(dS)),
-            (tau / -dtau) if dtau < 0 else np.inf,
-            (kappa / -dkappa) if dkappa < 0 else np.inf,
-        )
-        alpha = min(1.0, opts.step_fraction * bound)
+        alpha = min(1.0, STEP_FRACTION * bound)
         if not np.isfinite(alpha) or alpha <= 0:
             alpha = 0.0
         if alpha < 1e-8:
@@ -789,7 +782,7 @@ class LpSolution:
     y: np.ndarray | None
 
 
-def solve_lp(c, rows, opts: SdpOptions | None = None) -> LpSolution:
+def solve_lp(c, rows) -> LpSolution:
     """Minimize c @ x subject to a_k @ x = b_k and x >= 0, one diagonal block."""
     c = np.asarray(c, dtype=float)
     V = len(c)
@@ -800,7 +793,7 @@ def solve_lp(c, rows, opts: SdpOptions | None = None) -> LpSolution:
             raise ValueError("row length mismatch")
         constraints.append(({(i, i): a[i] for i in np.flatnonzero(a)}, bk))
     problem = SdpProblem([-V], {(i, i): c[i] for i in np.flatnonzero(c)}, constraints)
-    sol = solve(problem, opts)
+    sol = solve(problem)
     if sol.status is not SdpStatus.OPTIMAL:
         return LpSolution(status=sol.status, x=None, value=None, y=sol.y)
     x = sol.X_blocks[0]

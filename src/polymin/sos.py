@@ -39,9 +39,16 @@ from .poly import (
     suggested_scaling,
 )
 from .refine import local_refine
-from .sdp import SdpFailure, SdpOptions, SdpProblem, SdpSolution, SdpStatus, solve
+from .sdp import SdpFailure, SdpProblem, SdpSolution, SdpStatus, solve
 
 MINUS_INFINITY = float("-inf")
+
+# Extraction and certificate settings; results report the first three in
+# their ``tolerances``.
+RANK_TOL = 1e-4           # largest second-to-first eigenvalue ratio of a rank-one moment
+MOMENT_TOL = 1e-4         # degree-two moment consistency, relative to the point's scale
+EXTRACT_TOL = 1e-5        # f(point) - bound allowed, relative to 1 + |bound|
+CERT_PSD_TOL = 1e-8       # pivot threshold of the certificate's square factor
 
 
 class OddDegreeError(ValueError):
@@ -259,6 +266,14 @@ class GramSdp:
         return (V[:, keep] * w[keep]) @ V[:, keep].T
 
 
+def _even_degree(f: Polynomial) -> int:
+    two_d = f.degree()
+    if two_d % 2 != 0:
+        raise OddDegreeError(
+            f"degree {two_d} is odd: f is unbounded below, no SOS bound exists"
+        )
+    return two_d
+
 
 def build_gram_sdp(f: Polynomial, k: int = 0) -> GramSdp:
     """SDP computing the largest lambda with g * (f - lambda) a sum of squares,
@@ -269,11 +284,7 @@ def build_gram_sdp(f: Polynomial, k: int = 0) -> GramSdp:
     """
     if f.is_zero():
         raise ValueError("f must not be identically zero")
-    two_d = f.degree()
-    if two_d % 2 != 0:
-        raise OddDegreeError(
-            f"degree {two_d} is odd: f is unbounded below, no SOS bound exists"
-        )
+    two_d = _even_degree(f)
     n = f.n
     g = Polynomial.constant(n, 1.0)
     for i in range(n if k else 0):
@@ -310,8 +321,7 @@ class SosCertificate:
         return self.residual / self.target_scale
 
 
-def extract_certificate(A: np.ndarray, lam: float, vec: MonomialVector,
-                        psd_tol: float = 1e-8) -> SosCertificate:
+def extract_certificate(A: np.ndarray, lam: float, vec: MonomialVector) -> SosCertificate:
     """Square decomposition of the polynomial represented by A minus lam.
 
     A is a Gram matrix over vec; the squares are the rows of the semidefinite
@@ -322,7 +332,7 @@ def extract_certificate(A: np.ndarray, lam: float, vec: MonomialVector,
     A = np.asarray(A, dtype=float)
     shifted = A.copy()
     shifted[0, 0] -= lam
-    fact = psd_factor(shifted, tol=psd_tol)
+    fact = psd_factor(shifted, tol=CERT_PSD_TOL)
     scale = 1.0 + float(np.max(np.abs(vec.coefficients(shifted))))
     cert_tol = 1e-5 * scale
     if not fact.success:
@@ -344,9 +354,7 @@ class ExtractionResult:
 
 
 def extract_minimizer(primal: np.ndarray, vec: MonomialVector, f: Polynomial,
-                      bound: float, *, rank_tol: float = 1e-4,
-                      moment_tol: float = 1e-4,
-                      extract_tol_scale: float = 1e-5) -> ExtractionResult:
+                      bound: float) -> ExtractionResult:
     """Read a candidate global minimizer off a rank-one moment matrix.
 
     The top eigenvector, normalized so its constant-monomial coordinate is
@@ -358,7 +366,7 @@ def extract_minimizer(primal: np.ndarray, vec: MonomialVector, f: Polynomial,
     lam1 = float(w[-1])
     lam2 = float(w[-2]) if len(w) > 1 else 0.0
     ratio = max(lam2, 0.0) / lam1 if lam1 > 0 else float("inf")
-    if ratio > rank_tol:
+    if ratio > RANK_TOL:
         return ExtractionResult(False, None, None, ratio, "moment matrix not rank one")
     u = v[:, -1] * np.sqrt(max(lam1, 0.0))
     if abs(u[0]) < 1e-8:
@@ -381,12 +389,12 @@ def extract_minimizer(primal: np.ndarray, vec: MonomialVector, f: Polynomial,
             k = vec.index.get(mono)
             if k is None:
                 continue
-            if abs(u[k] - point[i] * point[j]) > moment_tol * pscale:
+            if abs(u[k] - point[i] * point[j]) > MOMENT_TOL * pscale:
                 return ExtractionResult(False, tuple(point), None, ratio,
                                         "degree-two moments inconsistent")
     upper = float(fl.evaluate(point))
     gap = upper - bound
-    if gap > extract_tol_scale * (1.0 + abs(bound)):
+    if gap > EXTRACT_TOL * (1.0 + abs(bound)):
         return ExtractionResult(False, tuple(point), upper, ratio,
                                 "objective exceeds the bound")
     return ExtractionResult(True, tuple(point), upper, ratio)
@@ -395,12 +403,6 @@ def extract_minimizer(primal: np.ndarray, vec: MonomialVector, f: Polynomial,
 # ---------------------------------------------------------------------------
 # Bound pipelines
 # ---------------------------------------------------------------------------
-
-def _scaling_factor(f: Polynomial, two_d: int) -> float:
-    if two_d == 0:
-        return 1.0
-    return suggested_scaling(f, two_d)
-
 
 @dataclass
 class SosResult:
@@ -421,9 +423,7 @@ class SosResult:
         return self.value == MINUS_INFINITY
 
 
-def sos_lower_bound(f: Polynomial, opts: SdpOptions | None = None,
-                    with_certificate: bool = True,
-                    alpha: float | None = None) -> SosResult:
+def sos_lower_bound(f: Polynomial, with_certificate: bool = True) -> SosResult:
     """Largest lambda with f - lambda a sum of squares, by SDP.
 
     Returns -inf exactly when the shifted-Gram feasibility fails for every
@@ -433,35 +433,29 @@ def sos_lower_bound(f: Polynomial, opts: SdpOptions | None = None,
     solve is repeated once with the factor matched to the bound itself, since
     unscaling would otherwise amplify solver tolerance past the answer.
     """
-    return _bound(f, 0, opts, with_certificate, alpha)
+    return _bound(f, 0, with_certificate)
 
 
-def _bound(f: Polynomial, k: int, opts: SdpOptions | None,
-           with_certificate: bool, alpha: float | None) -> SosResult:
+def _bound(f: Polynomial, k: int, with_certificate: bool) -> SosResult:
     """The bound of ``build_gram_sdp(f, k)`` with homogeneous scaling."""
-    two_d = f.degree()
-    chosen = alpha is not None
-    if alpha is None:
-        alpha = _scaling_factor(f, two_d)
-    res = _sos_bound_at_scale(f, k, alpha, two_d, opts, with_certificate)
-    if not chosen and res.status is SdpStatus.OPTIMAL and two_d > 0:
+    two_d = _even_degree(f)
+    alpha = suggested_scaling(f, two_d)
+    res = _sos_bound_at_scale(f, k, alpha, two_d, with_certificate)
+    if res.status is SdpStatus.OPTIMAL and two_d > 0:
         lam_scaled = res.value / alpha**two_d
         if 0 < abs(lam_scaled) < 1e-5:
             alpha2 = max(1.0, abs(res.value) ** (1.0 / two_d))
             if abs(alpha2 - alpha) / alpha > 0.1:
-                return _sos_bound_at_scale(f, k, alpha2, two_d, opts, with_certificate)
+                return _sos_bound_at_scale(f, k, alpha2, two_d, with_certificate)
     return res
 
 
 def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
-                        opts: SdpOptions | None,
                         with_certificate: bool) -> SosResult:
-    fs = scale_homogeneous(f.to_float(), alpha, two_d) if alpha != 1.0 else f.to_float()
-    gs = build_gram_sdp(fs, k)
-    sol = solve(gs.problem, opts)
-    tols = dict(sol.tolerances)
-    tols.update({"rank_tol": 1e-4, "moment_tol": 1e-4, "extract_tol": 1e-5,
-                 "alpha": alpha})
+    gs = build_gram_sdp(scale_homogeneous(f.to_float(), alpha, two_d), k)
+    sol = solve(gs.problem)
+    tols = {**sol.tolerances, "rank_tol": RANK_TOL, "moment_tol": MOMENT_TOL,
+            "extract_tol": EXTRACT_TOL, "alpha": alpha}
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return SosResult(MINUS_INFINITY, sol.status, None, None, gs.vector, alpha,
                          sol, gs, tols)
@@ -470,15 +464,14 @@ def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
     lam_s = gs.program.bound(sol)
     lam = lam_s * alpha**two_d
     d = gs.vector.d
-    moment = sol.S_blocks[0]
-    moment = _unscale_moment(moment, gs.vector, alpha) if alpha != 1.0 else moment
+    moment = _unscale_moment(sol.S_blocks[0], gs.vector, alpha)
     cert = None
     if with_certificate:
         shifted_s = gs.optimal_shifted_gram(sol)   # Gram of f_s - lam_s
         gram_s = shifted_s.copy()
         gram_s[0, 0] += lam_s
-        gram = _unscale_gram(gram_s, gs.vector, alpha, d) if alpha != 1.0 else gram_s
-        cert = extract_certificate(gram, lam, gs.vector)
+        cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha, d), lam,
+                                   gs.vector)
     return SosResult(lam, sol.status, cert, moment, gs.vector, alpha, sol, gs, tols)
 
 
@@ -492,8 +485,7 @@ def _unscale_gram(A: np.ndarray, vec: MonomialVector, alpha: float, d: int) -> n
     return A * np.outer(s, s)
 
 
-def higher_degree_bound(f: Polynomial, k: int,
-                        opts: SdpOptions | None = None) -> float:
+def higher_degree_bound(f: Polynomial, k: int) -> float:
     """Largest lambda with (1 + sum x_i^(2k)) * (f - lambda) a sum of squares.
 
     The multiplier is strictly positive everywhere (the constant term keeps
@@ -503,10 +495,7 @@ def higher_degree_bound(f: Polynomial, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    two_d = f.degree()
-    if two_d % 2 != 0:
-        raise OddDegreeError(f"degree {two_d} is odd")
-    return _bound(f, k, opts, False, None).value
+    return _bound(f, k, False).value
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +536,7 @@ class MinimizeResult:
         }
 
 
-def minimize(f: Polynomial, opts: SdpOptions | None = None, *,
-             extract: bool = True, refine: bool = True) -> MinimizeResult:
+def minimize(f: Polynomial, *, extract: bool = True) -> MinimizeResult:
     """SOS bound plus minimizer extraction with a degenerate-face fallback.
 
     When several global minimizers exist the moment matrix converges to a
@@ -557,18 +545,18 @@ def minimize(f: Polynomial, opts: SdpOptions | None = None, *,
     the optimal face, and the candidate is still validated against the
     unperturbed bound.  A Newton polish tightens accepted points.
     """
-    res = sos_lower_bound(f, opts)
+    res = sos_lower_bound(f)
     extraction = None
     refined = False
     if extract and not res.is_minus_infinity:
         extraction = extract_minimizer(res.moment_matrix, res.vector, f, res.value)
         if not extraction.found and extraction.reason == "moment matrix not rank one":
-            perturbed = _perturbed_moment(f, res, opts)
+            perturbed = _perturbed_moment(f, res)
             if perturbed is not None:
                 candidate = extract_minimizer(perturbed, res.vector, f, res.value)
                 if candidate.found:
                     extraction = candidate
-        if extraction.found and refine:
+        if extraction.found:
             r = local_refine(f, extraction.point)
             if r.converged and r.value <= extraction.upper_bound + 1e-12 * (
                 1.0 + abs(extraction.upper_bound)
@@ -582,8 +570,7 @@ def minimize(f: Polynomial, opts: SdpOptions | None = None, *,
                           alpha=res.alpha)
 
 
-def _perturbed_moment(f: Polynomial, res: SosResult,
-                      opts: SdpOptions | None) -> np.ndarray | None:
+def _perturbed_moment(f: Polynomial, res: SosResult) -> np.ndarray | None:
     """Moment matrix of the SOS bound of f + eps * l, l a generic linear form,
     posed by matching the perturbed coefficients on the program res solved."""
     vec = res.vector
@@ -591,15 +578,14 @@ def _perturbed_moment(f: Polynomial, res: SosResult,
     lam_s = res.value / res.alpha**two_d
     eps = 1e-4 * (1.0 + abs(lam_s))
     n = vec.n
-    fs = scale_homogeneous(f.to_float(), res.alpha, two_d) if res.alpha != 1.0 else f.to_float()
+    fs = scale_homogeneous(f.to_float(), res.alpha, two_d)
     for i in range(n):
         fs = fs + Polynomial.variable(n, i) * (eps * (i + 1) / n)
     problem = res.gram_sdp.program.match_coefficients(fs, lam=Polynomial.constant(n, 1.0))
-    sol = solve(problem, opts)
+    sol = solve(problem)
     if sol.status is not SdpStatus.OPTIMAL:
         return None
-    moment = sol.S_blocks[0]
-    return _unscale_moment(moment, vec, res.alpha) if res.alpha != 1.0 else moment
+    return _unscale_moment(sol.S_blocks[0], vec, res.alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from polymin import sdp
+from polymin.poly import parse
 from polymin.sdp import (
-    SdpOptions,
     SdpProblem,
     SdpStatus,
     check_duality,
@@ -14,6 +14,7 @@ from polymin.sdp import (
     solve,
     solve_lp,
 )
+from polymin.sos import build_gram_sdp
 
 
 def dense_to_constraints(Gs, b):
@@ -108,7 +109,20 @@ class TestSolveBasics:
 
     def test_tolerances_report_every_option(self):
         sol = solve(SdpProblem(1, np.array([[1.0]]), [({(0, 0): 1.0}, 3.0)]))
-        assert sol.tolerances == dataclasses.asdict(SdpOptions())
+        assert sol.tolerances == {
+            "feas_tol": 1e-8, "gap_tol": 1e-8, "max_iter": 200, "step_fraction": 0.95,
+            "sigma_floor": 0.05, "infeas_ratio": 1e-8, "slack_goal": 1e-8,
+            "polish_iters": 8,
+        }
+
+    def test_iteration_cap_returns_the_iterate(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITER", 2)
+        f = parse("x1^4+x2^4-3*x1*x2+x1", 2)
+        sol = solve(build_gram_sdp(f).problem)
+        assert sol.status is SdpStatus.ITERATION_LIMIT
+        assert sol.iterations == 2
+        assert sol.X is not None and sol.warnings == []
+        assert sol.primal_obj == 1.6500726169368394
 
     def test_determinism(self):
         rng = np.random.default_rng(77)

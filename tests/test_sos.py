@@ -114,6 +114,16 @@ class TestGramSpace:
 
 
 class TestSosLowerBound:
+    # a coefficient above 1 makes the homogeneous scaling nontrivial, which
+    # must not run before the parity check
+    @pytest.mark.parametrize("text", ["x1^3+5*x1", "x1^3+x2^2+3*x1*x2"])
+    @pytest.mark.parametrize("entry", [sos_lower_bound, minimize,
+                                       lambda f: higher_degree_bound(f, 1)],
+                             ids=["sos_lower_bound", "minimize", "higher_degree_bound"])
+    def test_odd_degree_raises_odd_degree_error(self, entry, text):
+        with pytest.raises(OddDegreeError):
+            entry(parse(text))
+
     def test_symmetric_quartic(self, symmetric_quartic):
         res = sos_lower_bound(symmetric_quartic)
         assert abs(res.value - (-2.112913882)) <= 1e-6
@@ -239,6 +249,14 @@ class TestExtractMinimizer:
         assert res.extraction is not None and res.extraction.found
         assert permutations_match(res.extraction.point, (0.988, -1.102, -1.102), 5e-3)
         assert res.extraction.upper_bound - res.bound <= 1e-5 * (1 + abs(res.bound))
+
+    def test_tolerances_report_extraction_settings(self, symmetric_quartic):
+        res = minimize(symmetric_quartic)
+        assert res.alpha == 4.0
+        assert {k: res.tolerances[k] for k in
+                ("rank_tol", "moment_tol", "extract_tol", "alpha")} == {
+            "rank_tol": 1e-4, "moment_tol": 1e-4, "extract_tol": 1e-5, "alpha": 4.0}
+        assert res.tolerances["feas_tol"] == 1e-8
 
     def test_gap_instance_detected(self, motzkin):
         f = parse("x1^8+x2^8", 2) + motzkin * 2700
@@ -380,7 +398,7 @@ def _posed_blocks(monkeypatch, module) -> list:
     answered as infeasible, so nothing is solved."""
     seen = []
 
-    def capture(problem, opts=None):
+    def capture(problem):
         seen.append(problem.blocks)
         return SdpSolution(SdpStatus.PRIMAL_INFEASIBLE, None, None, None,
                            None, None, None, 0)
