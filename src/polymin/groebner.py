@@ -1,22 +1,28 @@
 """Exact algebraic minimization oracle.
 
 Verifies that the scaled partial derivatives form a Groebner basis under the
-graded-lex order, enumerates standard monomials, reduces to normal form over
-exact rationals, builds multiplication matrices of the quotient ring, and
-minimizes globally by reading off the smallest real eigenvalue of the
-multiplication matrix of the objective.  A fraction-free characteristic
-polynomial gives the alternative univariate route to the same value.
+graded-lex order, enumerates standard monomials, builds exact multiplication
+matrices of the quotient ring, and minimizes globally by reading off the
+smallest real eigenvalue of the multiplication matrix of the objective.  A
+fraction-free characteristic polynomial gives the alternative univariate
+route to the same value.
+
+The multiplication matrices come from a border table (Stetter, *Numerical
+Polynomial Algebra*, 2004, ch. 2; Mourrain, AAECC 1999): the normal forms of
+the border monomials x_j x^u, each one step from a smaller border normal
+form or from a generator's tail, give every T_xj; the rows of any other T_g
+then follow one from another, row u being row(u - e_j) times T_xj.  Rows are
+Python ints over one gcd-reduced denominator; only the finished matrix holds
+``Fraction`` entries.
 
 No Buchberger completion is attempted: callers get a clean refusal when the
 generators are not already a Groebner basis (the benchmark family always is).
-All operations are pure; building the columns of a multiplication matrix is
-embarrassingly parallel if a caller wants it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -94,6 +100,8 @@ class StandardBasis:
 
     monomials: list[Monomial]
     index: dict
+    # (G, border table) from the last multiplication_matrix call on this basis
+    _border: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_monomials(cls, monos: Sequence[Monomial]) -> "StandardBasis":
@@ -288,13 +296,119 @@ class MultiplicationMatrix:
 def multiplication_matrix(
     g: Polynomial, G: GroebnerBasis, B: StandardBasis
 ) -> MultiplicationMatrix:
+    """Multiplication by g on the quotient ring; G must be a Groebner basis
+    and B its standard monomials.
+
+    Row 0 is ``normal_form(g, G)``.  Row u is row(u - e_j) times T_xj for the
+    first j with u_j > 0: NF(x_j h) = NF(x_j NF(h)), and B is an order ideal,
+    so u - e_j is a row already built.  The T_xj come from the border table
+    of (G, B), built on the first call and kept on B for the others.
+    """
+    if B._border is None or B._border[0] is not G:
+        B._border = (G, _BorderTable(G, B))
+    table = B._border[1]
     entries: dict = {}
-    for row, u in enumerate(B.monomials):
-        shifted = Polynomial.from_monomial(g.n, u) * g
-        nf = normal_form(shifted, G)
-        for m, c in nf.terms.items():
-            entries[(row, B.index[m])] = c
+    for r, (nums, den) in enumerate(_int_rows(g, G, B, table)):
+        for c, a in nums.items():
+            entries[(r, c)] = Fraction(a, den)
     return MultiplicationMatrix(g, B, entries)
+
+
+def _int_rows(g: Polynomial, G: GroebnerBasis, B: StandardBasis, table):
+    """The rows NF(x^u g) in B's order as (numerators by column, denominator);
+    a row is kept only until its last child row is built."""
+    index = B.index
+    parents = [None]  # (row of u - e_j, j) for each row after row 0
+    children = [0] * B.mu
+    for u in B.monomials[1:]:
+        j = next(k for k, e in enumerate(u) if e)
+        p = index[_bump(u, j, -1)]
+        parents.append((p, j))
+        children[p] += 1
+    live: dict = {}
+    for r in range(B.mu):
+        if r == 0:
+            row = _int_row(normal_form(g, G), index)
+        else:
+            p, j = parents[r]
+            row = table.times_variable(*live[p], j)
+            children[p] -= 1
+            if not children[p]:
+                del live[p]
+        if children[r]:
+            live[r] = row
+        yield row
+
+
+def _bump(mono: Monomial, j: int, step: int = 1) -> Monomial:
+    return mono[:j] + (mono[j] + step,) + mono[j + 1:]
+
+
+def _int_row(p: Polynomial, index: dict):
+    """(numerators by column, denominator) of p, over its least denominator."""
+    den = math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
+    return {index[m]: int(c * den) for m, c in p.terms.items()}, den
+
+
+class _BorderTable:
+    """Normal forms of the border monomials x_j x^u (u standard, x_j x^u not).
+
+    ``step[j][c]`` is the column of x_j x^u for the standard monomial u in
+    column c, or the border monomial itself when x_j x^u is not standard;
+    ``border`` maps each border monomial to its normal form as an int row.
+    A border monomial m with a non-standard m - e_j is one step from that
+    border row: NF(x^m) = NF(x_j NF(x^(m-e_j))).  Every other one is a
+    leading monomial, whose normal form is minus that of its generator's
+    tail.  In ascending graded-lex order each product finds the border rows
+    it needs already built.
+    """
+
+    def __init__(self, G: GroebnerBasis, B: StandardBasis):
+        index = B.index
+        self.step = []
+        for j in range(G.n):
+            up = [_bump(u, j) for u in B.monomials]
+            self.step.append([index.get(m, m) for m in up])
+        tails: dict = {}
+        for lm, g in zip(G.leading_monomials, G.generators):
+            tails.setdefault(lm, g - Polynomial.from_monomial(G.n, lm))
+        self.border: dict = {}
+        todo = {m for col in self.step for m in col if type(m) is tuple}
+        for m in sorted(todo, key=grlex_key):
+            inner = [j for j in range(G.n) if m[j] and _bump(m, j, -1) not in index]
+            if inner:
+                j = inner[0]
+                self.border[m] = self.times_variable(*self.border[_bump(m, j, -1)], j)
+            else:
+                nums, den = _int_row(normal_form(tails[m], G), index)
+                self.border[m] = {c: -a for c, a in nums.items()}, den
+
+    def times_variable(self, nums: dict, den: int, j: int):
+        """NF(x_j h) as (nums, den) for h = sum(nums[c] x^u_c) / den."""
+        step = self.step[j]
+        acc: dict = {}
+        border = []
+        for c, a in nums.items():
+            t = step[c]
+            if type(t) is int:
+                acc[t] = a  # u -> x_j x^u is injective: no collision yet
+            else:
+                border.append((a, self.border[t]))
+        if border:
+            lcm = math.lcm(*(bden for _, (_, bden) in border))
+            if lcm != 1:
+                acc = {c: a * lcm for c, a in acc.items()}
+            for a, (bnums, bden) in border:
+                f = a * (lcm // bden)
+                for c, b in bnums.items():
+                    acc[c] = acc.get(c, 0) + f * b
+            den *= lcm
+            acc = {c: a for c, a in acc.items() if a}
+        common = math.gcd(den, *acc.values())
+        if common != 1:
+            acc = {c: a // common for c, a in acc.items()}
+            den //= common
+        return acc, den
 
 
 @dataclass
@@ -358,12 +472,16 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
     G = GroebnerBasis.from_generators(gens)
     B = standard_monomials(G, mu_cap=mu_cap)
     mu = B.mu
+    # each exact matrix is freed once it is converted, and the border table
+    # kept on B once the last one is built
     Tf = multiplication_matrix(fe, G, B)
-    Txs = [
-        multiplication_matrix(Polynomial.variable(fe.n, i), G, B) for i in range(fe.n)
+    tf_nnz, Tf_dense = Tf.nnz, Tf.to_dense_float()
+    del Tf
+    Tx_dense = [
+        multiplication_matrix(Polynomial.variable(fe.n, i), G, B).to_dense_float()
+        for i in range(fe.n)
     ]
-    Tf_dense = Tf.to_dense_float()
-    Tx_dense = [T.to_dense_float() for T in Txs]
+    del B
     eigen = eig_general(Tf_dense)
     if not eigen.real_values:
         raise NoRealCriticalPointsError(
@@ -389,7 +507,7 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
         if points:
             points.sort()
             return OracleResult(fstar=value, points=points, mu=mu, eigen=eigen,
-                                tf_nnz=Tf.nnz)
+                                tf_nnz=tf_nnz)
     # The multiplication matrix of the objective can be too wild numerically
     # (its irrelevant eigenvalues may dwarf the minimum by many orders).  A
     # generic linear form has a tame matrix with the same joint eigenvectors,
@@ -399,7 +517,7 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
     if result is not None:
         vals, points = result
         return OracleResult(fstar=vals, points=points, mu=mu, eigen=eigen,
-                            tf_nnz=Tf.nnz)
+                            tf_nnz=tf_nnz)
     raise NoRealCriticalPointsError(
         "no candidate eigenvector produced a validated real critical point"
     )

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from polymin.groebner import (
+    GRAD_TOL,
     GroebnerBasis,
     InfiniteQuotientError,
     MultiplicationMatrix,
@@ -22,6 +24,7 @@ from polymin.groebner import (
     write_matrix_market,
 )
 from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
+from polymin.sos import minimize
 
 from conftest import SYMMETRIC_QUARTIC, permutations_match
 
@@ -194,6 +197,75 @@ class TestMultiplicationMatrix:
         assert len(lines) == 3 + 178
 
 
+def _reference_entries(g, G, B):
+    """The per-row construction: row u is normal_form(x^u * g)."""
+    entries = {}
+    for row, u in enumerate(B.monomials):
+        nf = normal_form(Polynomial.from_monomial(g.n, u) * g, G)
+        for m, c in nf.terms.items():
+            entries[(row, B.index[m])] = c
+    return entries
+
+
+def _assert_matches_reference(G, B, gs):
+    for g in gs:
+        T = multiplication_matrix(g, G, B)
+        assert T.entries == _reference_entries(g, G, B)
+        assert all(type(c) is Fraction for c in T.entries.values())
+
+
+def _family(n, two_d, seed):
+    return random_family_instance(FamilyParams(n, two_d // 2, 100, seed=seed))
+
+
+def _objective_and_variables(f):
+    G = GroebnerBasis.from_generators(critical_ideal_generators(f))
+    gs = [f] + [Polynomial.variable(f.n, i) for i in range(f.n)]
+    return G, standard_monomials(G), gs
+
+
+class TestBorderTableMatchesNormalForms:
+    """T_f and every T_xi equal the per-row normal-form construction."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("cell", [(2, 4), (3, 4), (2, 6), (2, 8), (4, 4)], ids=str)
+    def test_family_cells(self, cell, seed):
+        _assert_matches_reference(*_objective_and_variables(_family(*cell, seed)))
+
+    @pytest.mark.parametrize("text", ["x1^2+1", "x1^4-2*x1^2"])
+    def test_short_generators(self, text):
+        # x1^2+1 gives the generator x1, whose tail is empty: NF(x1) = 0
+        _assert_matches_reference(*_objective_and_variables(parse(text, 1)))
+
+    def test_raw_partials(self):
+        # the top-degree part is not monic, so the partials are not rescaled
+        f = parse("2*x1^4+3*x2^4-x1*x2^2+x1^2-5*x2", 2)
+        gens = critical_ideal_generators(f)
+        assert gens == [f.differentiate(0), f.differentiate(1)]
+        assert is_groebner(gens)
+        G, B, gs = _objective_and_variables(f)
+        _assert_matches_reference(G, B, gs + [parse("x1*x2-x2^2", 2)])
+
+    def test_tail_outside_the_standard_monomials(self):
+        # x1^2 in the tail of the second generator reduces by the first
+        gens = [parse("x1^2+x2", 2), parse("x2^3+x1^2-x1", 2)]
+        assert is_groebner(gens)
+        G = GroebnerBasis.from_generators(gens)
+        B = standard_monomials(G)
+        assert B.mu == 6
+        gs = [parse(t, 2) for t in ("x1", "x2", "x1^3-2*x1*x2+1/3", "x2^4")]
+        _assert_matches_reference(G, B, gs)
+
+    def test_commuting_family_at_mu_49(self):
+        G, B, _ = _objective_and_variables(_family(2, 8, 1))
+        assert B.mu == 49
+        Tx = multiplication_matrix(Polynomial.variable(2, 0), G, B)
+        Ty = multiplication_matrix(Polynomial.variable(2, 1), G, B)
+        Txy = multiplication_matrix(parse("x1*x2", 2), G, B)
+        assert Tx.matmul(Ty).entries == Txy.entries
+        assert Ty.matmul(Tx).entries == Txy.entries
+
+
 class TestMinimizeByEigenvalues:
     def test_symmetric_quartic(self, symmetric_quartic):
         res = minimize_by_eigenvalues(symmetric_quartic)
@@ -222,6 +294,21 @@ class TestMinimizeByEigenvalues:
         assert not is_groebner(critical_ideal_generators(f))
         with pytest.raises(NotGroebnerError):
             minimize_by_eigenvalues(f)
+
+    def test_paper_scale_cell_3_6(self):
+        f = _family(3, 6, 1)
+        res = minimize_by_eigenvalues(f)
+        assert res.mu == 125 and res.points
+        bound = minimize(f).bound
+        assert abs(res.fstar - bound) <= 1e-5 * (1 + abs(res.fstar))
+        # |f*| is about 5e12 here, so the gradient is measured against the
+        # size of its terms at the point
+        for p in res.points:
+            for i in range(f.n):
+                g = f.differentiate(i).to_float()
+                size = sum(abs(c) * math.prod(abs(x) ** e for x, e in zip(p, m))
+                           for m, c in g.terms.items())
+                assert abs(g.evaluate(p)) <= GRAD_TOL * (1 + size)
 
     def test_smallest_eigenvalue_matches_point_values(self):
         rng = random.Random(55)
