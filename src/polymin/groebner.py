@@ -253,12 +253,6 @@ class MultiplicationMatrix:
             T[i, j] = float(c)
         return T
 
-    def to_dense_exact(self) -> np.ndarray:
-        T = np.full((self.mu, self.mu), Fraction(0), dtype=object)
-        for (i, j), c in self.entries.items():
-            T[i, j] = c
-        return T
-
     def matmul(self, other: "MultiplicationMatrix") -> "MultiplicationMatrix":
         """Exact product; represents multiplication by g*h on the quotient."""
         cols_of: dict = {}
@@ -619,30 +613,58 @@ def characteristic_polynomial(
 ) -> list[Fraction]:
     """Exact monic characteristic polynomial det(tI - T), ascending coefficients.
 
-    Faddeev-LeVerrier over rationals; O(mu^4) arithmetic, so capped.
+    A similarity reduction to upper Hessenberg form over the rationals, then
+    the Hessenberg recurrence (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 2.2.9); O(mu^3) arithmetic, still capped because
+    the rationals grow.
     """
     mu = T.mu
     if mu > mu_cap:
         raise MuCapExceededError(f"mu={mu} exceeds exact characteristic cap {mu_cap}")
-    A = T.to_dense_exact()
-    eye = np.full((mu, mu), Fraction(0), dtype=object)
-    for i in range(mu):
-        eye[i, i] = Fraction(1)
-    coeffs = [Fraction(1)]  # descending: starts with t^mu coefficient
-    M = A.copy()
+    H = [[Fraction(0)] * mu for _ in range(mu)]
+    for (i, j), c in T.entries.items():
+        H[i][j] = Fraction(c)
+    for m in range(mu - 2):
+        # zero column m below the subdiagonal with the similarity
+        # (row i -= u row m+1, column m+1 += u column i)
+        piv = next((i for i in range(m + 1, mu) if H[i][m] != 0), None)
+        if piv is None:
+            continue
+        if piv != m + 1:
+            H[piv], H[m + 1] = H[m + 1], H[piv]
+            for row in H:
+                row[piv], row[m + 1] = row[m + 1], row[piv]
+        p = H[m + 1][m]
+        for i in range(m + 2, mu):
+            if H[i][m] == 0:
+                continue
+            u = H[i][m] / p
+            top, low = H[m + 1], H[i]
+            for j in range(m, mu):
+                if top[j]:
+                    low[j] -= u * top[j]
+            for row in H:
+                if row[i]:
+                    row[m + 1] += u * row[i]
+    # polys[k] = det(tI - H[:k, :k]), ascending; expansion along the last
+    # column, whose subdiagonal products link it to the smaller leading blocks
+    polys = [[Fraction(1)]]
     for k in range(1, mu + 1):
-        ck = -_trace(M) / k
-        coeffs.append(ck)
-        if k < mu:
-            M = A @ (M + ck * eye)
-    return list(reversed(coeffs))
-
-
-def _trace(M: np.ndarray) -> Fraction:
-    t = Fraction(0)
-    for i in range(M.shape[0]):
-        t += M[i, i]
-    return t
+        prev = polys[-1]
+        nxt = [Fraction(0)] + prev
+        for e, c in enumerate(prev):
+            nxt[e] -= H[k - 1][k - 1] * c
+        sub = Fraction(1)
+        for i in range(1, k):
+            sub *= H[k - i][k - i - 1]
+            if sub == 0:
+                break
+            w = H[k - i - 1][k - 1] * sub
+            if w:
+                for e, c in enumerate(polys[k - i - 1]):
+                    nxt[e] -= w * c
+        polys.append(nxt)
+    return polys[-1]
 
 
 def poly1d_derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:

@@ -13,8 +13,9 @@ predictor-corrector, run on the homogeneous self-dual embedding so that
 primal or dual infeasibility is detected through the collapse of the
 embedding's tau/kappa ratio instead of by divergence heuristics.  Scaling,
 step lengths and complementarity act block by block; the (dense, SPD) Schur
-complement of the Newton system is gathered from each constraint's nonzeros
-and factored by LAPACK's Cholesky, and its solves are blocked substitutions.
+complement of the Newton system is formed per Gram index by BLAS products
+over the constraints' classes of positions, factored by LAPACK's Cholesky,
+and its solves are blocked substitutions.
 
 A solve call is single-threaded, deterministic and reentrant; independent
 problem instances may be solved concurrently.
@@ -375,6 +376,88 @@ class _LpFrame:
 
 
 # ---------------------------------------------------------------------------
+# Schur complement
+# ---------------------------------------------------------------------------
+
+class _SchurKernel:
+    """The Schur complement ``<G_k, W G_l W>`` of the kept rows, by class.
+
+    Positions (i, j) of a PSD block whose columns of the constraint matrix
+    are equal form a class c; in an SOS program these are the Gram pairs of
+    one monomial x^(b_i + b_j).  The block's part of G_k is
+    sum_c T[k, c] A_c, with A_c the symmetric indicator of class c: T is the
+    identity in a plain SOS program and the multiplier's shift in a
+    multiplier program, and an SDPA problem's positions are classes of their
+    own.  G_k[i, j] = T[k, cls(i, j)] is read off the column of position
+    (i, j), so no class labels are formed.  Per Gram index a, one BLAS
+    product adds the terms of a:
+
+        R_a[a', k] = sum_b W[a, b] T[k, cls(a', b)]    (column a of G_k W)
+        P_a[l, j]  = T[l, cls(a, j)] for j >= a, doubled for j > a
+        schur[l]  += (P_a W R_a)[l]
+
+    since (W R_a)[j, k] = (W G_k W)[j, a] and both trace factors are
+    symmetric.  The R_a are the rows of one product W E, with
+    E[b, (a', k)] = T[k, cls(a', b)] on the cells (a', k) that occur, and
+    the P_a W are slices of one product with the stacked P_a.  The rows l of
+    one a are distinct, so repeats (the shifts of a multiplier, a class met
+    twice along a Gram row) add up inside the products.  A diagonal block
+    adds (A w2) A^T.
+    """
+
+    def __init__(self, lay: _Layout, A: np.ndarray):
+        self.M = M = len(A)
+        self.parts = []
+        for N, sl, iu in zip(lay.prob.blocks, lay.slices, lay.iu):
+            if iu is None:
+                self.parts.append(A[:, sl])
+                continue
+            ks, ps = np.nonzero(A[:, sl])
+            if not len(ks):
+                self.parts.append(None)
+                continue
+            I, J, V = iu[0][ps], iu[1][ps], A[ks, sl.start + ps]
+            off = I != J
+            # E: the entry at (i, j) is G_k[i, j] and G_k[j, i]
+            cells, at = np.unique(np.concatenate([I * M + ks, (J * M + ks)[off]]),
+                                  return_inverse=True)
+            E = np.zeros((N, len(cells)))
+            E[np.concatenate([J, I[off]]), at] = np.concatenate([V, V[off]])
+            # stacked P_a: one row per distinct (a, l), sorted by a
+            targets, at = np.unique(I * M + ks, return_inverse=True)
+            P = np.zeros((len(targets), N))
+            P[at, J] = np.where(off, 2.0 * V, V)
+            bounds = np.searchsorted(targets // M, np.arange(N + 1)).tolist()
+            self.parts.append((cells, E, P, targets % M, bounds))
+
+    def assemble(self, scalings: list) -> np.ndarray:
+        """The Schur matrix for one scaling per block: W of a PSD block,
+        w2 = x / s of a diagonal block.  It is symmetric up to rounding and
+        left so: the Cholesky factorization reads one triangle."""
+        M = self.M
+        schur = np.zeros((M, M))
+        for part, w in zip(self.parts, scalings):
+            if part is None:
+                continue
+            if w.ndim == 1:
+                schur += (part * w) @ part.T
+                continue
+            cells, E, P, rows, bounds = part
+            WE, PW = w @ E, P @ w
+            # every R_a fills the same cells, so R is cleared once
+            R = np.zeros((len(w), M))
+            R_cells = R.reshape(-1)
+            for a in range(len(w)):
+                s, e = bounds[a], bounds[a + 1]
+                if s < e:
+                    R_cells[cells] = WE[a]
+                    add = PW[s:e] @ R
+                    add += schur[rows[s:e]]
+                    schur[rows[s:e]] = add
+        return schur
+
+
+# ---------------------------------------------------------------------------
 # Rank filter
 # ---------------------------------------------------------------------------
 
@@ -452,24 +535,7 @@ def solve(prob: SdpProblem) -> SdpSolution:
     Aplain = Aplain[kept]
     Aw = Aplain * lay.weights
     F = lay.row(prob.cost)
-
-    # Sparse structure for the Schur complement: per PSD block, the local
-    # entries (i, j, v) of every row, grouped by row, with v halved on the
-    # diagonal so that W G W = A B^T + B A^T for A = W[:, i] * v, B = W[:, j];
-    # across blocks, the nonzeros of each weighted row.
-    entries = []
-    for sl, iu in zip(lay.slices, lay.iu):
-        if iu is not None:
-            ks, cols = np.nonzero(Aplain[:, sl])
-            I, J = iu[0][cols], iu[1][cols]
-            V = Aplain[ks, sl.start + cols] * np.where(I == J, 0.5, 1.0)
-            starts = np.searchsorted(ks, np.arange(M + 1))
-            entries.append((I, J, V, starts, np.flatnonzero(np.diff(starts))))
-        else:
-            entries.append(None)
-    nz_rows, nz_cols = np.nonzero(Aw)
-    nz_vals = Aw[nz_rows, nz_cols]
-    row_starts = np.searchsorted(nz_rows, np.arange(M))
+    schur = _SchurKernel(lay, Aplain)
 
     bmax = float(np.max(np.abs(b))) if M else 0.0
     fmax = float(np.max(np.abs(F))) if F.size else 0.0
@@ -610,20 +676,8 @@ def solve(prob: SdpProblem) -> SdpSolution:
         def scaled(U: np.ndarray) -> np.ndarray:
             return lay.vec([fr.scale(u) for fr, u in zip(frames, lay.mat(U))])
 
-        # Schur complement in the W metric: row k of H is W G_k W flattened,
-        # and entry (l, k) is <G_l, W G_k W>, gathered from row l's nonzeros
-        H = np.zeros((M, lay.size))
-        for fr, sl, iu, ent in zip(frames, lay.slices, lay.iu, entries):
-            if iu is None:
-                H[:, sl] = Aplain[:, sl] * fr.w2
-                continue
-            I, J, V, starts, rows = ent
-            WI, WJ = fr.W[:, I] * V, fr.W[:, J]
-            for k in rows:
-                Hk = WI[:, starts[k] : starts[k + 1]] @ WJ[:, starts[k] : starts[k + 1]].T
-                H[k, sl] = (Hk + Hk.T)[iu]
-        Mmat = _sym(np.add.reduceat(H[:, nz_cols] * nz_vals, row_starts, axis=1)
-                    if M else np.zeros((0, 0)))
+        Mmat = schur.assemble([fr.W if isinstance(fr, _NtFrame) else fr.w2
+                               for fr in frames])
         WFW = scaled(F)
         gvec = Aw @ WFW
         phi = lay.dot(F, WFW)

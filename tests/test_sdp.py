@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polymin import sdp
-from polymin.poly import parse
+from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
+from polymin.psatz import SemialgebraicSystem, _multiplier_program
 from polymin.sdp import (
     SdpProblem,
     SdpStatus,
@@ -122,7 +123,7 @@ class TestSolveBasics:
         assert sol.status is SdpStatus.ITERATION_LIMIT
         assert sol.iterations == 2
         assert sol.X is not None and sol.warnings == []
-        assert sol.primal_obj == 1.6500726169368394
+        assert sol.primal_obj == pytest.approx(1.6500726169368394, rel=1e-12)
 
     def test_determinism(self):
         rng = np.random.default_rng(77)
@@ -410,3 +411,67 @@ class TestSingleZeroRow:
     def test_inconsistent(self):
         sol = solve(SdpProblem(1, np.array([[1.0]]), [({}, 1.0)]))
         assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+
+
+def dense_schur(prob, scalings):
+    """<G_k, W G_l W> from dense matrices, W block-diagonal: the given W on a
+    PSD block, diag(sqrt(w2)) on a diagonal block."""
+    W = np.zeros((prob.dim, prob.dim))
+    for off, w in zip(prob.offsets, scalings):
+        w = w if w.ndim == 2 else np.diag(np.sqrt(w))
+        W[off : off + len(w), off : off + len(w)] = w
+    G = np.array([prob.constraint_dense(k) for k in range(prob.num_constraints)])
+    WGW = W @ G @ W
+    return G.reshape(len(G), -1) @ WGW.reshape(len(G), -1).T
+
+
+def _family_gram(n, d, k=0):
+    f = random_family_instance(FamilyParams(n, d, 100, seed=4200000 + n))
+    return build_gram_sdp(f, k).problem
+
+
+def _psatz_program():
+    # two SOS multiplier blocks and the free multiplier's LP block
+    system = SemialgebraicSystem(2, inequalities=[parse("x1-x2^2+3", 2)],
+                                 equalities=[parse("x2+x1^2+2", 2)])
+    prog, _, _ = _multiplier_program(system, 4)
+    return prog.match_coefficients(Polynomial.constant(2, -1.0))
+
+
+def _shared_class_problem():
+    # positions (0,1) and (0,2) have equal columns, so Gram row 0 meets
+    # their class twice; a second PSD block and a diagonal block ride along
+    return SdpProblem([3, 2, -2], {}, [
+        ({(0, 1): 1.0, (0, 2): 1.0, (1, 1): 2.0, (3, 4): 1.0}, 1.0),
+        ({(0, 1): 3.0, (0, 2): 3.0, (2, 2): -1.0, (5, 5): 2.0}, 0.0),
+        ({(0, 0): 1.0, (1, 2): 0.5, (3, 3): 1.0, (6, 6): -1.0}, 2.0),
+    ])
+
+
+class TestSchurKernel:
+    """The class kernel against <G_k, W G_l W> at a random SPD scaling."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _family_gram(2, 4),                    # plain SOS at (2,8)
+        lambda: _family_gram(6, 2),                    # plain SOS at (6,4)
+        lambda: _family_gram(3, 2, k=1),               # higher_degree_bound(f, 1)
+        _psatz_program,
+        lambda: random_feasible_sdp(np.random.default_rng(5)),
+        _shared_class_problem,
+    ], ids=["sos-2-8", "sos-6-4", "multiplier", "psatz-lp", "sdpa-dense",
+            "shared-class"])
+    def test_matches_dense_reference(self, make):
+        prob = make()
+        rng = np.random.default_rng(11)
+        scalings = []
+        for s in prob.blocks:
+            if s > 0:
+                B = rng.normal(size=(s, s))
+                scalings.append(B @ B.T / s + 0.1 * np.eye(s))
+            else:
+                scalings.append(rng.uniform(0.5, 2.0, size=-s))
+        lay = sdp._Layout(prob)
+        A = np.array([lay.row(g) for g, _ in prob.constraints])
+        got = sdp._SchurKernel(lay, A).assemble(scalings)
+        want = dense_schur(prob, scalings)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
