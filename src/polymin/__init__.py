@@ -57,7 +57,6 @@ from .sdp import (
 )
 from .sos import (
     MINUS_INFINITY,
-    GramSpace,
     MonomialVector,
     SosCertificate,
     build_gram_sdp,

@@ -15,11 +15,14 @@ import time
 
 from .bench import BenchmarkPlan, run_benchmark
 from .groebner import (
+    CHARPOLY_EXACT_CAP,
     GroebnerBasis,
+    MuCapExceededError,
     NoRealCriticalPointsError,
     NotGroebnerError,
     characteristic_polynomial,
     critical_ideal_generators,
+    is_groebner,
     minimize_by_eigenvalues,
     multiplication_matrix,
     standard_monomials,
@@ -100,6 +103,17 @@ def cmd_minimize(args) -> int:
 def cmd_oracle(args) -> int:
     f = _read_poly(args)
     t0 = time.perf_counter()
+    if args.charpoly:
+        # refuse an oversized exact characteristic polynomial before the
+        # oracle runs; generators the oracle refuses are left to it
+        fe = f.to_fraction() if not f.is_exact() else f
+        gens = critical_ideal_generators(fe)
+        if is_groebner(gens):
+            G = GroebnerBasis.from_generators(gens)
+            B = standard_monomials(G, mu_cap=args.mu_cap)
+            if B.mu > CHARPOLY_EXACT_CAP:
+                raise MuCapExceededError(
+                    f"mu={B.mu} exceeds exact characteristic cap {CHARPOLY_EXACT_CAP}")
     res = minimize_by_eigenvalues(f, mu_cap=args.mu_cap)
     payload = {
         "f_star": res.fstar,
@@ -114,11 +128,7 @@ def cmd_oracle(args) -> int:
     for p in res.points:
         lines.append("minimizer: (" + ", ".join(f"{v:.9g}" for v in p) + ")")
     if args.charpoly:
-        fe = f.to_fraction() if not f.is_exact() else f
-        G = GroebnerBasis.from_generators(critical_ideal_generators(fe))
-        B = standard_monomials(G)
-        T = multiplication_matrix(fe, G, B)
-        coeffs = characteristic_polynomial(T)
+        coeffs = characteristic_polynomial(multiplication_matrix(fe, G, B))
         payload["charpoly"] = [str(c) for c in coeffs]
         lines.append(f"characteristic polynomial degree: {len(coeffs) - 1}")
     _emit(args, payload, "\n".join(lines))

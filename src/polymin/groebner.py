@@ -12,8 +12,9 @@ Polynomial Algebra*, 2004, ch. 2; Mourrain, AAECC 1999): the normal forms of
 the border monomials x_j x^u, each one step from a smaller border normal
 form or from a generator's tail, give every T_xj; the rows of any other T_g
 then follow one from another, row u being row(u - e_j) times T_xj.  Rows are
-Python ints over one gcd-reduced denominator; only the finished matrix holds
-``Fraction`` entries.
+Python ints over one gcd-reduced denominator.  The oracle builds one table
+and reads its float matrices straight off those rows; ``multiplication_matrix``
+gives the same matrices with exact ``Fraction`` entries.
 
 No Buchberger completion is attempted: callers get a clean refusal when the
 generators are not already a Groebner basis (the benchmark family always is).
@@ -22,7 +23,7 @@ generators are not already a Groebner basis (the benchmark family always is).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -100,8 +101,6 @@ class StandardBasis:
 
     monomials: list[Monomial]
     index: dict
-    # (G, border table) from the last multiplication_matrix call on this basis
-    _border: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_monomials(cls, monos: Sequence[Monomial]) -> "StandardBasis":
@@ -247,12 +246,6 @@ class MultiplicationMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def to_dense_float(self) -> np.ndarray:
-        T = np.zeros((self.mu, self.mu))
-        for (i, j), c in self.entries.items():
-            T[i, j] = float(c)
-        return T
-
     def matmul(self, other: "MultiplicationMatrix") -> "MultiplicationMatrix":
         """Exact product; represents multiplication by g*h on the quotient."""
         cols_of: dict = {}
@@ -296,13 +289,10 @@ def multiplication_matrix(
     Row 0 is ``normal_form(g, G)``.  Row u is row(u - e_j) times T_xj for the
     first j with u_j > 0: NF(x_j h) = NF(x_j NF(h)), and B is an order ideal,
     so u - e_j is a row already built.  The T_xj come from the border table
-    of (G, B), built on the first call and kept on B for the others.
+    of (G, B), built on each call.
     """
-    if B._border is None or B._border[0] is not G:
-        B._border = (G, _BorderTable(G, B))
-    table = B._border[1]
     entries: dict = {}
-    for r, (nums, den) in enumerate(_int_rows(g, G, B, table)):
+    for r, (nums, den) in enumerate(_int_rows(g, G, B, _BorderTable(G, B))):
         for c, a in nums.items():
             entries[(r, c)] = Fraction(a, den)
     return MultiplicationMatrix(g, B, entries)
@@ -376,6 +366,11 @@ class _BorderTable:
             else:
                 nums, den = _int_row(normal_form(tails[m], G), index)
                 self.border[m] = {c: -a for c, a in nums.items()}, den
+
+    def variable_rows(self, j: int):
+        """The rows NF(x_j x^u) of T_xj in B's order, as (nums, den): a unit
+        row where x_j x^u is standard, else its border row."""
+        return [({t: 1}, 1) if type(t) is int else self.border[t] for t in self.step[j]]
 
     def times_variable(self, nums: dict, den: int, j: int):
         """NF(x_j h) as (nums, den) for h = sum(nums[c] x^u_c) / den."""
@@ -466,16 +461,10 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
     G = GroebnerBasis.from_generators(gens)
     B = standard_monomials(G, mu_cap=mu_cap)
     mu = B.mu
-    # each exact matrix is freed once it is converted, and the border table
-    # kept on B once the last one is built
-    Tf = multiplication_matrix(fe, G, B)
-    tf_nnz, Tf_dense = Tf.nnz, Tf.to_dense_float()
-    del Tf
-    Tx_dense = [
-        multiplication_matrix(Polynomial.variable(fe.n, i), G, B).to_dense_float()
-        for i in range(fe.n)
-    ]
-    del B
+    table = _BorderTable(G, B)
+    Tf_dense, tf_nnz = _float_matrix(_int_rows(fe, G, B, table), mu)
+    Tx_dense = [_float_matrix(table.variable_rows(j), mu)[0] for j in range(fe.n)]
+    del table
     eigen = eig_general(Tf_dense)
     if not eigen.real_values:
         raise NoRealCriticalPointsError(
@@ -515,6 +504,21 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
     raise NoRealCriticalPointsError(
         "no candidate eigenvector produced a validated real critical point"
     )
+
+
+def _float_matrix(rows, mu: int):
+    """The float matrix of int rows (nums, den) and its count of nonzeros.
+
+    Python's int division is correctly rounded, so a / den is the float
+    nearest the rational entry.
+    """
+    T = np.zeros((mu, mu))
+    nnz = 0
+    for r, (nums, den) in enumerate(rows):
+        for c, a in nums.items():
+            T[r, c] = a / den
+        nnz += len(nums)
+    return T, nnz
 
 
 def _minimize_via_linear_form(fe, Tx_dense, grads, grad_tol):

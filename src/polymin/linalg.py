@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_IM_TOL = 1e-7        # |Im| threshold for calling an eigenvalue real, relative to ||M||
-DEFAULT_CLUSTER_GAP = 1e-6   # single-linkage gap for multiplicity clustering, relative to ||M||
+DEFAULT_IM_TOL = 1e-7        # |Im| threshold for calling an eigenvalue real, relative to 1 + |lambda|
+DEFAULT_CLUSTER_GAP = 1e-6   # single-linkage gap for multiplicity clustering, relative to 1 + |lambda|
 
 
 class EigenConvergenceError(RuntimeError):
@@ -49,23 +49,13 @@ class EigenResult:
     real_multiplicities: list[int] = field(default_factory=list)
     real_clusters: list[list[int]] = field(default_factory=list)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
-
-    def smallest_real(self) -> float:
-        if not self.real_values:
-            raise ValueError("no real eigenvalues under the tolerance rule")
-        return self.real_values[0]
-
 
 def _matrix_scale(m: np.ndarray) -> float:
     s = float(np.linalg.norm(m))
     return s if s > 0 else 1.0
 
 
-def _classify_real(values: np.ndarray, vectors, scale: float,
-                   im_tol: float, cluster_gap: float) -> EigenResult:
+def _classify_real(values: np.ndarray, vectors, im_tol: float) -> EigenResult:
     # Tolerances are relative to each eigenvalue's own magnitude (plus one),
     # not to the matrix norm: multiplication matrices routinely carry huge
     # irrelevant eigenvalues next to the small real ones that matter, and a
@@ -77,7 +67,7 @@ def _classify_real(values: np.ndarray, vectors, scale: float,
     for v, i in reals:
         if clusters:
             prev = values[clusters[-1][-1]].real
-            if v - prev <= cluster_gap * (1.0 + abs(v)):
+            if v - prev <= DEFAULT_CLUSTER_GAP * (1.0 + abs(v)):
                 clusters[-1].append(i)
                 continue
         clusters.append([i])
@@ -91,8 +81,7 @@ def _classify_real(values: np.ndarray, vectors, scale: float,
     )
 
 
-def sym_eig(S: np.ndarray, compute_vectors: bool = True,
-            cluster_gap: float = DEFAULT_CLUSTER_GAP) -> EigenResult:
+def sym_eig(S: np.ndarray, compute_vectors: bool = True) -> EigenResult:
     """Symmetric eigendecomposition: all-real ascending values, orthonormal vectors."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -107,22 +96,20 @@ def sym_eig(S: np.ndarray, compute_vectors: bool = True,
             w, v = np.linalg.eigvalsh(S), None
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
-    return _classify_real(w.astype(complex), v, scale, im_tol=1.0, cluster_gap=cluster_gap)
+    return _classify_real(w.astype(complex), v, im_tol=1.0)
 
 
-def eig_general(M: np.ndarray, compute_vectors: bool = True,
-                im_tol: float = DEFAULT_IM_TOL,
-                cluster_gap: float = DEFAULT_CLUSTER_GAP) -> EigenResult:
+def eig_general(M: np.ndarray, compute_vectors: bool = True) -> EigenResult:
     """General real eigendecomposition with tolerance-classified real subset.
 
     Eigenvalues are sorted by (real, imag) for determinism; the real subset
-    keeps values with |Im| <= im_tol * ||M|| and reports clustered
-    multiplicities (single linkage with gap cluster_gap * ||M||).
+    keeps values lambda with |Im lambda| <= DEFAULT_IM_TOL * (1 + |Re lambda|)
+    and reports clustered multiplicities (single linkage, joining neighbours
+    within DEFAULT_CLUSTER_GAP * (1 + |lambda|)).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    scale = _matrix_scale(M)
     try:
         if compute_vectors:
             w, v = np.linalg.eig(M)
@@ -134,7 +121,7 @@ def eig_general(M: np.ndarray, compute_vectors: bool = True,
     w = w[order]
     if v is not None:
         v = v[:, order]
-    return _classify_real(w, v, scale, im_tol=im_tol, cluster_gap=cluster_gap)
+    return _classify_real(w, v, im_tol=DEFAULT_IM_TOL)
 
 
 @dataclass

@@ -461,17 +461,16 @@ class _SchurKernel:
 # Rank filter
 # ---------------------------------------------------------------------------
 
-def _rank_filter(Aplain: np.ndarray, weights: np.ndarray, b: np.ndarray,
+def _rank_filter(gram: np.ndarray, A: np.ndarray, weights: np.ndarray, b: np.ndarray,
                  warnings_out: list[str]):
     """Drop linearly dependent constraint rows; flag inconsistent duplicates.
 
+    ``gram`` holds the trace inner products <G_k, G_l> of the rows of A.
     Returns (kept_indices, inconsistent: bool).
     """
-    M = len(Aplain)
+    M = len(gram)
     if M == 0:
         return [], False
-    weighted = Aplain * weights
-    gram = weighted @ Aplain.T
     # Independent rows, the builders' case, pass one LAPACK Cholesky whose
     # pivots all clear psd_factor's threshold; anything else goes to the
     # pivoted search, which picks the rows to keep.
@@ -487,10 +486,10 @@ def _rank_filter(Aplain: np.ndarray, weights: np.ndarray, b: np.ndarray,
         return kept, False
     dropped = [k for k in range(M) if k not in set(kept)]
     if kept:
-        A_kept = weighted[kept]
+        A_kept = A[kept] * weights
         gram_kept = gram[np.ix_(kept, kept)]
         for k in dropped:
-            rhs = A_kept @ Aplain[k]
+            rhs = A_kept @ A[k]
             coeff, *_ = np.linalg.lstsq(gram_kept, rhs, rcond=None)
             if abs(b[k] - coeff @ b[kept]) > 1e-8 * (1.0 + abs(b[k])):
                 return kept, True
@@ -519,10 +518,12 @@ def solve(prob: SdpProblem) -> SdpSolution:
     lay = _Layout(prob)
     nu = prob.dim                    # barrier degree of the cone
 
-    Aplain = np.array([lay.row(g) for g, _ in prob.constraints]).reshape(
+    A = np.array([lay.row(g) for g, _ in prob.constraints]).reshape(
         prob.num_constraints, lay.size)
-    kept, inconsistent = _rank_filter(Aplain, lay.weights, prob.b_vector(),
-                                      warnings_out)
+    schur = _SchurKernel(lay, A)
+    # at unit scaling (W = I, w2 = 1) the Schur complement is <G_k, G_l>
+    kept, inconsistent = _rank_filter(schur.assemble(lay.mat(lay.identity())), A,
+                                      lay.weights, prob.b_vector(), warnings_out)
     if inconsistent:
         return SdpSolution(
             status=SdpStatus.PRIMAL_INFEASIBLE, X_blocks=None, y=None, S_blocks=None,
@@ -532,10 +533,14 @@ def solve(prob: SdpProblem) -> SdpSolution:
         )
     b = np.array([prob.constraints[k][1] for k in kept])
     M = len(kept)
-    Aplain = Aplain[kept]
-    Aw = Aplain * lay.weights
+    if M < len(A):
+        A = A[kept]
+        schur = _SchurKernel(lay, A)
     F = lay.row(prob.cost)
-    schur = _SchurKernel(lay, Aplain)
+
+    def rows_dot(V: np.ndarray) -> np.ndarray:
+        """<G_k, V> for every kept row k."""
+        return A @ (lay.weights * V)
 
     bmax = float(np.max(np.abs(b))) if M else 0.0
     fmax = float(np.max(np.abs(F))) if F.size else 0.0
@@ -572,8 +577,8 @@ def solve(prob: SdpProblem) -> SdpSolution:
         XS = lay.dot(X, S)
         mu = (XS + tau * kappa) / (nu + 1)
 
-        P = Aw @ X - tau * b
-        D = y @ Aplain + S - tau * F
+        P = rows_dot(X) - tau * b
+        D = y @ A + S - tau * F
         g_res = kappa + FX - by
 
         rel_p = (float(np.max(np.abs(P))) / (tau * (1.0 + bmax))) if M else 0.0
@@ -632,10 +637,10 @@ def solve(prob: SdpProblem) -> SdpSolution:
 
         if tau <= INFEAS_RATIO * max(1.0, kappa):
             # the embedding's tau/kappa balance collapsed: no optimum exists
-            if by > 0 and float(np.max(np.abs(y @ Aplain + S))) <= 1e-6 * by * (1 + fmax):
+            if by > 0 and float(np.max(np.abs(y @ A + S))) <= 1e-6 * by * (1 + fmax):
                 cert = {"kind": "dual_ray", "y": y / by, "S": lay.mat(S / by)}
                 return finish(SdpStatus.PRIMAL_INFEASIBLE, cert=cert, iters=it)
-            gXnorm = float(np.max(np.abs(Aw @ X))) if M else 0.0
+            gXnorm = float(np.max(np.abs(rows_dot(X)))) if M else 0.0
             if FX < 0 and gXnorm <= 1e-6 * (-FX):
                 cert = {"kind": "primal_ray", "X": lay.mat(X / (-FX))}
                 return finish(SdpStatus.DUAL_INFEASIBLE, cert=cert, iters=it)
@@ -679,7 +684,7 @@ def solve(prob: SdpProblem) -> SdpSolution:
         Mmat = schur.assemble([fr.W if isinstance(fr, _NtFrame) else fr.w2
                                for fr in frames])
         WFW = scaled(F)
-        gvec = Aw @ WFW
+        gvec = rows_dot(WFW)
         phi = lay.dot(F, WFW)
         WDW = scaled(D)
 
@@ -699,7 +704,7 @@ def solve(prob: SdpProblem) -> SdpSolution:
         u = gvec + b
 
         def schur_rhs(eta, Rc):
-            return -(Aw @ Rc) - eta * (Aw @ WDW + P)
+            return -rows_dot(Rc) - eta * (rows_dot(WDW) + P)
 
         def direction(eta, Rc, rtk, v1):
             den = float((b - gvec) @ v2) + phi + kappa / tau
@@ -708,7 +713,7 @@ def solve(prob: SdpProblem) -> SdpSolution:
             dtau = num / den
             dy = v1 + dtau * v2
             dkappa = (rtk - kappa * dtau) / tau
-            dS = dtau * F - dy @ Aplain - eta * D
+            dS = dtau * F - dy @ A - eta * D
             dX = Rc - scaled(dS)
             return dX, dy, dS, dtau, dkappa
 

@@ -11,8 +11,8 @@ the moment matrix, which yields minimizers when it has rank one.
 
 ``MonomialVector`` owns the map from Gram entries to monomial coefficients:
 it groups the Gram index pairs by product monomial once, and the program
-rows, the Gram space, the certificate's scale and residual all read that one
-grouping.
+rows, the certificate's scale and its residual all read that one grouping.
+Each group is one defining equation of the affine space of Gram matrices.
 
 The same builder poses every multiplier form used in the package: bounds of
 the form "largest lambda with g*(f - lambda) SOS" for a fixed positive
@@ -102,51 +102,6 @@ class MonomialVector:
         A = np.asarray(A, dtype=float)
         weights = A[self.rows, self.cols] * np.where(self.rows == self.cols, 1.0, 2.0)
         return np.bincount(self.slots, weights=weights, minlength=len(self.classes))
-
-
-@dataclass
-class GramSpace:
-    """The affine space of Gram matrices of f over a monomial vector.
-
-    One defining equation per product monomial m: the (weighted) sum of the
-    Gram entries in the index class of m equals the coefficient of m in f.
-    """
-
-    vector: MonomialVector
-    classes: dict
-    targets: dict
-
-    @classmethod
-    def build(cls, f: Polynomial, vec: MonomialVector) -> "GramSpace":
-        classes = vec.classes
-        expected = math.comb(f.n + 2 * vec.d, 2 * vec.d)
-        assert len(classes) == expected, "product classes must cover all monomials"
-        for m in f.terms:
-            if m not in classes:
-                raise ValueError(
-                    f"f has a term of degree {sum(m)} outside the vector's reach"
-                )
-        targets = {m: float(f.terms.get(m, 0)) for m in classes}
-        return cls(vector=vec, classes=classes, targets=targets)
-
-    @property
-    def num_constraints(self) -> int:
-        return len(self.classes)
-
-    @property
-    def dim(self) -> int:
-        """Free parameters of the space: symmetric entries minus equations."""
-        N = self.vector.N
-        return (N * N + N) // 2 - self.num_constraints
-
-    def particular_matrix(self) -> np.ndarray:
-        """A Gram matrix of f with each coefficient spread evenly over its class."""
-        vec = self.vector
-        targets = np.array([self.targets[m] for m in self.classes])
-        spread = targets / vec.coefficients(np.ones((vec.N, vec.N)))
-        A = np.zeros((vec.N, vec.N))
-        A[vec.rows, vec.cols] = A[vec.cols, vec.rows] = spread[vec.slots]
-        return A
 
 
 class SosProgram:
@@ -253,7 +208,6 @@ class GramSdp:
 
     problem: SdpProblem
     vector: MonomialVector
-    gram_space: GramSpace
     program: SosProgram
 
     def optimal_shifted_gram(self, sol: SdpSolution) -> np.ndarray:
@@ -294,8 +248,7 @@ def build_gram_sdp(f: Polynomial, k: int = 0) -> GramSdp:
     prog = SosProgram(n)
     prog.add_sos(vec, Polynomial.constant(n, 1.0))
     problem = prog.match_coefficients(g * f, lam=g)
-    gram_space = GramSpace.build((g * f).to_float(), vec)
-    return GramSdp(problem=problem, vector=vec, gram_space=gram_space, program=prog)
+    return GramSdp(problem=problem, vector=vec, program=prog)
 
 
 # ---------------------------------------------------------------------------

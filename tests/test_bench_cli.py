@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import polymin.cli
 from polymin.bench import CSV_COLUMNS, BenchmarkPlan, run_benchmark
 from polymin.cli import main
 from polymin.poly import FamilyParams, parse, random_family_instance
@@ -146,6 +147,16 @@ class TestCli:
         assert payload["tf_nonzeros"] == 178
         assert abs(payload["f_star"] - (-2.112913879)) <= 1e-6
         assert len(payload["charpoly"]) == 28
+
+    def test_charpoly_cap_refused_before_the_oracle(self, monkeypatch, capsys):
+        # a (3,6) instance has mu = 125, above the exact characteristic cap
+        def never(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(polymin.cli, "minimize_by_eigenvalues", never)
+        f = random_family_instance(FamilyParams(3, 3, 100, seed=1))
+        assert main(["oracle", "--poly", f.to_string(), "--charpoly"]) == 2
+        assert "mu=125 exceeds exact characteristic cap 64" in capsys.readouterr().err
 
     def test_psatz_subcommand(self, tmp_path, capsys):
         system = {

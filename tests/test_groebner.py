@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from polymin import groebner
 from polymin.groebner import (
     GRAD_TOL,
     GroebnerBasis,
@@ -214,6 +216,26 @@ def _assert_matches_reference(G, B, gs):
         assert all(type(c) is Fraction for c in T.entries.values())
 
 
+def _float_image(T):
+    D = np.zeros((T.mu, T.mu))
+    for (i, j), c in T.entries.items():
+        D[i, j] = float(c)
+    return D
+
+
+def _assert_oracle_floats_match(G, B, gs):
+    """The oracle's float T_f (read off the int rows) and T_xj (read off the
+    border table) are the float images of the exact matrices."""
+    f, variables = gs[0], gs[1:]
+    table = groebner._BorderTable(G, B)
+    Tf = multiplication_matrix(f, G, B)
+    got, nnz = groebner._float_matrix(groebner._int_rows(f, G, B, table), B.mu)
+    assert np.array_equal(got, _float_image(Tf)) and nnz == Tf.nnz
+    for j, x in enumerate(variables):
+        got, _ = groebner._float_matrix(table.variable_rows(j), B.mu)
+        assert np.array_equal(got, _float_image(multiplication_matrix(x, G, B)))
+
+
 def _family(n, two_d, seed):
     return random_family_instance(FamilyParams(n, two_d // 2, 100, seed=seed))
 
@@ -225,12 +247,15 @@ def _objective_and_variables(f):
 
 
 class TestBorderTableMatchesNormalForms:
-    """T_f and every T_xi equal the per-row normal-form construction."""
+    """T_f and every T_xi equal the per-row normal-form construction, and the
+    oracle's float matrices equal their float images."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("cell", [(2, 4), (3, 4), (2, 6), (2, 8), (4, 4)], ids=str)
     def test_family_cells(self, cell, seed):
-        _assert_matches_reference(*_objective_and_variables(_family(*cell, seed)))
+        G, B, gs = _objective_and_variables(_family(*cell, seed))
+        _assert_matches_reference(G, B, gs)
+        _assert_oracle_floats_match(G, B, gs)
 
     @pytest.mark.parametrize("text", ["x1^2+1", "x1^4-2*x1^2"])
     def test_short_generators(self, text):

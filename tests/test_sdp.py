@@ -449,7 +449,9 @@ def _shared_class_problem():
 
 
 class TestSchurKernel:
-    """The class kernel against <G_k, W G_l W> at a random SPD scaling."""
+    """The class kernel against <G_k, W G_l W> at a random SPD scaling, and
+    at unit scaling, where it is the rows' Gram matrix <G_k, G_l> that the
+    rank filter reads."""
 
     @pytest.mark.parametrize("make", [
         lambda: _family_gram(2, 4),                    # plain SOS at (2,8)
@@ -472,6 +474,8 @@ class TestSchurKernel:
                 scalings.append(rng.uniform(0.5, 2.0, size=-s))
         lay = sdp._Layout(prob)
         A = np.array([lay.row(g) for g, _ in prob.constraints])
-        got = sdp._SchurKernel(lay, A).assemble(scalings)
-        want = dense_schur(prob, scalings)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        kernel = sdp._SchurKernel(lay, A)
+        for w in (scalings, lay.mat(lay.identity())):
+            got = kernel.assemble(w)
+            want = dense_schur(prob, w)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
