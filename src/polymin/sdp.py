@@ -12,7 +12,9 @@ The algorithm is path-following with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector, run on the homogeneous self-dual embedding so that
 primal or dual infeasibility is detected through the collapse of the
 embedding's tau/kappa ratio instead of by divergence heuristics.  Scaling,
-step lengths and complementarity act block by block; the (dense, SPD) Schur
+step lengths and complementarity act block by block, and each PSD block's
+Nesterov-Todd frame, which maps X and S to the identity, also gives its step
+lengths, so no block is factored twice in an iteration; the (dense, SPD) Schur
 complement of the Newton system is formed per Gram index by BLAS products
 over the constraints' classes of positions, factored by LAPACK's Cholesky,
 and its solves are blocked substitutions.
@@ -261,61 +263,15 @@ def _tri_pos(N: int, i: int, j: int) -> int:
     return i * N - i * (i - 1) // 2 + (j - i)
 
 
-def _psd_whitener(x: np.ndarray):
-    """A map dU -> R dU R^T with R x R^T = I for a PD block x, or None when
-    x is not finite.  x + alpha dU stays PSD while alpha <= -1/lambda_min of
-    the image, so one factor of x serves every direction of an iteration."""
-    if not np.all(np.isfinite(x)):
-        return None
-    try:
-        chol = spd_cholesky(x)
-        return lambda du: chol.forward(chol.forward(du).T)
-    except NotPositiveDefiniteError:
-        pass
-    try:
-        w, U = np.linalg.eigh(_sym(x))
-    except np.linalg.LinAlgError:
-        return None
-    w = np.maximum(w, 1e-14 * max(1.0, float(np.max(np.abs(w)))))
-    R = (U / np.sqrt(w)) @ U.T
-    return lambda du: R @ du @ R
-
-
-def _max_psd_step(whiten, dX: np.ndarray) -> float:
-    """Largest alpha with Xmat + alpha*dX still PSD, given the whitener of
-    Xmat (Xmat PD); 0 on breakdown."""
-    if whiten is None or not np.all(np.isfinite(dX)):
-        return 0.0
-    try:
-        lam_min = float(np.linalg.eigvalsh(_sym(whiten(dX)))[0])
-    except np.linalg.LinAlgError:
-        return 0.0
-    if not np.isfinite(lam_min):
-        return 0.0
-    if lam_min >= -1e-16:
-        return np.inf
-    return -1.0 / lam_min
-
-
-def _max_step(X: list, whiteners: list, dX: list) -> float:
-    """Largest alpha keeping every block of X + alpha*dX in its cone;
-    ``whiteners`` holds _psd_whitener of each PSD block of X."""
-    bound = np.inf
-    for x, wh, dx in zip(X, whiteners, dX):
-        if x.ndim == 2:
-            bound = min(bound, _max_psd_step(wh, dx))
-        elif np.any(dx < 0):
-            neg = dx < 0
-            bound = min(bound, float(np.min(-x[neg] / dx[neg])))
-    return bound
-
-
 class _NtFrame:
     """Nesterov-Todd scaling data of one PSD block for one iteration.
 
     W satisfies W S W = X; ``lam`` is the common scaled point
     W^{-1/2} X W^{-1/2} = W^{1/2} S W^{1/2}, whose eigenbasis makes the
-    linearized complementarity a diagonal Lyapunov solve.
+    linearized complementarity a diagonal Lyapunov solve.  With
+    lam = Q diag(l) Q^T, H_x = l^{-1/2} Q^T W^{-1/2} and
+    H_s = l^{-1/2} Q^T W^{1/2} take X and S to I, so the frame also sizes
+    the step and X and S are factored nowhere else.
     """
 
     def __init__(self, X: np.ndarray, S: np.ndarray):
@@ -336,9 +292,26 @@ class _NtFrame:
         lam = _sym(self.W_mhalf @ X @ self.W_mhalf)
         self.lam_vals, self.lam_vecs = np.linalg.eigh(lam)
         self.lam = lam
+        root = np.sqrt(self.lam_vals)[:, None]
+        self.H = {"x": (self.lam_vecs.T @ self.W_mhalf) / root,
+                  "s": (self.lam_vecs.T @ self.W_half) / root}
 
     def scale(self, U: np.ndarray) -> np.ndarray:
         return _sym(self.W @ U @ self.W)
+
+    def max_step(self, dU: np.ndarray, side: str) -> float:
+        """Largest alpha keeping X + alpha*dU (side "x") or S + alpha*dU
+        (side "s") PSD: -1/lambda_min of H dU H^T; 0 on breakdown."""
+        if not np.all(np.isfinite(dU)):
+            return 0.0
+        H = self.H[side]
+        try:
+            lam_min = float(np.linalg.eigvalsh(_sym(H @ dU @ H.T))[0])
+        except np.linalg.LinAlgError:
+            return 0.0
+        if not np.isfinite(lam_min):
+            return 0.0
+        return np.inf if lam_min >= -1e-16 else -1.0 / lam_min
 
     def lyapunov_solve(self, R: np.ndarray) -> np.ndarray:
         """Solve lam o U = R (o the symmetrized product) for symmetric U."""
@@ -369,6 +342,12 @@ class _LpFrame:
 
     def scale(self, u: np.ndarray) -> np.ndarray:
         return self.w2 * u
+
+    def max_step(self, du: np.ndarray, side: str) -> float:
+        """The ratio test on x (side "x") or s (side "s")."""
+        v = self.x if side == "x" else self.s
+        neg = du < 0
+        return float(np.min(-v[neg] / du[neg])) if np.any(neg) else np.inf
 
     def second_order_residual(self, sigma_mu: float, dxa: np.ndarray,
                               dsa: np.ndarray) -> np.ndarray:
@@ -554,6 +533,7 @@ def solve(prob: SdpProblem) -> SdpSolution:
     stall_strikes = 0
     last_alpha = 1.0
     best = None          # best converged iterate by slack-product residual
+    relaxed = None       # latest iterate within the relaxed tolerances
     polish_used = 0
 
     def finish(status, Xh=None, yh=None, Sh=None, cert=None, iters=0):
@@ -589,10 +569,12 @@ def solve(prob: SdpProblem) -> SdpSolution:
         rel_gap = abs(pobj - dobj) / denom_obj
         compl = (XS / tau**2) / denom_obj
         # breakdown and iteration-cap exits may still carry a usable answer:
-        # accept when the current iterate is within 100x of the strict tolerances
+        # an iterate within 100x of the strict tolerances
         relaxed_ok = (max(rel_p, rel_d) <= 100 * FEAS_TOL
                       and rel_gap <= 100 * GAP_TOL
                       and compl <= 1e4 * GAP_TOL)
+        if relaxed_ok:
+            relaxed = (X / tau, y / tau, S / tau)
 
         trace.append(IterateRecord(
             iteration=it, mu=mu, tau=tau, kappa=kappa, alpha=last_alpha,
@@ -627,13 +609,14 @@ def solve(prob: SdpProblem) -> SdpSolution:
             if best is not None:
                 return finish(SdpStatus.OPTIMAL, best[1], best[2], best[3], iters=it)
             capped = status is SdpStatus.ITERATION_LIMIT
-            if relaxed_ok:
-                warnings_out.append("converged at reduced accuracy " + (
-                    "at the iteration cap" if capped else "before numerical breakdown"))
-                status = SdpStatus.OPTIMAL
-            elif not capped:
+            if capped and not relaxed_ok:
+                return finish(status, X / tau, y / tau, S / tau, iters=it)
+            if relaxed is None:
                 return finish(status, iters=it)
-            return finish(status, X / tau, y / tau, S / tau, iters=it)
+            # a breakdown may come a few iterations after the last such iterate
+            warnings_out.append("converged at reduced accuracy " + (
+                "at the iteration cap" if capped else "before numerical breakdown"))
+            return finish(SdpStatus.OPTIMAL, *relaxed, iters=it)
 
         if tau <= INFEAS_RATIO * max(1.0, kappa):
             # the embedding's tau/kappa balance collapsed: no optimum exists
@@ -670,10 +653,9 @@ def solve(prob: SdpProblem) -> SdpSolution:
         if it == MAX_ITER:
             return best_or(SdpStatus.ITERATION_LIMIT)
 
-        Xb, Sb = lay.mat(X), lay.mat(S)
         try:
             frames = [_NtFrame(x, s) if x.ndim == 2 else _LpFrame(x, s)
-                      for x, s in zip(Xb, Sb)]
+                      for x, s in zip(lay.mat(X), lay.mat(S))]
         except np.linalg.LinAlgError:
             warnings_out.append("NT scaling eigendecomposition failed")
             return best_or(SdpStatus.NUMERICAL_TROUBLE)
@@ -725,8 +707,6 @@ def solve(prob: SdpProblem) -> SdpSolution:
         # v2 and the first direction's right-hand side share one solve
         v2, v1 = chol.solve(np.column_stack([u, schur_rhs(eta, Rc)])).T
         dX, dy, dS, dtau, dkappa = direction(eta, Rc, rtk, v1)
-        x_whiten = [_psd_whitener(x) if x.ndim == 2 else None for x in Xb]
-        s_whiten = [_psd_whitener(s) if s.ndim == 2 else None for s in Sb]
 
         def step_bound(dX, dS, dtau, dkappa):
             """Largest step keeping X, S, tau and kappa in their cones; None
@@ -735,10 +715,10 @@ def solve(prob: SdpProblem) -> SdpSolution:
                     and np.isfinite(dtau) and np.isfinite(dkappa)):
                 warnings_out.append("non-finite search direction")
                 return None
-            return min(_max_step(Xb, x_whiten, lay.mat(dX)),
-                       _max_step(Sb, s_whiten, lay.mat(dS)),
-                       (tau / -dtau) if dtau < 0 else np.inf,
-                       (kappa / -dkappa) if dkappa < 0 else np.inf)
+            return min([fr.max_step(dx, "x") for fr, dx in zip(frames, lay.mat(dX))]
+                       + [fr.max_step(ds, "s") for fr, ds in zip(frames, lay.mat(dS))]
+                       + [(tau / -dtau) if dtau < 0 else np.inf,
+                          (kappa / -dkappa) if dkappa < 0 else np.inf])
 
         if not converged_now:
             dXa, dSa, dtaua, dkappaa = dX, dS, dtau, dkappa

@@ -479,3 +479,58 @@ class TestSchurKernel:
             got = kernel.assemble(w)
             want = dense_schur(prob, w)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _random_spd(rng, N):
+    B = rng.normal(size=(N, N))
+    return B @ B.T / N + 0.1 * np.eye(N)
+
+
+def dense_step(V, dV):
+    """-1/lambda_min of V^{-1/2} dV V^{-1/2}, with V^{-1/2} from eigh of V:
+    the largest alpha keeping V + alpha*dV PSD."""
+    w, U = np.linalg.eigh(V)
+    R = (U / np.sqrt(w)) @ U.T
+    lam_min = np.linalg.eigvalsh(R @ dV @ R)[0]
+    return np.inf if lam_min >= 0 else -1.0 / lam_min
+
+
+class TestStepLength:
+    """Step lengths read off the Nesterov-Todd frame, which carries X and S
+    to the identity, against a whitening of X and of S by their own
+    eigendecompositions; and the diagonal block's ratio test."""
+
+    @pytest.mark.parametrize("N", [3, 28, 66])
+    def test_matches_dense_reference(self, N):
+        rng = np.random.default_rng(N)
+        X, S = _random_spd(rng, N), _random_spd(rng, N)
+        frame = sdp._NtFrame(X, S)
+        for side, V in (("x", X), ("s", S)):
+            for _ in range(3):
+                B = rng.normal(size=(N, N))
+                dV = B + B.T
+                assert frame.max_step(dV, side) == pytest.approx(dense_step(V, dV),
+                                                                 rel=1e-9)
+
+    def test_psd_direction_is_unbounded(self):
+        rng = np.random.default_rng(7)
+        frame = sdp._NtFrame(_random_spd(rng, 5), _random_spd(rng, 5))
+        dV = _random_spd(rng, 5)
+        for side in ("x", "s"):
+            assert frame.max_step(dV, side) == np.inf
+            assert frame.max_step(np.zeros((5, 5)), side) == np.inf
+
+    def test_non_finite_direction_gives_zero(self):
+        rng = np.random.default_rng(8)
+        frame = sdp._NtFrame(_random_spd(rng, 4), _random_spd(rng, 4))
+        dV = np.eye(4)
+        dV[1, 2] = dV[2, 1] = np.nan
+        assert frame.max_step(dV, "x") == 0.0
+
+    def test_lp_ratio_test(self):
+        x, s = np.array([1.0, 2.0, 3.0, 4.0]), np.array([4.0, 1.0, 0.5, 2.0])
+        frame = sdp._LpFrame(x, s)
+        du = np.array([-2.0, 1.0, -1.0, 0.0])
+        assert frame.max_step(du, "x") == 0.5            # x[0] = 1 hits 0
+        assert frame.max_step(du, "s") == 0.5            # s[2] = 0.5 hits 0
+        assert frame.max_step(np.abs(du), "x") == np.inf

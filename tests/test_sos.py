@@ -353,8 +353,10 @@ class TestEdgeCases:
 class TestBoundAtExtractedPoint:
     # the (3,10) cell of the benchmark's sos-paper mix at seed_base 504, 509
     # and 31 (plan cell 4, instance 0), where the bound once exceeded f at
-    # its own extracted minimizer by about 1e-5 relative
-    @pytest.mark.parametrize("seed", [4000516, 4000521, 4000043])
+    # its own extracted minimizer by about 1e-5 relative; 4000017 and 4000021
+    # (seed_base 5 and 9) break down after meeting the relaxed tolerances and
+    # once raised numerical_trouble
+    @pytest.mark.parametrize("seed", [4000516, 4000521, 4000043, 4000017, 4000021])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as conftest intends
     def test_bound_not_above_f_at_minimizer(self, seed):
         f = random_family_instance(FamilyParams(3, 5, 100, seed=seed))
@@ -378,14 +380,16 @@ class TestBoundAtExtractedPoint:
 # The robustness gate: K = 100 family instances on which sos_lower_bound must
 # end OPTIMAL with no "reduced accuracy" warning.  The (3,10) instances below
 # break down in the solver's last iterations (the Schur complement loses
-# definiteness; 4000017 and 4000021 raise numerical_trouble) and are strict
-# xfails until the solver is fixed, so a fix shows as an XPASS failure here.
+# definiteness).  None of them raises: each returns the latest iterate that
+# met the relaxed tolerances, with the "reduced accuracy" warning, which the
+# gate refuses.  They are strict xfails until the solver is fixed, so a fix
+# shows as an XPASS failure here.
 _GATE_CASES = [(cell, seed) for cell in [(3, 8), (4, 6), (3, 10), (6, 4)]
                for seed in (20240001, 20240002, 20240003)] \
     + [((3, 10), seed) for seed in range(4000000, 4000023)]
 _GATE_BREAKDOWNS = {((3, 10), seed) for seed in (
-    20240001, 20240003, 4000001, 4000002, 4000003, 4000007, 4000009, 4000012,
-    4000017, 4000018, 4000021)}
+    20240001, 20240003, 4000001, 4000002, 4000003, 4000009, 4000012, 4000017,
+    4000018, 4000021)}
 
 
 @pytest.mark.slow
