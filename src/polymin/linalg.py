@@ -192,14 +192,20 @@ class CholeskyFactor:
 
     The solves are blocked substitutions: each diagonal block of side _BLOCK
     is solved by LAPACK and the rows below (above, for the transpose) are
-    updated with one BLAS product.  No inverse of L is formed; an explicit
-    inverse loses the substitution's backward stability on the interior-point
-    method's ill-conditioned Schur complements.  ``rhs`` may be a vector or a
-    matrix of right-hand-side columns.
+    updated with one BLAS product.  The diagonal blocks and their transposes
+    are copied to contiguous arrays once per factor, so LAPACK's solve does
+    not copy a strided view on every call.  No inverse of L is formed; an
+    explicit inverse loses the substitution's backward stability on the
+    interior-point method's ill-conditioned Schur complements.  ``rhs`` may
+    be a vector or a matrix of right-hand-side columns.
     """
 
     def __init__(self, L: np.ndarray):
         self.L = L
+        self._blocks = []
+        for s in range(0, L.shape[0], _BLOCK):
+            block = np.ascontiguousarray(L[s : s + _BLOCK, s : s + _BLOCK])
+            self._blocks.append((s, s + _BLOCK, block, np.ascontiguousarray(block.T)))
 
     @property
     def dimension(self) -> int:
@@ -213,9 +219,8 @@ class CholeskyFactor:
         """Solve L y = rhs."""
         L = self.L
         y = np.array(rhs, dtype=float)
-        for s in range(0, self.dimension, _BLOCK):
-            e = s + _BLOCK
-            y[s:e] = np.linalg.solve(L[s:e, s:e], y[s:e])
+        for s, e, block, _ in self._blocks:
+            y[s:e] = np.linalg.solve(block, y[s:e])
             y[e:] -= L[e:, s:e] @ y[s:e]
         return y
 
@@ -223,9 +228,8 @@ class CholeskyFactor:
         """Solve L^T x = rhs."""
         L = self.L
         x = np.array(rhs, dtype=float)
-        for s in reversed(range(0, self.dimension, _BLOCK)):
-            e = s + _BLOCK
-            x[s:e] = np.linalg.solve(L[s:e, s:e].T, x[s:e])
+        for s, e, _, block_t in reversed(self._blocks):
+            x[s:e] = np.linalg.solve(block_t, x[s:e])
             x[:s] -= L[s:e, :s].T @ x[s:e]
         return x
 
@@ -238,6 +242,7 @@ def spd_cholesky(S: np.ndarray) -> CholeskyFactor:
         L = np.linalg.cholesky(A)
         if np.all(np.isfinite(np.diagonal(L))):
             return CholeskyFactor(L)
+        del L       # not finite: free it before the replay below
     except np.linalg.LinAlgError:
         pass
     raise NotPositiveDefiniteError(*_failing_pivot(A))

@@ -19,6 +19,14 @@ complement of the Newton system is formed per Gram index by BLAS products
 over the constraints' classes of positions, factored by LAPACK's Cholesky,
 and its solves are blocked substitutions.
 
+The constraint matrix A (one row per constraint, flattened by ``_Layout``) is
+held as coordinates sorted by row and then column.  The dense A and the
+Schur kernel are built from them, and y @ A is one scatter-add over them,
+equal bit for bit to the dense product where every column has one nonzero,
+as in a plain SOS program.  A @ v stays a dense BLAS product: the same sum
+taken over the coordinates rounds differently, and that alone moves which
+(3,10) instances of the robustness gate break down.
+
 A solve call is single-threaded, deterministic and reentrant; independent
 problem instances may be solved concurrently.
 """
@@ -263,6 +271,29 @@ def _tri_pos(N: int, i: int, j: int) -> int:
     return i * N - i * (i - 1) // 2 + (j - i)
 
 
+def _coordinates(lay: _Layout, constraints) -> tuple:
+    """(rows, cols, vals) of the constraint matrix A, whose row k is
+    constraint k flattened by ``lay``: one triple per nonzero, sorted by row
+    and then column, the order in which np.nonzero lists A's entries."""
+    rows, cols, vals = [], [], []
+    for k, (g, _) in enumerate(constraints):
+        for (i, j), v in g.items():
+            rows.append(k)
+            cols.append(lay.column(i, j))
+            vals.append(v)
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], np.array(vals, dtype=float)[order]
+
+
+def _combine_rows(coords: tuple, y: np.ndarray, size: int) -> np.ndarray:
+    """y @ A as one scatter-add over A's coordinates.  Where every column
+    of A has one nonzero, as in a plain SOS program, each entry is a single
+    product and equals the dense product's bit for bit."""
+    rows, cols, vals = coords
+    return np.bincount(cols, weights=y[rows] * vals, minlength=size)
+
+
 class _NtFrame:
     """Nesterov-Todd scaling data of one PSD block for one iteration.
 
@@ -381,21 +412,26 @@ class _SchurKernel:
     the P_a W are slices of one product with the stacked P_a.  The rows l of
     one a are distinct, so repeats (the shifts of a multiplier, a class met
     twice along a Gram row) add up inside the products.  A diagonal block
-    adds (A w2) A^T.
+    adds (A w2) A^T.  The kernel is built from A's coordinates
+    (``_coordinates``) for M rows.
     """
 
-    def __init__(self, lay: _Layout, A: np.ndarray):
-        self.M = M = len(A)
+    def __init__(self, lay: _Layout, M: int, coords: tuple):
+        self.M = M
+        rows, cols, vals = coords
         self.parts = []
         for N, sl, iu in zip(lay.prob.blocks, lay.slices, lay.iu):
+            inside = (cols >= sl.start) & (cols < sl.stop)
+            ks, ps, V = rows[inside], cols[inside] - sl.start, vals[inside]
             if iu is None:
-                self.parts.append(A[:, sl])
+                part = np.zeros((M, -N))
+                part[ks, ps] = V
+                self.parts.append(part)
                 continue
-            ks, ps = np.nonzero(A[:, sl])
             if not len(ks):
                 self.parts.append(None)
                 continue
-            I, J, V = iu[0][ps], iu[1][ps], A[ks, sl.start + ps]
+            I, J = iu[0][ps], iu[1][ps]
             off = I != J
             # E: the entry at (i, j) is G_k[i, j] and G_k[j, i]
             cells, at = np.unique(np.concatenate([I * M + ks, (J * M + ks)[off]]),
@@ -436,6 +472,23 @@ class _SchurKernel:
         return schur
 
 
+def _factor_schur(Mmat: np.ndarray):
+    """Cholesky factor of the Schur matrix; a failed attempt is retried
+    twice, with a diagonal jitter that grows 100-fold and is written into
+    Mmat's diagonal.  None if all fail."""
+    M = len(Mmat)
+    base = np.trace(Mmat) / M if M else 1.0
+    diag = np.diagonal(Mmat).copy()
+    jitter = 0.0
+    for _ in range(3):
+        try:
+            return spd_cholesky(Mmat)
+        except NotPositiveDefiniteError:
+            jitter = max(jitter * 100, 1e-13 * max(base, 1e-30))
+            np.fill_diagonal(Mmat, diag + jitter)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Rank filter
 # ---------------------------------------------------------------------------
@@ -463,7 +516,8 @@ def _rank_filter(gram: np.ndarray, A: np.ndarray, weights: np.ndarray, b: np.nda
     kept = sorted(fact.pivots[: fact.rank]) if fact.rank else []
     if len(kept) == M:
         return kept, False
-    dropped = [k for k in range(M) if k not in set(kept)]
+    kept_set = set(kept)
+    dropped = [k for k in range(M) if k not in kept_set]
     if kept:
         A_kept = A[kept] * weights
         gram_kept = gram[np.ix_(kept, kept)]
@@ -497,9 +551,11 @@ def solve(prob: SdpProblem) -> SdpSolution:
     lay = _Layout(prob)
     nu = prob.dim                    # barrier degree of the cone
 
-    A = np.array([lay.row(g) for g, _ in prob.constraints]).reshape(
-        prob.num_constraints, lay.size)
-    schur = _SchurKernel(lay, A)
+    M = prob.num_constraints
+    rows, cols, vals = coords = _coordinates(lay, prob.constraints)
+    A = np.zeros((M, lay.size))
+    A[rows, cols] = vals
+    schur = _SchurKernel(lay, M, coords)
     # at unit scaling (W = I, w2 = 1) the Schur complement is <G_k, G_l>
     kept, inconsistent = _rank_filter(schur.assemble(lay.mat(lay.identity())), A,
                                       lay.weights, prob.b_vector(), warnings_out)
@@ -511,15 +567,24 @@ def solve(prob: SdpProblem) -> SdpSolution:
             tolerances=_tolerances(),
         )
     b = np.array([prob.constraints[k][1] for k in kept])
-    M = len(kept)
-    if M < len(A):
+    if len(kept) < M:
+        renumber = np.full(M, -1)
+        renumber[kept] = np.arange(len(kept))
+        keep = renumber[rows] >= 0
+        coords = renumber[rows][keep], cols[keep], vals[keep]
+        M = len(kept)
         A = A[kept]
-        schur = _SchurKernel(lay, A)
+        schur = _SchurKernel(lay, M, coords)
     F = lay.row(prob.cost)
 
     def rows_dot(V: np.ndarray) -> np.ndarray:
-        """<G_k, V> for every kept row k."""
+        """<G_k, V> for every kept row k.  A dense product: summed over
+        coordinates, its rounding moves which gate cases break down."""
         return A @ (lay.weights * V)
+
+    def rows_combine(v: np.ndarray) -> np.ndarray:
+        """sum_k v_k G_k, flattened: v @ A."""
+        return _combine_rows(coords, v, lay.size)
 
     bmax = float(np.max(np.abs(b))) if M else 0.0
     fmax = float(np.max(np.abs(F))) if F.size else 0.0
@@ -557,8 +622,9 @@ def solve(prob: SdpProblem) -> SdpSolution:
         XS = lay.dot(X, S)
         mu = (XS + tau * kappa) / (nu + 1)
 
-        P = rows_dot(X) - tau * b
-        D = y @ A + S - tau * F
+        AX = rows_dot(X)
+        P = AX - tau * b
+        D = rows_combine(y) + S - tau * F
         g_res = kappa + FX - by
 
         rel_p = (float(np.max(np.abs(P))) / (tau * (1.0 + bmax))) if M else 0.0
@@ -620,10 +686,10 @@ def solve(prob: SdpProblem) -> SdpSolution:
 
         if tau <= INFEAS_RATIO * max(1.0, kappa):
             # the embedding's tau/kappa balance collapsed: no optimum exists
-            if by > 0 and float(np.max(np.abs(y @ A + S))) <= 1e-6 * by * (1 + fmax):
+            if by > 0 and float(np.max(np.abs(rows_combine(y) + S))) <= 1e-6 * by * (1 + fmax):
                 cert = {"kind": "dual_ray", "y": y / by, "S": lay.mat(S / by)}
                 return finish(SdpStatus.PRIMAL_INFEASIBLE, cert=cert, iters=it)
-            gXnorm = float(np.max(np.abs(rows_dot(X)))) if M else 0.0
+            gXnorm = float(np.max(np.abs(AX))) if M else 0.0
             if FX < 0 and gXnorm <= 1e-6 * (-FX):
                 cert = {"kind": "primal_ray", "X": lay.mat(X / (-FX))}
                 return finish(SdpStatus.DUAL_INFEASIBLE, cert=cert, iters=it)
@@ -663,30 +729,23 @@ def solve(prob: SdpProblem) -> SdpSolution:
         def scaled(U: np.ndarray) -> np.ndarray:
             return lay.vec([fr.scale(u) for fr, u in zip(frames, lay.mat(U))])
 
-        Mmat = schur.assemble([fr.W if isinstance(fr, _NtFrame) else fr.w2
-                               for fr in frames])
+        chol = None     # the last factor is dead: free it before the next matrix
+        chol = _factor_schur(schur.assemble([fr.W if isinstance(fr, _NtFrame) else fr.w2
+                                             for fr in frames]))
+        if chol is None:
+            warnings_out.append("Schur complement lost positive definiteness")
+            return best_or(SdpStatus.NUMERICAL_TROUBLE)
         WFW = scaled(F)
         gvec = rows_dot(WFW)
         phi = lay.dot(F, WFW)
         WDW = scaled(D)
-
-        chol = None
-        jitter = 0.0
-        base = np.trace(Mmat) / max(M, 1) if M else 1.0
-        for attempt in range(3):
-            try:
-                chol = spd_cholesky(Mmat + jitter * np.eye(M))
-                break
-            except NotPositiveDefiniteError:
-                jitter = max(jitter * 100, 1e-13 * max(base, 1e-30))
-        if chol is None:
-            warnings_out.append("Schur complement lost positive definiteness")
-            return best_or(SdpStatus.NUMERICAL_TROUBLE)
+        residual_rhs = rows_dot(WDW) + P
 
         u = gvec + b
 
-        def schur_rhs(eta, Rc):
-            return -rows_dot(Rc) - eta * (rows_dot(WDW) + P)
+        def schur_rhs(eta, ARc):
+            """The Schur system's right-hand side; ARc is rows_dot(Rc)."""
+            return -ARc - eta * residual_rhs
 
         def direction(eta, Rc, rtk, v1):
             den = float((b - gvec) @ v2) + phi + kappa / tau
@@ -695,17 +754,19 @@ def solve(prob: SdpProblem) -> SdpSolution:
             dtau = num / den
             dy = v1 + dtau * v2
             dkappa = (rtk - kappa * dtau) / tau
-            dS = dtau * F - dy @ A - eta * D
+            dS = dtau * F - rows_combine(dy) - eta * D
             dX = Rc - scaled(dS)
             return dX, dy, dS, dtau, dkappa
 
         if converged_now:
             # pure centering: keep residuals and mu, pull X*S toward mu*I
             eta, Rc, rtk = 0.0, mu * lay.vec([fr.S_inv for fr in frames]) - X, mu - tau * kappa
+            ARc = rows_dot(Rc)
         else:
             eta, Rc, rtk = 1.0, -X, -tau * kappa      # predictor
+            ARc = -AX                                 # rows_dot(-X), exactly
         # v2 and the first direction's right-hand side share one solve
-        v2, v1 = chol.solve(np.column_stack([u, schur_rhs(eta, Rc)])).T
+        v2, v1 = chol.solve(np.column_stack([u, schur_rhs(eta, ARc)])).T
         dX, dy, dS, dtau, dkappa = direction(eta, Rc, rtk, v1)
 
         def step_bound(dX, dS, dtau, dkappa):
@@ -737,7 +798,7 @@ def solve(prob: SdpProblem) -> SdpSolution:
                           for fr, a, s in zip(frames, lay.mat(dXa), lay.mat(dSa))])
             rtk = sigma * mu - tau * kappa - dtaua * dkappaa
             dX, dy, dS, dtau, dkappa = direction(
-                1.0 - sigma, Rc, rtk, chol.solve(schur_rhs(1.0 - sigma, Rc)))
+                1.0 - sigma, Rc, rtk, chol.solve(schur_rhs(1.0 - sigma, rows_dot(Rc))))
 
         bound = step_bound(dX, dS, dtau, dkappa)
         if bound is None:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from polymin.linalg import (
+    _BLOCK,
     NotPositiveDefiniteError,
     eig_general,
     psd_factor,
     solve_spd,
+    spd_cholesky,
     sym_eig,
 )
 
@@ -184,3 +186,30 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             solve_spd(np.diag([1.0, -2.0]), [1.0, 1.0])
         assert exc.value.index == 1
+
+
+def blockwise_solve(L, rhs):
+    """L L^T x = rhs by blocked substitution over strided views of L."""
+    n = len(L)
+    y = np.array(rhs, dtype=float)
+    for s in range(0, n, _BLOCK):
+        e = s + _BLOCK
+        y[s:e] = np.linalg.solve(L[s:e, s:e], y[s:e])
+        y[e:] -= L[e:, s:e] @ y[s:e]
+    for s in reversed(range(0, n, _BLOCK)):
+        e = s + _BLOCK
+        y[s:e] = np.linalg.solve(L[s:e, s:e].T, y[s:e])
+        y[:s] -= L[s:e, :s].T @ y[s:e]
+    return y
+
+
+class TestCholeskySolve:
+    # the factor's contiguous diagonal blocks change no bit of a solve
+    @pytest.mark.parametrize("n", [44, 209, 1000])
+    @pytest.mark.parametrize("shape", ["vector", "two-columns"])
+    def test_matches_blockwise_reference(self, n, shape):
+        rng = np.random.default_rng(n)
+        G = rng.normal(size=(n, n))
+        chol = spd_cholesky(G @ G.T + n * np.eye(n))
+        rhs = rng.normal(size=n if shape == "vector" else (n, 2))
+        assert np.array_equal(chol.solve(rhs), blockwise_solve(chol.L, rhs))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,12 +474,74 @@ class TestSchurKernel:
             else:
                 scalings.append(rng.uniform(0.5, 2.0, size=-s))
         lay = sdp._Layout(prob)
-        A = np.array([lay.row(g) for g, _ in prob.constraints])
-        kernel = sdp._SchurKernel(lay, A)
+        kernel = sdp._SchurKernel(lay, prob.num_constraints,
+                                  sdp._coordinates(lay, prob.constraints))
         for w in (scalings, lay.mat(lay.identity())):
             got = kernel.assemble(w)
             want = dense_schur(prob, w)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestCoordinates:
+    """A's coordinates: they list A as np.nonzero does, and the scatter-add
+    over them is y @ A, bit for bit where every column has one nonzero."""
+
+    PROGRAMS = {
+        "sos-2-8": lambda: _family_gram(2, 4),
+        "sos-6-4": lambda: _family_gram(6, 2),
+        "multiplier": lambda: _family_gram(3, 2, k=1),
+        "psatz-lp": _psatz_program,
+        "shared-class": _shared_class_problem,
+    }
+
+    @staticmethod
+    def _dense_and_coordinates(name):
+        prob = TestCoordinates.PROGRAMS[name]()
+        lay = sdp._Layout(prob)
+        A = np.array([lay.row(g) for g, _ in prob.constraints])
+        return A, sdp._coordinates(lay, prob.constraints)
+
+    @pytest.mark.parametrize("name", list(PROGRAMS))
+    def test_lists_A_as_nonzero_does(self, name):
+        A, (rows, cols, vals) = self._dense_and_coordinates(name)
+        want_rows, want_cols = np.nonzero(A)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert np.array_equal(vals, A[want_rows, want_cols])
+
+    @pytest.mark.parametrize("name", ["sos-2-8", "sos-6-4"])
+    def test_scatter_is_bit_identical_on_sos(self, name):
+        A, coords = self._dense_and_coordinates(name)
+        assert np.all(np.count_nonzero(A, axis=0) <= 1)
+        y = np.random.default_rng(3).normal(size=len(A))
+        assert np.array_equal(sdp._combine_rows(coords, y, A.shape[1]), y @ A)
+
+    @pytest.mark.parametrize("name", ["multiplier", "psatz-lp", "shared-class"])
+    def test_scatter_matches_dense_product(self, name):
+        A, coords = self._dense_and_coordinates(name)
+        assert np.max(np.count_nonzero(A, axis=0)) > 1
+        y = np.random.default_rng(3).normal(size=len(A))
+        got = sdp._combine_rows(coords, y, A.shape[1])
+        scale = np.max(np.abs(y) @ np.abs(A))
+        assert np.max(np.abs(got - y @ A)) <= 1e-15 * scale
+
+
+class TestSolveMemory:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_peak_is_A_and_four_schur_matrices(self):
+        # (8,4), M = 494: the constraint matrix A, the Schur matrix, its
+        # factor and the class kernel's arrays, but no per-iteration copies.
+        # Posed unscaled, this program loses definiteness near the end, so
+        # the Schur factor's retries run too
+        prob = build_gram_sdp(random_family_instance(
+            FamilyParams(8, 2, 100, seed=4000000)), 0).problem
+        M, size = prob.num_constraints, sdp._Layout(prob).size
+        tracemalloc.start()
+        try:
+            solve(prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= M * size * 8 + 4 * M * M * 8
 
 
 def _random_spd(rng, N):
