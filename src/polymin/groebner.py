@@ -595,8 +595,8 @@ def _point_from_vector(v: np.ndarray, Tx_dense):
     if scale == 0:
         return None
     v = v / scale
-    if abs(v[0]) < 1e-10:  # basis is graded-lex ascending, slot 0 is the monomial 1
-        return None  # point at infinity
+    if v[0] == 0:  # slot 0 is the monomial 1; affine quotients have no points at infinity
+        return None
     j = int(np.argmax(np.abs(v)))
     point = []
     for Tx in Tx_dense:

@@ -20,12 +20,8 @@ over the constraints' classes of positions, factored by LAPACK's Cholesky,
 and its solves are blocked substitutions.
 
 The constraint matrix A (one row per constraint, flattened by ``_Layout``) is
-held as coordinates sorted by row and then column.  The dense A and the
-Schur kernel are built from them, and y @ A is one scatter-add over them,
-equal bit for bit to the dense product where every column has one nonzero,
-as in a plain SOS program.  A @ v stays a dense BLAS product: the same sum
-taken over the coordinates rounds differently, and that alone moves which
-(3,10) instances of the robustness gate break down.
+held only as coordinates sorted by row and then column.  The Schur kernel is
+built from them, and y @ A and A @ v are each one scatter-add over them.
 
 A solve call is single-threaded, deterministic and reentrant; independent
 problem instances may be solved concurrently.
@@ -294,6 +290,12 @@ def _combine_rows(coords: tuple, y: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(cols, weights=y[rows] * vals, minlength=size)
 
 
+def _rows_dot(coords: tuple, weights: np.ndarray, V: np.ndarray, M: int) -> np.ndarray:
+    """A @ (weights * V), i.e. <G_k, V> for the M rows, as one scatter-add."""
+    rows, cols, vals = coords
+    return np.bincount(rows, weights=vals * weights[cols] * V[cols], minlength=M)
+
+
 class _NtFrame:
     """Nesterov-Todd scaling data of one PSD block for one iteration.
 
@@ -493,11 +495,11 @@ def _factor_schur(Mmat: np.ndarray):
 # Rank filter
 # ---------------------------------------------------------------------------
 
-def _rank_filter(gram: np.ndarray, A: np.ndarray, weights: np.ndarray, b: np.ndarray,
-                 warnings_out: list[str]):
+def _rank_filter(gram: np.ndarray, b: np.ndarray, warnings_out: list[str]):
     """Drop linearly dependent constraint rows; flag inconsistent duplicates.
 
-    ``gram`` holds the trace inner products <G_k, G_l> of the rows of A.
+    ``gram`` holds the trace inner products <G_k, G_l> of the rows; a dropped
+    row k's column gram[kept, k] gives its coefficients in the kept rows.
     Returns (kept_indices, inconsistent: bool).
     """
     M = len(gram)
@@ -519,11 +521,9 @@ def _rank_filter(gram: np.ndarray, A: np.ndarray, weights: np.ndarray, b: np.nda
     kept_set = set(kept)
     dropped = [k for k in range(M) if k not in kept_set]
     if kept:
-        A_kept = A[kept] * weights
         gram_kept = gram[np.ix_(kept, kept)]
         for k in dropped:
-            rhs = A_kept @ A[k]
-            coeff, *_ = np.linalg.lstsq(gram_kept, rhs, rcond=None)
+            coeff, *_ = np.linalg.lstsq(gram_kept, gram[kept, k], rcond=None)
             if abs(b[k] - coeff @ b[kept]) > 1e-8 * (1.0 + abs(b[k])):
                 return kept, True
     else:
@@ -553,12 +553,10 @@ def solve(prob: SdpProblem) -> SdpSolution:
 
     M = prob.num_constraints
     rows, cols, vals = coords = _coordinates(lay, prob.constraints)
-    A = np.zeros((M, lay.size))
-    A[rows, cols] = vals
     schur = _SchurKernel(lay, M, coords)
     # at unit scaling (W = I, w2 = 1) the Schur complement is <G_k, G_l>
-    kept, inconsistent = _rank_filter(schur.assemble(lay.mat(lay.identity())), A,
-                                      lay.weights, prob.b_vector(), warnings_out)
+    kept, inconsistent = _rank_filter(schur.assemble(lay.mat(lay.identity())),
+                                      prob.b_vector(), warnings_out)
     if inconsistent:
         return SdpSolution(
             status=SdpStatus.PRIMAL_INFEASIBLE, X_blocks=None, y=None, S_blocks=None,
@@ -573,14 +571,12 @@ def solve(prob: SdpProblem) -> SdpSolution:
         keep = renumber[rows] >= 0
         coords = renumber[rows][keep], cols[keep], vals[keep]
         M = len(kept)
-        A = A[kept]
         schur = _SchurKernel(lay, M, coords)
     F = lay.row(prob.cost)
 
     def rows_dot(V: np.ndarray) -> np.ndarray:
-        """<G_k, V> for every kept row k.  A dense product: summed over
-        coordinates, its rounding moves which gate cases break down."""
-        return A @ (lay.weights * V)
+        """<G_k, V> for every kept row k."""
+        return _rows_dot(coords, lay.weights, V, M)
 
     def rows_combine(v: np.ndarray) -> np.ndarray:
         """sum_k v_k G_k, flattened: v @ A."""

@@ -381,10 +381,12 @@ def sos_lower_bound(f: Polynomial, with_certificate: bool = True) -> SosResult:
 
     Returns -inf exactly when the shifted-Gram feasibility fails for every
     lambda, which the solver detects as infeasibility of the Gram problem.
-    Homogeneous scaling is applied up front and inverted on output; when the
-    first pass reveals a bound far smaller than the coefficient scale the
-    solve is repeated once with the factor matched to the bound itself, since
-    unscaling would otherwise amplify solver tolerance past the answer.
+    Homogeneous scaling is applied up front and inverted on output.  The
+    solve is repeated once at the bound's own scale, max(1, |lambda|^(1/2d)),
+    if that is 10 % off the first factor and the first pass either revealed a
+    bound far below the coefficient scale, which unscaling would amplify
+    solver tolerance past, or ended with a warning: a bound far above it
+    drives the solve into breakdown.
     """
     return _bound(f, 0, with_certificate)
 
@@ -396,7 +398,8 @@ def _bound(f: Polynomial, k: int, with_certificate: bool) -> SosResult:
     res = _sos_bound_at_scale(f, k, alpha, two_d, with_certificate)
     if res.status is SdpStatus.OPTIMAL and two_d > 0:
         lam_scaled = res.value / alpha**two_d
-        if 0 < abs(lam_scaled) < 1e-5:
+        # a tiny bound, or a breakdown: every warning of a Gram solve marks one
+        if 0 < abs(lam_scaled) < 1e-5 or res.solution.warnings:
             alpha2 = max(1.0, abs(res.value) ** (1.0 / two_d))
             if abs(alpha2 - alpha) / alpha > 0.1:
                 return _sos_bound_at_scale(f, k, alpha2, two_d, with_certificate)

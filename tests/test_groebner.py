@@ -335,6 +335,19 @@ class TestMinimizeByEigenvalues:
                            for m, c in g.terms.items())
                 assert abs(g.evaluate(p)) <= GRAD_TOL * (1 + size)
 
+    # At (3,10) the quotient basis reaches degree 24, so at a minimizer of
+    # norm 3-4 (after scaling) the eigenvector's constant coordinate is
+    # 1e-12-1e-11 of its largest; the minimizer is kept all the same
+    @pytest.mark.slow
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as conftest intends
+    @pytest.mark.parametrize("seed", [4000001, 4000003, 4000017])
+    def test_minimizer_far_from_origin_is_kept(self, seed):
+        f = random_family_instance(FamilyParams(3, 5, 100, seed=seed))
+        res = minimize_by_eigenvalues(f)
+        point = minimize(f).extraction.point
+        f_sos = float(f.to_fraction().evaluate([Fraction(x) for x in point]))
+        assert abs(res.fstar - f_sos) <= 1e-9 * abs(f_sos)
+
     def test_smallest_eigenvalue_matches_point_values(self):
         rng = random.Random(55)
         for _ in range(6):

@@ -483,8 +483,9 @@ class TestSchurKernel:
 
 
 class TestCoordinates:
-    """A's coordinates: they list A as np.nonzero does, and the scatter-add
-    over them is y @ A, bit for bit where every column has one nonzero."""
+    """A's coordinates: they list A as np.nonzero does, the scatter-add
+    over them is y @ A, bit for bit where every column has one nonzero, and
+    the one over rows is <G_k, V>."""
 
     PROGRAMS = {
         "sos-2-8": lambda: _family_gram(2, 4),
@@ -524,24 +525,41 @@ class TestCoordinates:
         scale = np.max(np.abs(y) @ np.abs(A))
         assert np.max(np.abs(got - y @ A)) <= 1e-15 * scale
 
+    @pytest.mark.parametrize("name", ["sos-2-8", "multiplier", "psatz-lp", "shared-class"])
+    def test_rows_dot_matches_dense_inner_products(self, name):
+        prob = self.PROGRAMS[name]()
+        lay = sdp._Layout(prob)
+        rng = np.random.default_rng(7)
+        parts = [sdp._sym(rng.normal(size=(s, s))) if s > 0 else rng.normal(size=-s)
+                 for s in prob.blocks]
+        V = np.zeros((prob.dim, prob.dim))
+        for off, p in zip(prob.offsets, parts):
+            V[off : off + len(p), off : off + len(p)] = p if p.ndim == 2 else np.diag(p)
+        G = [prob.constraint_dense(k) for k in range(prob.num_constraints)]
+        want = np.array([np.sum(g * V) for g in G])
+        scale = max(np.sum(np.abs(g * V)) for g in G)
+        got = sdp._rows_dot(sdp._coordinates(lay, prob.constraints), lay.weights,
+                            lay.vec(parts), prob.num_constraints)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
 
 class TestSolveMemory:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_peak_is_A_and_four_schur_matrices(self):
-        # (8,4), M = 494: the constraint matrix A, the Schur matrix, its
-        # factor and the class kernel's arrays, but no per-iteration copies.
-        # Posed unscaled, this program loses definiteness near the end, so
-        # the Schur factor's retries run too
+    def test_peak_is_under_three_and_a_half_schur_matrices(self):
+        # (8,4), M = 494: the Schur matrix, its factor and the class
+        # kernel's arrays, but no M x size constraint matrix and no
+        # per-iteration copies.  Posed unscaled, this program loses
+        # definiteness near the end, so the Schur factor's retries run too
         prob = build_gram_sdp(random_family_instance(
             FamilyParams(8, 2, 100, seed=4000000)), 0).problem
-        M, size = prob.num_constraints, sdp._Layout(prob).size
+        M = prob.num_constraints
         tracemalloc.start()
         try:
             solve(prob)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= M * size * 8 + 4 * M * M * 8
+        assert peak <= 3.5 * M * M * 8
 
 
 def _random_spd(rng, N):
