@@ -207,10 +207,6 @@ class CholeskyFactor:
             block = np.ascontiguousarray(L[s : s + _BLOCK, s : s + _BLOCK])
             self._blocks.append((s, s + _BLOCK, block, np.ascontiguousarray(block.T)))
 
-    @property
-    def dimension(self) -> int:
-        return self.L.shape[0]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self.forward(rhs)
         return self.backward(y)

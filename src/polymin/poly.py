@@ -38,10 +38,6 @@ def grlex_key(mono: Monomial):
     return (sum(mono), mono)
 
 
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -158,9 +154,6 @@ class Polynomial:
         if not self.terms:
             return 0.0
         return max(abs(float(c)) for c in self.terms.values())
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def is_exact(self) -> bool:
         return all(isinstance(c, (Fraction, int)) for c in self.terms.values())

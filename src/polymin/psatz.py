@@ -81,13 +81,6 @@ class SemialgebraicSystem:
 SquareList = list  # list of (weight, Polynomial) pairs with weight >= 0
 
 
-def square_list_polynomial(squares: SquareList, n: int) -> Polynomial:
-    total = Polynomial.zero(n)
-    for w, q in squares:
-        total = total + (q * q) * w
-    return total
-
-
 @dataclass
 class Witness:
     """Degree-D infeasibility witness with explicit square decompositions."""
@@ -99,12 +92,6 @@ class Witness:
     n: int
     verified_exact: bool = False
     float_residual: float | None = None
-
-    def s0_polynomial(self) -> Polynomial:
-        return square_list_polynomial(self.s0, self.n)
-
-    def ineq_polynomials(self) -> list[Polynomial]:
-        return [square_list_polynomial(s, self.n) for s in self.ineq_multipliers]
 
     def to_json_dict(self) -> dict:
         def dump_squares(squares):

@@ -12,12 +12,14 @@ The algorithm is path-following with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector, run on the homogeneous self-dual embedding so that
 primal or dual infeasibility is detected through the collapse of the
 embedding's tau/kappa ratio instead of by divergence heuristics.  Scaling,
-step lengths and complementarity act block by block, and each PSD block's
-Nesterov-Todd frame, which maps X and S to the identity, also gives its step
-lengths, so no block is factored twice in an iteration; the (dense, SPD) Schur
-complement of the Newton system is formed per Gram index by BLAS products
-over the constraints' classes of positions, factored by LAPACK's Cholesky,
-and its solves are blocked substitutions.
+step lengths and complementarity act block by block.  Each PSD block's
+Nesterov-Todd frame is one factor G, built from two eigendecompositions, that
+takes X and S to the same diagonal point; it gives the scaling W = G G^T, the
+corrector's diagonal solve and the step lengths, so no block is factored
+again in an iteration.  The (dense, SPD) Schur complement of the Newton
+system is formed per Gram index by BLAS products over the constraints'
+classes of positions, factored by LAPACK's Cholesky, and its solves are
+blocked substitutions.
 
 The constraint matrix A (one row per constraint, flattened by ``_Layout``) is
 held only as coordinates sorted by row and then column.  The Schur kernel is
@@ -299,35 +301,29 @@ def _rows_dot(coords: tuple, weights: np.ndarray, V: np.ndarray, M: int) -> np.n
 class _NtFrame:
     """Nesterov-Todd scaling data of one PSD block for one iteration.
 
-    W satisfies W S W = X; ``lam`` is the common scaled point
-    W^{-1/2} X W^{-1/2} = W^{1/2} S W^{1/2}, whose eigenbasis makes the
-    linearized complementarity a diagonal Lyapunov solve.  With
-    lam = Q diag(l) Q^T, H_x = l^{-1/2} Q^T W^{-1/2} and
-    H_s = l^{-1/2} Q^T W^{1/2} take X and S to I, so the frame also sizes
-    the step and X and S are factored nowhere else.
+    With S^{1/2} X S^{1/2} = U diag(t) U^T, the factor
+    G = S^{-1/2} U diag(t^{1/4}) takes X and S to one diagonal point:
+    G^{-1} X G^{-T} = G^T S G = diag(d), d = t^{1/2}.  So W = G G^T
+    satisfies W S W = X, S^{-1} = G diag(1/d) G^T, the linearized
+    complementarity is diagonal in G's frame, and H_x = G^{-1} / sqrt(d)
+    and H_s = G^T / sqrt(d) take X and S to I, so the frame also sizes the
+    step.  Two eigendecompositions, of S and of S^{1/2} X S^{1/2}, give all
+    of it, and X and S are factored nowhere else.
     """
 
     def __init__(self, X: np.ndarray, S: np.ndarray):
         es, Us = np.linalg.eigh(S)
-        es = np.maximum(es, 1e-300)
-        S_half = (Us * np.sqrt(es)) @ Us.T
-        S_mhalf = (Us / np.sqrt(es)) @ Us.T
-        self.S_inv = _sym((Us / es) @ Us.T)
-        T = _sym(S_half @ X @ S_half)
-        et, Ut = np.linalg.eigh(T)
-        et = np.maximum(et, 1e-300)
-        T_half = (Ut * np.sqrt(et)) @ Ut.T
-        self.W = _sym(S_mhalf @ T_half @ S_mhalf)
-        ew, Uw = np.linalg.eigh(self.W)
-        ew = np.maximum(ew, 1e-300)
-        self.W_half = (Uw * np.sqrt(ew)) @ Uw.T
-        self.W_mhalf = (Uw / np.sqrt(ew)) @ Uw.T
-        lam = _sym(self.W_mhalf @ X @ self.W_mhalf)
-        self.lam_vals, self.lam_vecs = np.linalg.eigh(lam)
-        self.lam = lam
-        root = np.sqrt(self.lam_vals)[:, None]
-        self.H = {"x": (self.lam_vecs.T @ self.W_mhalf) / root,
-                  "s": (self.lam_vecs.T @ self.W_half) / root}
+        rs = np.sqrt(np.maximum(es, 1e-300))
+        S_half = (Us * rs) @ Us.T
+        t, Ut = np.linalg.eigh(_sym(S_half @ X @ S_half))
+        self.d = np.sqrt(np.maximum(t, 1e-300))
+        q = np.sqrt(self.d)[:, None]
+        V = Us.T @ Ut
+        self.G = (Us @ (V / rs[:, None])) * q.T
+        self.G_inv = (Ut.T @ S_half) / q
+        self.W = _sym(self.G @ self.G.T)
+        self.S_inv = _sym((self.G / self.d) @ self.G.T)
+        self.H = {"x": self.G_inv / q, "s": self.G.T / q}
 
     def scale(self, U: np.ndarray) -> np.ndarray:
         return _sym(self.W @ U @ self.W)
@@ -346,35 +342,29 @@ class _NtFrame:
             return 0.0
         return np.inf if lam_min >= -1e-16 else -1.0 / lam_min
 
-    def lyapunov_solve(self, R: np.ndarray) -> np.ndarray:
-        """Solve lam o U = R (o the symmetrized product) for symmetric U."""
-        Q = self.lam_vecs
-        Rt = Q.T @ R @ Q
-        denom = 0.5 * (self.lam_vals[:, None] + self.lam_vals[None, :])
-        return _sym(Q @ (Rt / denom) @ Q.T)
-
     def second_order_residual(self, sigma_mu: float, dXa: np.ndarray,
                               dSa: np.ndarray) -> np.ndarray:
-        """Mehrotra corrector right-hand side in the original space."""
-        dXs = _sym(self.W_mhalf @ dXa @ self.W_mhalf)
-        dSs = _sym(self.W_half @ dSa @ self.W_half)
-        cross = _sym(dXs @ dSs)
-        R = sigma_mu * np.eye(len(dXa)) - _sym(self.lam @ self.lam) - cross
-        U = self.lyapunov_solve(R)
-        return _sym(self.W_half @ U @ self.W_half)
+        """Mehrotra corrector right-hand side in the original space: the U
+        with diag(d) o U = sigma_mu I - diag(d)^2 - sym(dX~ dS~) in G's frame
+        (o the symmetrized product), taken back as G U G^T."""
+        cross = _sym((self.G_inv @ dXa @ self.G_inv.T) @ (self.G.T @ dSa @ self.G))
+        R = np.diag(sigma_mu - self.d ** 2) - cross
+        U = R / (0.5 * (self.d[:, None] + self.d[None, :]))
+        return _sym(self.G @ U @ self.G.T)
 
 
 class _LpFrame:
-    """The same scaling for a diagonal block, where it is elementwise:
-    W = diag(sqrt(x / s)) and the Lyapunov solve is a division."""
+    """The same scaling for a diagonal block, where it is elementwise: W is
+    the vector x / s, so ``scale`` is W * u as W U W is for a PSD block, and
+    the corrector's solve is a division."""
 
     def __init__(self, x: np.ndarray, s: np.ndarray):
         self.x, self.s = x, s
-        self.w2 = x / s
+        self.W = x / s
         self.S_inv = 1.0 / s
 
     def scale(self, u: np.ndarray) -> np.ndarray:
-        return self.w2 * u
+        return self.W * u
 
     def max_step(self, du: np.ndarray, side: str) -> float:
         """The ratio test on x (side "x") or s (side "s")."""
@@ -413,9 +403,9 @@ class _SchurKernel:
     E[b, (a', k)] = T[k, cls(a', b)] on the cells (a', k) that occur, and
     the P_a W are slices of one product with the stacked P_a.  The rows l of
     one a are distinct, so repeats (the shifts of a multiplier, a class met
-    twice along a Gram row) add up inside the products.  A diagonal block
-    adds (A w2) A^T.  The kernel is built from A's coordinates
-    (``_coordinates``) for M rows.
+    twice along a Gram row) add up inside the products.  A diagonal block,
+    whose W is the vector x / s, adds (A W) A^T.  The kernel is built from
+    A's coordinates (``_coordinates``) for M rows.
     """
 
     def __init__(self, lay: _Layout, M: int, coords: tuple):
@@ -448,9 +438,9 @@ class _SchurKernel:
             self.parts.append((cells, E, P, targets % M, bounds))
 
     def assemble(self, scalings: list) -> np.ndarray:
-        """The Schur matrix for one scaling per block: W of a PSD block,
-        w2 = x / s of a diagonal block.  It is symmetric up to rounding and
-        left so: the Cholesky factorization reads one triangle."""
+        """The Schur matrix for one scaling W per block: a matrix for a PSD
+        block, the vector x / s for a diagonal block.  It is symmetric up to
+        rounding and left so: the Cholesky factorization reads one triangle."""
         M = self.M
         schur = np.zeros((M, M))
         for part, w in zip(self.parts, scalings):
@@ -554,7 +544,7 @@ def solve(prob: SdpProblem) -> SdpSolution:
     M = prob.num_constraints
     rows, cols, vals = coords = _coordinates(lay, prob.constraints)
     schur = _SchurKernel(lay, M, coords)
-    # at unit scaling (W = I, w2 = 1) the Schur complement is <G_k, G_l>
+    # at unit scaling (W = I on every block) the Schur complement is <G_k, G_l>
     kept, inconsistent = _rank_filter(schur.assemble(lay.mat(lay.identity())),
                                       prob.b_vector(), warnings_out)
     if inconsistent:
@@ -726,8 +716,7 @@ def solve(prob: SdpProblem) -> SdpSolution:
             return lay.vec([fr.scale(u) for fr, u in zip(frames, lay.mat(U))])
 
         chol = None     # the last factor is dead: free it before the next matrix
-        chol = _factor_schur(schur.assemble([fr.W if isinstance(fr, _NtFrame) else fr.w2
-                                             for fr in frames]))
+        chol = _factor_schur(schur.assemble([fr.W for fr in frames]))
         if chol is None:
             warnings_out.append("Schur complement lost positive definiteness")
             return best_or(SdpStatus.NUMERICAL_TROUBLE)

@@ -615,3 +615,82 @@ class TestStepLength:
         assert frame.max_step(du, "x") == 0.5            # x[0] = 1 hits 0
         assert frame.max_step(du, "s") == 0.5            # s[2] = 0.5 hits 0
         assert frame.max_step(np.abs(du), "x") == np.inf
+
+
+def _spectrum_pair(rng, N, lo, hi):
+    """X and S with random eigenbases and eigenvalues 10^U(lo, hi)."""
+    def one():
+        Q, _ = np.linalg.qr(rng.normal(size=(N, N)))
+        return (Q * 10.0 ** rng.uniform(lo, hi, N)) @ Q.T
+    return one(), one()
+
+
+def w_half_corrector(X, S, sigma_mu, dXa, dSa):
+    """The Mehrotra corrector's right-hand side in the W^{1/2} frame: with
+    lam = W^{-1/2} X W^{-1/2}, solve lam o U = sigma_mu I - lam^2
+    - sym(W^{-1/2} dXa W^{-1/2} W^{1/2} dSa W^{1/2}) in lam's eigenbasis and
+    return W^{1/2} U W^{1/2}."""
+    def power(A, p):
+        w, U = np.linalg.eigh(A)
+        return (U * w ** p) @ U.T
+    S_half = power(S, 0.5)
+    W = power(S, -0.5) @ power(S_half @ X @ S_half, 0.5) @ power(S, -0.5)
+    W_half, W_mhalf = power(W, 0.5), power(W, -0.5)
+    lam = W_mhalf @ X @ W_mhalf
+    l, Q = np.linalg.eigh((lam + lam.T) / 2)
+    cross = (W_mhalf @ dXa @ W_mhalf) @ (W_half @ dSa @ W_half)
+    R = sigma_mu * np.eye(len(X)) - lam @ lam - (cross + cross.T) / 2
+    U = Q @ ((Q.T @ R @ Q) / (0.5 * (l[:, None] + l[None, :]))) @ Q.T
+    return W_half @ U @ W_half
+
+
+class TestNtFrame:
+    """The single-factor frame: G takes X and S to one diagonal point, and
+    everything the iteration reads off the frame follows from G."""
+
+    @pytest.mark.parametrize("N", [3, 28, 66])
+    def test_factor_invariants(self, N):
+        rng = np.random.default_rng(100 + N)
+        X, S = _random_spd(rng, N), _random_spd(rng, N)
+        fr = sdp._NtFrame(X, S)
+        G_inv = np.linalg.inv(fr.G)
+        scale = np.max(fr.d)
+        assert np.max(np.abs(fr.W @ S @ fr.W - X)) <= 1e-10 * np.max(np.abs(X))
+        assert np.max(np.abs(G_inv @ X @ G_inv.T - np.diag(fr.d))) <= 1e-10 * scale
+        assert np.max(np.abs(fr.G.T @ S @ fr.G - np.diag(fr.d))) <= 1e-10 * scale
+        assert np.max(np.abs(fr.S_inv @ S - np.eye(N))) <= 1e-10
+
+    @pytest.mark.parametrize("N", [3, 28, 66])
+    def test_corrector_matches_w_half_frame(self, N):
+        # G = W^{1/2} Q for an orthogonal Q, and the symmetrized
+        # linearization is invariant under that rotation
+        rng = np.random.default_rng(200 + N)
+        X, S = _random_spd(rng, N), _random_spd(rng, N)
+        B, C = rng.normal(size=(2, N, N))
+        dXa, dSa = B + B.T, C + C.T
+        want = w_half_corrector(X, S, 0.3, dXa, dSa)
+        got = sdp._NtFrame(X, S).second_order_residual(0.3, dXa, dSa)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_ill_conditioned_frame_is_finite(self):
+        # eigenvalues spanning twelve decades, as near the end of a solve
+        rng = np.random.default_rng(300)
+        for _ in range(50):
+            X, S = _spectrum_pair(rng, 8, -10, 2)
+            fr = sdp._NtFrame(X, S)
+            assert all(np.all(np.isfinite(H)) for H in fr.H.values())
+            B = rng.normal(size=(8, 8))
+            for side in ("x", "s"):
+                step = fr.max_step(B + B.T, side)
+                assert np.isfinite(step) and step > 0
+
+    def test_steps_match_dense_reference_at_eight_decades(self):
+        rng = np.random.default_rng(400)
+        for _ in range(50):
+            X, S = _spectrum_pair(rng, 8, -6, 2)
+            fr = sdp._NtFrame(X, S)
+            B = rng.normal(size=(8, 8))
+            dV = B + B.T
+            for side, V in (("x", X), ("s", S)):
+                assert fr.max_step(dV, side) == pytest.approx(dense_step(V, dV),
+                                                              rel=1e-2)
