@@ -3,7 +3,10 @@
 Verifies that the scaled partial derivatives form a Groebner basis under the
 graded-lex order, enumerates standard monomials, builds exact multiplication
 matrices of the quotient ring, and minimizes globally by reading off the
-smallest real eigenvalue of the multiplication matrix of the objective.  A
+smallest real eigenvalue of the multiplication matrix of the objective.  One
+reader turns eigenvectors into critical points: it diagonalizes a generic
+linear form's matrix restricted to a subspace, either a real eigenvalue
+cluster's eigenspace or, when no cluster yields a point, the whole space.  A
 fraction-free characteristic polynomial gives the alternative univariate
 route to the same value.
 
@@ -22,6 +25,7 @@ generators are not already a Groebner basis (the benchmark family always is).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,21 +212,9 @@ def standard_monomials(G: GroebnerBasis, mu_cap: int = DEFAULT_MU_CAP) -> Standa
     if box > mu_cap:
         raise MuCapExceededError(f"candidate box {box} exceeds cap {mu_cap}")
     lms = G.leading_monomials
-    monos = []
-    for mono in _box_iter(bounds):
-        if not any(monomial_divides(lm, mono) for lm in lms):
-            monos.append(mono)
-    return StandardBasis.from_monomials(monos)
-
-
-def _box_iter(bounds):
-    if len(bounds) == 1:
-        for e in range(bounds[0]):
-            yield (e,)
-        return
-    for e in range(bounds[0]):
-        for rest in _box_iter(bounds[1:]):
-            yield (e,) + rest
+    return StandardBasis.from_monomials(
+        [m for m in itertools.product(*(range(b) for b in bounds))
+         if not any(monomial_divides(lm, m) for lm in lms)])
 
 
 @dataclass
@@ -414,11 +406,13 @@ def minimize_by_eigenvalues(f: Polynomial, *, mu_cap: int = DEFAULT_MU_CAP) -> O
     multiplication matrix, with minimizers read off eigenvector coordinate
     ratios.
 
-    The critical-ideal generators must already form a Groebner basis.  For a
-    repeated smallest eigenvalue the eigenspace is split with the
-    multiplication matrix of a generic linear form (which commutes with the
-    objective's and therefore preserves the eigenspace); candidate vectors
-    failing the coordinate-ratio or gradient residual tests are discarded.
+    The critical-ideal generators must already form a Groebner basis.  The
+    real eigenvalues are walked in ascending order; each one's eigenspace is
+    split with the multiplication matrix of a generic linear form (which
+    commutes with the objective's and therefore preserves it), and candidate
+    vectors failing the coordinate-ratio or gradient residual tests are
+    discarded.  When no eigenspace yields a point, the same reader runs on
+    the whole space and the validated points of least f are kept.
 
     Large lower-order coefficients are tamed by an exact rational homogeneous
     scaling before any numerics (minimizers and the minimum transform back
@@ -471,39 +465,35 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
             "multiplication matrix has no real eigenvalue under the tolerance rule"
         )
     grad_tol = GRAD_TOL * (1.0 + fe.max_abs_coefficient())
-    grads = [fe.to_float().differentiate(i) for i in range(fe.n)]
+    fl = fe.to_float()
+    grads = [fl.differentiate(i) for i in range(fe.n)]
     # Walk the real clusters in ascending order until one yields a validated
     # real critical point.  A complex critical point can carry a real
     # objective value (the eigenvalue is then real with no real point behind
     # it), so the smallest real eigenvalue alone is not trustworthy.
     for value, cluster in zip(eigen.real_values, eigen.real_clusters):
-        candidates = _eigenspace_vectors(eigen, cluster, Tx_dense)
-        points: list[tuple] = []
-        for v in candidates:
-            p = _point_from_vector(v, Tx_dense)
-            if p is None:
-                continue
-            if max(abs(g.evaluate(p)) for g in grads) > grad_tol:
-                continue
-            if not any(max(abs(a - b) for a, b in zip(p, q)) <= 1e-6 for q in points):
-                points.append(p)
+        cols = eigen.vectors[:, cluster]
+        u, s, _ = np.linalg.svd(np.hstack([cols.real, cols.imag]), full_matrices=False)
+        points = _critical_points(u[:, s > 1e-9 * s[0]], Tx_dense, grads, grad_tol)
         if points:
-            points.sort()
             return OracleResult(fstar=value, points=points, mu=mu, eigen=eigen,
                                 tf_nnz=tf_nnz)
     # The multiplication matrix of the objective can be too wild numerically
-    # (its irrelevant eigenvalues may dwarf the minimum by many orders).  A
-    # generic linear form has a tame matrix with the same joint eigenvectors,
-    # so enumerate all candidate points from it and minimize over the
-    # validated real critical points instead.
-    result = _minimize_via_linear_form(fe, Tx_dense, grads, grad_tol)
-    if result is not None:
-        vals, points = result
-        return OracleResult(fstar=vals, points=points, mu=mu, eigen=eigen,
-                            tf_nnz=tf_nnz)
-    raise NoRealCriticalPointsError(
-        "no candidate eigenvector produced a validated real critical point"
-    )
+    # (its irrelevant eigenvalues may dwarf the minimum by many orders).  The
+    # same reader on the whole space enumerates every validated real critical
+    # point instead; the least f wins, a tie measured against the size of f's
+    # terms at the point, since the scaled problem's values can all be tiny.
+    points = _critical_points(np.eye(mu), Tx_dense, grads, grad_tol)
+    if not points:
+        raise NoRealCriticalPointsError(
+            "no candidate eigenvector produced a validated real critical point"
+        )
+    values = [fl.evaluate(p) for p in points]
+    best = min(values)
+    f_abs = Polynomial(fe.n, {m: abs(c) for m, c in fl.terms.items()}, _clean=True)
+    points = [p for p, v in zip(points, values)
+              if v <= best + 1e-7 * (abs(best) + f_abs.evaluate([abs(x) for x in p]))]
+    return OracleResult(fstar=best, points=points, mu=mu, eigen=eigen, tf_nnz=tf_nnz)
 
 
 def _float_matrix(rows, mu: int):
@@ -521,67 +511,37 @@ def _float_matrix(rows, mu: int):
     return T, nnz
 
 
-def _minimize_via_linear_form(fe, Tx_dense, grads, grad_tol):
+def _critical_points(Q: np.ndarray, Tx_dense, grads, grad_tol) -> list[tuple]:
+    """The validated real critical points read off the span of Q's
+    orthonormal columns (a sum of joint eigenspaces of the T_xj), without
+    duplicates and sorted.
+
+    A basis of such a span is generally a mix of the points' evaluation
+    vectors; the eigenvectors of Q^T T_l Q, for a generic linear form l,
+    un-mix it.  When two restricted eigenvalues coincide (or the eigensolve
+    fails) the next form is tried, and the last one is used regardless.
+    Each vector must give consistent coordinate ratios and a small gradient.
+    """
     n = len(Tx_dense)
-    fl = fe.to_float()
-    for attempt in range(3):
-        coeffs = [float((i + 1 + 5 * attempt) % (2 * n + 3) + 1) for i in range(n)]
-        Tl = sum(c * T for c, T in zip(coeffs, Tx_dense))
+    vecs = np.empty((Q.shape[1], 0))
+    for attempt in range(4):
+        coeffs = [float((i + 1 + 3 * attempt) % (2 * n + 3) + 1) for i in range(n)]
+        H = Q.T @ sum(c * T for c, T in zip(coeffs, Tx_dense)) @ Q
         try:
-            _, vecs = np.linalg.eig(Tl)
+            w, vecs = np.linalg.eig(H)
         except np.linalg.LinAlgError:
             continue
-        found: list[tuple] = []
-        for k in range(vecs.shape[1]):
-            v = _realize(vecs[:, k])
-            p = _point_from_vector(v, Tx_dense)
-            if p is None:
-                continue
-            if max(abs(g.evaluate(p)) for g in grads) > grad_tol:
-                continue
-            if not any(max(abs(a - b) for a, b in zip(p, q)) <= 1e-6 for q in found):
-                found.append(p)
-        if found:
-            best = min(float(fl.evaluate(p)) for p in found)
-            points = sorted(
-                p for p in found
-                if float(fl.evaluate(p)) <= best + 1e-7 * (1.0 + abs(best))
-            )
-            return best, points
-    return None
-
-
-def _eigenspace_vectors(eigen: EigenResult, cluster: list[int], Tx_dense) -> list[np.ndarray]:
-    """Real candidate eigenvectors for one real-eigenvalue cluster.
-
-    For multiplicity one this is the eigenvector itself.  Otherwise the
-    returned basis of the eigenspace is generally a mix of the per-point
-    evaluation vectors, so we diagonalize the restriction of a generic
-    linear-form multiplication matrix to the eigenspace and use its
-    eigenvectors to un-mix.
-    """
-    cols = eigen.vectors[:, cluster]
-    if len(cluster) == 1:
-        return [_realize(cols[:, 0])]
-    raw = np.hstack([cols.real, cols.imag])
-    u, s, _ = np.linalg.svd(raw, full_matrices=False)
-    rank = int(np.sum(s > 1e-9 * s[0]))
-    V = u[:, :rank]
-    n = len(Tx_dense)
-    for attempt in range(4):
-        coeffs = np.array(
-            [float((i + 1 + 3 * attempt) % (2 * n + 3) + 1) for i in range(n)]
-        )
-        Tl = sum(c * T for c, T in zip(coeffs, Tx_dense))
-        H = np.linalg.lstsq(V, Tl @ V, rcond=None)[0]
-        w, vecs = np.linalg.eig(H)
-        if len(w) > 1:
-            dist = np.abs(w[:, None] - w[None, :])
-            np.fill_diagonal(dist, np.inf)
-            if np.min(dist) < 1e-8 * (1 + np.max(np.abs(w))):
-                continue  # degenerate split, retry with another linear form
-        return [_realize(V @ vecs[:, k]) for k in range(vecs.shape[1])]
-    return [_realize(V @ vecs[:, k]) for k in range(vecs.shape[1])]
+        dist = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(len(w), np.inf))
+        if np.min(dist) >= 1e-8 * (1 + np.max(np.abs(w))):
+            break
+    points: list[tuple] = []
+    for k in range(vecs.shape[1]):
+        p = _point_from_vector(_realize(Q @ vecs[:, k]), Tx_dense)
+        if p is None or max(abs(g.evaluate(p)) for g in grads) > grad_tol:
+            continue
+        if not any(max(abs(a - b) for a, b in zip(p, q)) <= 1e-6 for q in points):
+            points.append(p)
+    return sorted(points)
 
 
 def _realize(v: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from polymin.groebner import (
 from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
 from polymin.sos import minimize
 
-from conftest import SYMMETRIC_QUARTIC, permutations_match
+from conftest import MOTZKIN, SYMMETRIC_QUARTIC, permutations_match
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +347,42 @@ class TestMinimizeByEigenvalues:
         point = minimize(f).extraction.point
         f_sos = float(f.to_fraction().evaluate([Fraction(x) for x in point]))
         assert abs(res.fstar - f_sos) <= 1e-9 * abs(f_sos)
+
+    # every eigenvalue of the scaled objective near 0 joins one cluster here,
+    # so the points come from the whole-space reader; f(0, 0) = 0, and the
+    # scaled values are all about 1e-11, so a tie with the minimum must be
+    # measured against the size of f's terms, not against 1
+    def test_gap_instance_returns_only_minimizers(self):
+        f = parse("x1^8+x2^8", 2) + parse(MOTZKIN, 2) * 2700
+        res = minimize_by_eigenvalues(f)
+        assert res.points
+        for p in res.points:
+            value = f.to_fraction().evaluate([Fraction(x) for x in p])
+            size = sum(abs(float(c)) * math.prod(abs(x) ** e for x, e in zip(p, m))
+                       for m, c in f.terms.items())
+            assert abs(float(value) - res.fstar) <= 1e-6 * (1 + size)
+
+    # the reader on the whole space, keeping its points of least f, must
+    # find what the walk over T_f's clusters finds (here on a 3-member
+    # cluster, a 2-member one and a 1 x 1 quotient, whose one cluster is
+    # already the whole space)
+    @pytest.mark.parametrize("text, n", [(SYMMETRIC_QUARTIC, 3), ("x1^4-2*x1^2", 1),
+                                         ("x1^2+1", 1)])
+    def test_whole_space_reads_the_cluster_points(self, monkeypatch, text, n):
+        f = parse(text, n)
+        expected = minimize_by_eigenvalues(f)
+        reader = groebner._critical_points
+
+        def whole_space_only(Q, *args):
+            return reader(Q, *args) if Q.shape[0] == Q.shape[1] else []
+
+        monkeypatch.setattr(groebner, "_critical_points", whole_space_only)
+        res = minimize_by_eigenvalues(f)
+        assert res.fstar == pytest.approx(expected.fstar, abs=1e-9)
+        assert len(res.points) == len(expected.points)
+        # sorted points may swap where coordinates tie to rounding
+        for p in res.points:
+            assert min(np.max(np.abs(np.subtract(p, q))) for q in expected.points) <= 1e-9
 
     def test_smallest_eigenvalue_matches_point_values(self):
         rng = random.Random(55)
