@@ -14,10 +14,12 @@ The multiplication matrices come from a border table (Stetter, *Numerical
 Polynomial Algebra*, 2004, ch. 2; Mourrain, AAECC 1999): the normal forms of
 the border monomials x_j x^u, each one step from a smaller border normal
 form or from a generator's tail, give every T_xj; the rows of any other T_g
-then follow one from another, row u being row(u - e_j) times T_xj.  Rows are
-Python ints over one gcd-reduced denominator.  The oracle builds one table
-and reads its float matrices straight off those rows; ``multiplication_matrix``
-gives the same matrices with exact ``Fraction`` entries.
+then follow one from another, row u being row(u - e_j) times T_xj.  The
+table and the T_xj are exact: rows are Python ints over one gcd-reduced
+denominator.  ``multiplication_matrix`` runs the row recurrence exactly and
+gives ``Fraction`` entries.  The oracle reads its float T_xj straight off
+the table and runs the same recurrence in floats, one BLAS product per
+degree and variable, since its only use of T_f is a float eigensolve.
 
 No Buchberger completion is attempted: callers get a clean refusal when the
 generators are not already a Groebner basis (the benchmark family always is).
@@ -281,7 +283,8 @@ def multiplication_matrix(
     Row 0 is ``normal_form(g, G)``.  Row u is row(u - e_j) times T_xj for the
     first j with u_j > 0: NF(x_j h) = NF(x_j NF(h)), and B is an order ideal,
     so u - e_j is a row already built.  The T_xj come from the border table
-    of (G, B), built on each call.
+    of (G, B), built on each call.  Every entry is exact; the oracle runs the
+    same recurrence in floats instead (``_float_rows``).
     """
     entries: dict = {}
     for r, (nums, den) in enumerate(_int_rows(g, G, B, _BorderTable(G, B))):
@@ -293,18 +296,14 @@ def multiplication_matrix(
 def _int_rows(g: Polynomial, G: GroebnerBasis, B: StandardBasis, table):
     """The rows NF(x^u g) in B's order as (numerators by column, denominator);
     a row is kept only until its last child row is built."""
-    index = B.index
-    parents = [None]  # (row of u - e_j, j) for each row after row 0
+    parents = [None] + _parents(B)
     children = [0] * B.mu
-    for u in B.monomials[1:]:
-        j = next(k for k, e in enumerate(u) if e)
-        p = index[_bump(u, j, -1)]
-        parents.append((p, j))
+    for p, _ in parents[1:]:
         children[p] += 1
     live: dict = {}
     for r in range(B.mu):
         if r == 0:
-            row = _int_row(normal_form(g, G), index)
+            row = _int_row(normal_form(g, G), B.index)
         else:
             p, j = parents[r]
             row = table.times_variable(*live[p], j)
@@ -314,6 +313,16 @@ def _int_rows(g: Polynomial, G: GroebnerBasis, B: StandardBasis, table):
         if children[r]:
             live[r] = row
         yield row
+
+
+def _parents(B: StandardBasis) -> list:
+    """(row of u - e_j, j) for each row u after row 0, j the first index with
+    u_j > 0; B is an order ideal, so u - e_j is an earlier row."""
+    parents = []
+    for u in B.monomials[1:]:
+        j = next(k for k, e in enumerate(u) if e)
+        parents.append((B.index[_bump(u, j, -1)], j))
+    return parents
 
 
 def _bump(mono: Monomial, j: int, step: int = 1) -> Monomial:
@@ -394,6 +403,10 @@ class _BorderTable:
 
 @dataclass
 class OracleResult:
+    """The minimum, its validated minimizers, the quotient's dimension mu,
+    the eigensolve of T_f and ``tf_nnz``, the count of nonzeros of the float
+    T_f that was eigensolved."""
+
     fstar: float
     points: list[tuple]
     mu: int
@@ -456,9 +469,10 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
     B = standard_monomials(G, mu_cap=mu_cap)
     mu = B.mu
     table = _BorderTable(G, B)
-    Tf_dense, tf_nnz = _float_matrix(_int_rows(fe, G, B, table), mu)
-    Tx_dense = [_float_matrix(table.variable_rows(j), mu)[0] for j in range(fe.n)]
+    Tx_dense = [_float_matrix(table.variable_rows(j), mu) for j in range(fe.n)]
     del table
+    Tf_dense = _float_rows(fe, G, B, Tx_dense)
+    tf_nnz = int(np.count_nonzero(Tf_dense))
     eigen = eig_general(Tf_dense)
     if not eigen.real_values:
         raise NoRealCriticalPointsError(
@@ -496,19 +510,35 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
     return OracleResult(fstar=best, points=points, mu=mu, eigen=eigen, tf_nnz=tf_nnz)
 
 
-def _float_matrix(rows, mu: int):
-    """The float matrix of int rows (nums, den) and its count of nonzeros.
+def _float_matrix(rows, mu: int) -> np.ndarray:
+    """The float matrix of int rows (nums, den).
 
     Python's int division is correctly rounded, so a / den is the float
     nearest the rational entry.
     """
     T = np.zeros((mu, mu))
-    nnz = 0
     for r, (nums, den) in enumerate(rows):
         for c, a in nums.items():
             T[r, c] = a / den
-        nnz += len(nums)
-    return T, nnz
+    return T
+
+
+def _float_rows(g: Polynomial, G: GroebnerBasis, B: StandardBasis, Tx_dense) -> np.ndarray:
+    """T_g in floats by the recurrence of ``_int_rows`` over the float T_xj.
+
+    Row 0 is the float image of NF(g); the rows of one degree whose first
+    nonzero exponent is j come from one product T[parents] @ T_xj, so there
+    are at most n deg(B) products and no loop over entries.
+    """
+    T = _float_matrix([_int_row(normal_form(g, G), B.index)], B.mu)
+    groups: dict = {}
+    for r, (p, j) in enumerate(_parents(B), start=1):
+        rows, parents = groups.setdefault((sum(B.monomials[r]), j), ([], []))
+        rows.append(r)
+        parents.append(p)
+    for (_, j), (rows, parents) in sorted(groups.items()):
+        T[rows] = T[parents] @ Tx_dense[j]
+    return T
 
 
 def _critical_points(Q: np.ndarray, Tx_dense, grads, grad_tol) -> list[tuple]:

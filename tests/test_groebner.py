@@ -224,20 +224,30 @@ def _float_image(T):
 
 
 def _assert_oracle_floats_match(G, B, gs):
-    """The oracle's float T_f (read off the int rows) and T_xj (read off the
-    border table) are the float images of the exact matrices."""
+    """The oracle's T_xj (read off the border table) are the float images of
+    the exact matrices.  Its T_f, the row recurrence over those T_xj, rounds
+    at every product, so it must match the exact T_f's float image in its
+    nonzero pattern and in each entry to 1e-13 of the row's largest."""
     f, variables = gs[0], gs[1:]
     table = groebner._BorderTable(G, B)
-    Tf = multiplication_matrix(f, G, B)
-    got, nnz = groebner._float_matrix(groebner._int_rows(f, G, B, table), B.mu)
-    assert np.array_equal(got, _float_image(Tf)) and nnz == Tf.nnz
-    for j, x in enumerate(variables):
-        got, _ = groebner._float_matrix(table.variable_rows(j), B.mu)
-        assert np.array_equal(got, _float_image(multiplication_matrix(x, G, B)))
+    Tx = [groebner._float_matrix(table.variable_rows(j), B.mu) for j in range(len(variables))]
+    for T, x in zip(Tx, variables):
+        assert np.array_equal(T, _float_image(multiplication_matrix(x, G, B)))
+    got = groebner._float_rows(f, G, B, Tx)
+    want = _float_image(multiplication_matrix(f, G, B))
+    assert np.array_equal(got != 0, want != 0)
+    row_max = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-13 * row_max)
 
 
 def _family(n, two_d, seed):
     return random_family_instance(FamilyParams(n, two_d // 2, 100, seed=seed))
+
+
+def _f_at_sos_point(f):
+    """f evaluated exactly at the SOS minimizer, rounded once."""
+    point = minimize(f).extraction.point
+    return float(f.to_fraction().evaluate([Fraction(x) for x in point]))
 
 
 def _objective_and_variables(f):
@@ -256,6 +266,8 @@ class TestBorderTableMatchesNormalForms:
         G, B, gs = _objective_and_variables(_family(*cell, seed))
         _assert_matches_reference(G, B, gs)
         _assert_oracle_floats_match(G, B, gs)
+        f = gs[0]
+        assert minimize_by_eigenvalues(f).tf_nnz == multiplication_matrix(f, G, B).nnz
 
     @pytest.mark.parametrize("text", ["x1^2+1", "x1^4-2*x1^2"])
     def test_short_generators(self, text):
@@ -340,13 +352,26 @@ class TestMinimizeByEigenvalues:
     # 1e-12-1e-11 of its largest; the minimizer is kept all the same
     @pytest.mark.slow
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as conftest intends
-    @pytest.mark.parametrize("seed", [4000001, 4000003, 4000017])
-    def test_minimizer_far_from_origin_is_kept(self, seed):
-        f = random_family_instance(FamilyParams(3, 5, 100, seed=seed))
+    @pytest.mark.parametrize("cell, seed, mu", [
+        ((3, 8), 1, 343), ((3, 8), 2, 343), ((4, 6), 1, 625), ((4, 6), 2, 625),
+        ((3, 10), 4000001, 729), ((3, 10), 4000003, 729), ((3, 10), 4000017, 729),
+    ], ids=str)
+    def test_paper_scale_fstar_is_f_at_the_sos_minimizer(self, cell, seed, mu):
+        f = _family(*cell, seed)
         res = minimize_by_eigenvalues(f)
-        point = minimize(f).extraction.point
-        f_sos = float(f.to_fraction().evaluate([Fraction(x) for x in point]))
+        assert res.mu == mu
+        f_sos = _f_at_sos_point(f)
         assert abs(res.fstar - f_sos) <= 1e-9 * abs(f_sos)
+
+    # a bound <= f* check passes an oracle that drops the true minimizer and
+    # so reports too high an f*; f at the SOS minimizer does not
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("cell", [(2, 4), (2, 6), (3, 4), (2, 8), (4, 4), (3, 6)],
+                             ids=str)
+    def test_fstar_at_most_f_at_the_sos_minimizer(self, cell, seed):
+        f = _family(*cell, seed)
+        f_sos = _f_at_sos_point(f)
+        assert minimize_by_eigenvalues(f).fstar <= f_sos + 1e-9 * abs(f_sos)
 
     # every eigenvalue of the scaled objective near 0 joins one cluster here,
     # so the points come from the whole-space reader; f(0, 0) = 0, and the
