@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import EigenResult, eig_general
+from .linalg import DEFAULT_IM_TOL, EigenResult, eig_general
 from .poly import (
     Monomial,
     Polynomial,
@@ -293,26 +293,12 @@ def multiplication_matrix(
     return MultiplicationMatrix(g, B, entries)
 
 
-def _int_rows(g: Polynomial, G: GroebnerBasis, B: StandardBasis, table):
-    """The rows NF(x^u g) in B's order as (numerators by column, denominator);
-    a row is kept only until its last child row is built."""
-    parents = [None] + _parents(B)
-    children = [0] * B.mu
-    for p, _ in parents[1:]:
-        children[p] += 1
-    live: dict = {}
-    for r in range(B.mu):
-        if r == 0:
-            row = _int_row(normal_form(g, G), B.index)
-        else:
-            p, j = parents[r]
-            row = table.times_variable(*live[p], j)
-            children[p] -= 1
-            if not children[p]:
-                del live[p]
-        if children[r]:
-            live[r] = row
-        yield row
+def _int_rows(g: Polynomial, G: GroebnerBasis, B: StandardBasis, table) -> list:
+    """The rows NF(x^u g) in B's order as (numerators by column, denominator)."""
+    rows = [_int_row(normal_form(g, G), B.index)]
+    for p, j in _parents(B):
+        rows.append(table.times_variable(*rows[p], j))
+    return rows
 
 
 def _parents(B: StandardBasis) -> list:
@@ -602,19 +588,18 @@ def _point_from_vector(v: np.ndarray, Tx_dense):
 # Exact characteristic polynomial and univariate helpers
 # ---------------------------------------------------------------------------
 
-def characteristic_polynomial(
-    T: MultiplicationMatrix, mu_cap: int = CHARPOLY_EXACT_CAP
-) -> list[Fraction]:
+def characteristic_polynomial(T: MultiplicationMatrix) -> list[Fraction]:
     """Exact monic characteristic polynomial det(tI - T), ascending coefficients.
 
     A similarity reduction to upper Hessenberg form over the rationals, then
     the Hessenberg recurrence (Cohen, *A Course in Computational Algebraic
-    Number Theory*, Alg. 2.2.9); O(mu^3) arithmetic, still capped because
-    the rationals grow.
+    Number Theory*, Alg. 2.2.9); O(mu^3) arithmetic, still capped at
+    CHARPOLY_EXACT_CAP because the rationals grow.
     """
     mu = T.mu
-    if mu > mu_cap:
-        raise MuCapExceededError(f"mu={mu} exceeds exact characteristic cap {mu_cap}")
+    if mu > CHARPOLY_EXACT_CAP:
+        raise MuCapExceededError(
+            f"mu={mu} exceeds exact characteristic cap {CHARPOLY_EXACT_CAP}")
     H = [[Fraction(0)] * mu for _ in range(mu)]
     for (i, j), c in T.entries.items():
         H[i][j] = Fraction(c)
@@ -710,7 +695,7 @@ def squarefree_part(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return q
 
 
-def real_roots_exact_poly(coeffs: Sequence[Fraction], im_tol: float = 1e-7) -> list[float]:
+def real_roots_exact_poly(coeffs: Sequence[Fraction]) -> list[float]:
     """Real roots of an exact univariate polynomial via its squarefree part."""
     sf = squarefree_part(coeffs)
     arr = np.array([float(c) for c in sf[::-1]])  # descending for np.roots
@@ -718,7 +703,7 @@ def real_roots_exact_poly(coeffs: Sequence[Fraction], im_tol: float = 1e-7) -> l
         return []
     roots = np.roots(arr)
     out = sorted(
-        float(r.real) for r in roots if abs(r.imag) <= im_tol * (1.0 + abs(r))
+        float(r.real) for r in roots if abs(r.imag) <= DEFAULT_IM_TOL * (1.0 + abs(r))
     )
     return out
 

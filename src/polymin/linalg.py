@@ -1,12 +1,11 @@
 """Dense linear-algebra kernels for the SDP solver and the eigenvalue oracle.
 
-Eigendecompositions delegate to LAPACK through numpy (`eigh` for symmetric
-input, `eig` for general input, i.e. balancing + Hessenberg reduction +
-shifted QR), and the SPD Cholesky factor to LAPACK's ``potrf``; its
-triangular solves are blocked substitutions on LAPACK and BLAS.  The pivoted
-semidefinite factorization is implemented directly so that rank deficiency
-surfaces as an explicit result, and a failed Cholesky raises with the index
-and value of its failing pivot.
+Every factorization delegates to LAPACK through numpy: ``eigh`` for
+symmetric input, ``eig`` for general input (balancing + Hessenberg
+reduction + shifted QR), and ``potrf`` for the SPD Cholesky factor, whose
+triangular solves are blocked substitutions on LAPACK and BLAS.  The
+semidefinite factor comes from one ``eigh``, so rank deficiency surfaces as
+an explicit rank and null space rather than an error.
 
 Kernels are pure on owned inputs; independent factorizations and eigensolves
 may run concurrently with no shared mutable state.
@@ -27,10 +26,7 @@ class EigenConvergenceError(RuntimeError):
 
 
 class NotPositiveDefiniteError(RuntimeError):
-    def __init__(self, index: int, pivot: float):
-        super().__init__(f"non-positive pivot {pivot:.3e} at index {index}")
-        self.index = index
-        self.pivot = pivot
+    """LAPACK's Cholesky refused the matrix or produced a non-finite pivot."""
 
 
 @dataclass
@@ -126,28 +122,31 @@ def eig_general(M: np.ndarray, compute_vectors: bool = True) -> EigenResult:
 
 @dataclass
 class PsdFactorization:
-    """Outcome of the pivoted semidefinite factorization S ~= B^T B."""
+    """Outcome of the semidefinite factorization S ~= B^T B.
+
+    ``null`` holds, as columns, the orthonormal eigendirections whose
+    eigenvalues are at or below the threshold; it is set on failure too.
+    """
 
     success: bool
     B: np.ndarray | None
     rank: int
+    null: np.ndarray
     failure_pivot: float | None = None
     failure_index: int | None = None
-    pivots: list[int] = field(default_factory=list)
 
 
 def psd_factor(S: np.ndarray, tol: float = 1e-10) -> PsdFactorization:
-    """Pivoted outer-product (Cholesky-like) factorization of a PSD matrix.
+    """Semidefinite factorization of a symmetric matrix by one ``eigh``.
 
-    Succeeds iff the smallest eigenvalue is >= -tol*||S||, returning B with
-    S ~= B^T B and rank(B) = number of pivots exceeding tol*||S||.  Once no
-    pivot exceeds that threshold, one symmetric eigensolve of the block left
-    over decides: on an indefinite input its smallest eigenvalue is reported
-    as ``failure_pivot``, and the index where that eigenvector is largest as
-    ``failure_index``, instead of raising, since rank deficiency is the
-    common case for optimal Gram matrices.
+    Succeeds iff the smallest eigenvalue is >= -tol*max|S|.  B has one row
+    sqrt(w) v^T per eigenpair (w, v) with w > tol*max|S|, largest first, so
+    S ~= B^T B and rank = len(B).  On an indefinite input the smallest
+    eigenvalue is reported as ``failure_pivot``, and the index where its
+    eigenvector is largest as ``failure_index``, instead of raising, since
+    rank deficiency is the common case for optimal Gram matrices.
     """
-    A = np.array(S, dtype=float)
+    A = np.asarray(S, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
@@ -155,33 +154,15 @@ def psd_factor(S: np.ndarray, tol: float = 1e-10) -> PsdFactorization:
     if n and np.max(np.abs(A - A.T)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     threshold = tol * scale
-    rows = []
-    pivots: list[int] = []
-    active = np.ones(n, dtype=bool)
-    for _ in range(n):
-        diag = np.where(active, np.diag(A), -np.inf)
-        j = int(np.argmax(diag))
-        pivot = diag[j]
-        if pivot <= threshold:
-            break
-        row = A[j, :] / np.sqrt(pivot)
-        rows.append(row.copy())
-        pivots.append(j)
-        A -= np.outer(row, row)
-        A[j, :] = 0.0
-        A[:, j] = 0.0
-        active[j] = False
-    # every remaining pivot is small, but the block they leave may still be
-    # indefinite (a zero diagonal with nonzero entries off it)
-    rest = np.flatnonzero(active)
-    if rest.size:
-        w, V = np.linalg.eigh(A[np.ix_(rest, rest)])
-        if w[0] < -threshold:
-            idx = int(rest[np.argmax(np.abs(V[:, 0]))])
-            return PsdFactorization(False, None, len(rows), failure_pivot=float(w[0]),
-                                    failure_index=idx, pivots=pivots)
-    B = np.array(rows) if rows else np.zeros((0, n))
-    return PsdFactorization(True, B, len(rows), pivots=pivots)
+    w, V = np.linalg.eigh(A)
+    big = w > threshold
+    rank = int(np.count_nonzero(big))
+    null = V[:, ~big]
+    if n and w[0] < -threshold:
+        return PsdFactorization(False, None, rank, null, failure_pivot=float(w[0]),
+                                failure_index=int(np.argmax(np.abs(V[:, 0]))))
+    B = (V[:, big] * np.sqrt(w[big])).T[::-1]
+    return PsdFactorization(True, B, rank, null)
 
 
 _BLOCK = 64   # diagonal block side of the blocked triangular solves
@@ -231,35 +212,12 @@ class CholeskyFactor:
 
 
 def spd_cholesky(S: np.ndarray) -> CholeskyFactor:
-    """Plain (unpivoted) LAPACK Cholesky; raises NotPositiveDefiniteError on
-    the first pivot that is <= 0 or not finite."""
-    A = np.asarray(S, dtype=float)
+    """Plain (unpivoted) LAPACK Cholesky; raises NotPositiveDefiniteError
+    when LAPACK refuses S or a pivot is not finite."""
     try:
-        L = np.linalg.cholesky(A)
-        if np.all(np.isfinite(np.diagonal(L))):
-            return CholeskyFactor(L)
-        del L       # not finite: free it before the replay below
-    except np.linalg.LinAlgError:
-        pass
-    raise NotPositiveDefiniteError(*_failing_pivot(A))
-
-
-def _failing_pivot(A: np.ndarray) -> tuple[int, float]:
-    """(index, value) of the first pivot <= 0 or not finite, found by
-    replaying the factorization column by column once LAPACK has refused."""
-    n = A.shape[0]
-    L = np.zeros_like(A)
-    for j in range(n):
-        d = A[j, j] - L[j, :j] @ L[j, :j]
-        if d <= 0 or not np.isfinite(d):
-            return j, float(d)
-        L[j, j] = np.sqrt(d)
-        L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    # the replay's rounding passed the pivot LAPACK refused: report the smallest
-    j = int(np.argmin(np.diagonal(L)))
-    return j, float(L[j, j] ** 2)
-
-
-def solve_spd(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve S x = rhs for symmetric positive-definite S via Cholesky."""
-    return spd_cholesky(S).solve(np.asarray(rhs, dtype=float))
+        L = np.linalg.cholesky(np.asarray(S, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    if not np.all(np.isfinite(np.diagonal(L))):
+        raise NotPositiveDefiniteError("non-finite Cholesky pivot")
+    return CholeskyFactor(L)

@@ -488,40 +488,41 @@ def _factor_schur(Mmat: np.ndarray):
 def _rank_filter(gram: np.ndarray, b: np.ndarray, warnings_out: list[str]):
     """Drop linearly dependent constraint rows; flag inconsistent duplicates.
 
-    ``gram`` holds the trace inner products <G_k, G_l> of the rows; a dropped
-    row k's column gram[kept, k] gives its coefficients in the kept rows.
+    ``gram`` holds the trace inner products <G_k, G_l> of the rows, so its
+    null vectors z are the dependencies sum_k z_k G_k = 0.  Gauss-Jordan
+    elimination on the null space, pivoting on each column's largest entry,
+    gives one dependency per dropped row k with z_k = 1 and zero on the
+    other dropped rows; it is inconsistent when |z.b| > 1e-8 (1 + |b_k|).
     Returns (kept_indices, inconsistent: bool).
     """
     M = len(gram)
     if M == 0:
         return [], False
     # Independent rows, the builders' case, pass one LAPACK Cholesky whose
-    # pivots all clear psd_factor's threshold; anything else goes to the
-    # pivoted search, which picks the rows to keep.
+    # pivots all clear the rank threshold 1e-13 max|gram|; anything else goes
+    # to psd_factor, whose null space names the rows to drop.
     try:
         pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
         if np.min(pivots) > 1e-13 * np.max(np.abs(gram)):
             return list(range(M)), False
     except np.linalg.LinAlgError:
         pass
-    fact = psd_factor(_sym(gram), tol=1e-13)
-    kept = sorted(fact.pivots[: fact.rank]) if fact.rank else []
-    if len(kept) == M:
-        return kept, False
-    kept_set = set(kept)
-    dropped = [k for k in range(M) if k not in kept_set]
-    if kept:
-        gram_kept = gram[np.ix_(kept, kept)]
-        for k in dropped:
-            coeff, *_ = np.linalg.lstsq(gram_kept, gram[kept, k], rcond=None)
-            if abs(b[k] - coeff @ b[kept]) > 1e-8 * (1.0 + abs(b[k])):
-                return kept, True
-    else:
-        for k in dropped:
-            if abs(b[k]) > 1e-12:
-                return kept, True
+    Z = psd_factor(_sym(gram), tol=1e-13).null
+    if not Z.size:
+        return list(range(M)), False
+    dropped = []
+    for j in range(Z.shape[1]):
+        k = int(np.argmax(np.abs(Z[:, j])))
+        Z[:, j] /= Z[k, j]
+        pivot_row = Z[k].copy()
+        pivot_row[j] = 0.0
+        Z -= np.outer(Z[:, j], pivot_row)
+        dropped.append(k)
+    kept = sorted(set(range(M)) - set(dropped))
+    if np.any(np.abs(b @ Z) > 1e-8 * (1.0 + np.abs(b[dropped]))):
+        return kept, True
     warnings_out.append(
-        f"removed {len(dropped)} linearly dependent constraint row(s): {dropped}"
+        f"removed {len(dropped)} linearly dependent constraint row(s): {sorted(dropped)}"
     )
     return kept, False
 

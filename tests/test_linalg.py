@@ -6,7 +6,6 @@ from polymin.linalg import (
     NotPositiveDefiniteError,
     eig_general,
     psd_factor,
-    solve_spd,
     spd_cholesky,
     sym_eig,
 )
@@ -140,6 +139,21 @@ class TestPsdFactor:
         assert res.failure_pivot == pytest.approx(-1.0)
         assert res.failure_index in support
 
+    def test_null_space(self):
+        # null: orthonormal columns spanning the eigendirections at or below
+        # the threshold, on success and on failure; B's rows largest first
+        rng = np.random.default_rng(7)
+        G = rng.normal(size=(3, 6))
+        res = psd_factor(G.T @ G)
+        assert res.success and res.rank == 3 and res.null.shape == (6, 3)
+        assert np.allclose(res.null.T @ res.null, np.eye(3))
+        assert np.max(np.abs(G @ res.null)) <= 1e-12
+        norms = np.linalg.norm(res.B, axis=1)
+        assert np.all(np.diff(norms) <= 0)
+        bad = psd_factor(np.diag([2.0, 0.0, -1.0]))
+        assert not bad.success and bad.rank == 1
+        assert np.allclose(np.abs(bad.null), [[0, 0], [0, 1], [1, 0]])
+
     def test_near_psd_tolerance(self):
         S = np.diag([1.0, -1e-13])
         assert psd_factor(S, tol=1e-10).success
@@ -149,17 +163,17 @@ class TestPsdFactor:
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(solve_spd(np.eye(3), b), b)
+        assert np.allclose(spd_cholesky(np.eye(3)).solve(b), b)
 
     def test_diagonal(self):
-        assert np.allclose(solve_spd(np.diag([2.0, 4.0]), [2.0, 4.0]), [1.0, 1.0])
+        assert np.allclose(spd_cholesky(np.diag([2.0, 4.0])).solve([2.0, 4.0]), [1.0, 1.0])
 
     def test_random_spd_known_solution(self):
         rng = np.random.default_rng(8)
         G = rng.normal(size=(20, 20))
         S = G @ G.T + 20 * np.eye(20)
         rhs = S @ np.ones(20)
-        x = solve_spd(S, rhs)
+        x = spd_cholesky(S).solve(rhs)
         assert np.max(np.abs(x - 1.0)) <= 1e-8
 
     def test_residual_contract(self):
@@ -176,16 +190,19 @@ class TestSolveSpd:
         for S in inputs + [(ill + ill.T) / 2]:
             n = len(S)
             rhs = rng.normal(size=n)
-            x = solve_spd(S, rhs)
+            x = spd_cholesky(S).solve(rhs)
             res = np.linalg.norm(S @ x - rhs)
             bound = 1e-10 * (np.linalg.norm(S) * np.linalg.norm(x)
                              + np.linalg.norm(rhs))
             assert res <= bound
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            solve_spd(np.diag([1.0, -2.0]), [1.0, 1.0])
-        assert exc.value.index == 1
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_cholesky(np.diag([1.0, -2.0]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_cholesky(np.diag([1.0, np.inf]))
 
 
 def blockwise_solve(L, rhs):

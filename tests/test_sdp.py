@@ -248,9 +248,10 @@ class TestRankFilter:
 
     @staticmethod
     def _lp_with_dependent_row(b_dependent, nudge=0.0):
-        # rows 0..99: x_k + x_100 = 1; row 100 = 0.1 * (rows 3 + 40 + 90), the
-        # shortest row, so the pivoted search reaches it last and drops it;
-        # its index lies past the blocked solves' first diagonal block
+        # rows 0..99: x_k + x_100 = 1; row 100 = 0.1 * (rows 3 + 40 + 90), so
+        # its entry in the null vector (-1 against 0.1) is the largest and it
+        # is the row dropped; its index lies past the blocked solves' first
+        # diagonal block
         rows = [({(k, k): 1.0, (100, 100): 1.0}, 1.0) for k in range(100)]
         rows.append(({(3, 3): 0.1, (40, 40): 0.1, (90, 90): 0.1, (100, 100): 0.3,
                       (50, 50): nudge}, b_dependent))
@@ -268,6 +269,37 @@ class TestRankFilter:
 
     def test_inconsistent_row_among_many(self):
         sol = solve(self._lp_with_dependent_row(0.4))
+        assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+
+    @staticmethod
+    def _lp_with_two_dependent_rows(b100, b101):
+        # rows 0..99 as above; row 100 = 0.1 * (rows 3 + 40 + 90) and
+        # row 101 = row 100 + 0.2 * (rows 10 + 60): a two-dimensional null
+        # space whose every vector is largest on row 100 or 101, so the
+        # elimination drops exactly those two
+        rows = [({(k, k): 1.0, (100, 100): 1.0}, 1.0) for k in range(100)]
+        rows.append(({(3, 3): 0.1, (40, 40): 0.1, (90, 90): 0.1, (100, 100): 0.3}, b100))
+        rows.append(({(3, 3): 0.1, (40, 40): 0.1, (90, 90): 0.1, (10, 10): 0.2,
+                      (60, 60): 0.2, (100, 100): 0.7}, b101))
+        return SdpProblem([-101], {(i, i): 1.0 for i in range(101)}, rows)
+
+    def test_two_dependent_rows(self):
+        prob = self._lp_with_two_dependent_rows(0.3, 0.7)
+        sol = solve(prob)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert any("removed 2 " in w and "[100, 101]" in w for w in sol.warnings)
+        assert len(sol.y) == 102 and sol.y[100] == 0.0 and sol.y[101] == 0.0
+        ref = solve(SdpProblem([-101], prob.cost, prob.constraints[:100]))
+        assert ref.status is SdpStatus.OPTIMAL
+        assert sol.primal_obj == ref.primal_obj and sol.dual_obj == ref.dual_obj
+        assert np.array_equal(sol.y[:100], ref.y)
+        assert np.array_equal(sol.X, ref.X)
+
+    # either right-hand side off by 0.1: each dropped row's own dependency
+    # must be checked
+    @pytest.mark.parametrize("b100, b101", [(0.4, 0.7), (0.3, 0.8)])
+    def test_two_dependent_rows_one_inconsistent(self, b100, b101):
+        sol = solve(self._lp_with_two_dependent_rows(b100, b101))
         assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
 
 

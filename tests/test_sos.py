@@ -278,6 +278,56 @@ class TestExtractMinimizer:
         assert abs(x * x + y * y - 1.0) <= 1e-3
 
 
+class TestExtractMinimizerRejections:
+    # rank-one moment matrices u u^T built by hand over the monomials of
+    # degree <= 2 in two variables
+
+    @staticmethod
+    def moments(values: dict) -> tuple:
+        vec = MonomialVector.build(2, 2)
+        u = np.zeros(vec.N)
+        for mono, value in values.items():
+            u[vec.index[mono]] = value
+        return np.outer(u, u), vec
+
+    @staticmethod
+    def point_moments(x1, x2) -> dict:
+        return {(0, 0): 1.0, (1, 0): x1, (0, 1): x2, (2, 0): x1 * x1,
+                (1, 1): x1 * x2, (0, 2): x2 * x2}
+
+    def test_accepts_consistent_point_at_its_value(self):
+        f = parse("x1^2+x2^2", 2)
+        primal, vec = self.moments(self.point_moments(1.0, 2.0))
+        ext = extract_minimizer(primal, vec, f, 5.0)
+        assert ext.found and ext.reason == ""
+        assert ext.point == pytest.approx((1.0, 2.0), abs=1e-12)
+
+    def test_point_at_infinity(self):
+        # all mass on x1^2: the constant moment is zero
+        primal, vec = self.moments({(2, 0): 1.0})
+        ext = extract_minimizer(primal, vec, parse("x1^2+x2^2", 2), 0.0)
+        assert not ext.found and ext.reason == "point at infinity"
+        assert ext.point is None and ext.rank_ratio <= 1e-12
+
+    def test_degree_two_moments_inconsistent(self):
+        # the x1^2 moment is 5, not x1 * x1 = 1
+        values = self.point_moments(1.0, 2.0)
+        values[(2, 0)] = 5.0
+        primal, vec = self.moments(values)
+        ext = extract_minimizer(primal, vec, parse("x1^2+x2^2", 2), 5.0)
+        assert not ext.found and ext.reason == "degree-two moments inconsistent"
+        assert ext.point == pytest.approx((1.0, 2.0), abs=1e-12)
+        assert ext.upper_bound is None
+
+    def test_objective_exceeds_the_bound(self):
+        # consistent moments of (1, 2), where f = 5, against the bound 0
+        primal, vec = self.moments(self.point_moments(1.0, 2.0))
+        ext = extract_minimizer(primal, vec, parse("x1^2+x2^2", 2), 0.0)
+        assert not ext.found and ext.reason == "objective exceeds the bound"
+        assert ext.point == pytest.approx((1.0, 2.0), abs=1e-12)
+        assert ext.upper_bound == pytest.approx(5.0, rel=1e-12)
+
+
 class TestHigherDegreeBound:
     def test_motzkin_level_one(self, motzkin):
         v = higher_degree_bound(motzkin, 1)
