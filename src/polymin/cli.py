@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the positive multiplier of power 2K")
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("oracle", help="exact eigenvalue method")
+    p = sub.add_parser("oracle", help="algebraic eigenvalue method (exact Groebner check)")
     poly_opts(p)
     p.add_argument("--charpoly", action="store_true",
                    help="also compute the exact characteristic polynomial")

@@ -10,16 +10,17 @@ cluster's eigenspace or, when no cluster yields a point, the whole space.  A
 fraction-free characteristic polynomial gives the alternative univariate
 route to the same value.
 
-The multiplication matrices come from a border table (Stetter, *Numerical
-Polynomial Algebra*, 2004, ch. 2; Mourrain, AAECC 1999): the normal forms of
-the border monomials x_j x^u, each one step from a smaller border normal
-form or from a generator's tail, give every T_xj; the rows of any other T_g
-then follow one from another, row u being row(u - e_j) times T_xj.  The
-table and the T_xj are exact: rows are Python ints over one gcd-reduced
-denominator.  ``multiplication_matrix`` runs the row recurrence exactly and
-gives ``Fraction`` entries.  The oracle reads its float T_xj straight off
-the table and runs the same recurrence in floats, one BLAS product per
-degree and variable, since its only use of T_f is a float eigensolve.
+The rows of a multiplication matrix T_g follow one from another: row u is
+NF(x_j x^(u - e_j) g), so row(u - e_j) times T_xj.  ``multiplication_matrix``
+runs that recurrence exactly, one ``normal_form`` per row, and gives
+``Fraction`` entries.  The oracle needs T_f only for a float eigensolve, so
+it works in floats after the exact Groebner check: one walk over the border
+monomials x_j x^u (Stetter, *Numerical Polynomial Algebra*, 2004, ch. 2;
+Mourrain, AAECC 1999), each one step from a smaller border row or from a
+generator's exactly reduced tail, gives every T_xj, and the row recurrence
+over them gives T_f, one BLAS product per degree and variable.  The oracle's
+exactness lies in the Groebner check, the exact scaling and the exact normal
+forms of f and of the tails.
 
 No Buchberger completion is attempted: callers get a clean refusal when the
 generators are not already a Groebner basis (the benchmark family always is).
@@ -280,25 +281,18 @@ def multiplication_matrix(
     """Multiplication by g on the quotient ring; G must be a Groebner basis
     and B its standard monomials.
 
-    Row 0 is ``normal_form(g, G)``.  Row u is row(u - e_j) times T_xj for the
-    first j with u_j > 0: NF(x_j h) = NF(x_j NF(h)), and B is an order ideal,
-    so u - e_j is a row already built.  The T_xj come from the border table
-    of (G, B), built on each call.  Every entry is exact; the oracle runs the
-    same recurrence in floats instead (``_float_rows``).
+    Row 0 is ``normal_form(g, G)``.  Row u is ``normal_form(x_j row(u - e_j))``
+    for the first j with u_j > 0: NF(x_j h) = NF(x_j NF(h)), and B is an
+    order ideal, so u - e_j is a row already built.  Every entry is exact;
+    the oracle runs the same recurrence in floats instead (``_float_rows``).
     """
-    entries: dict = {}
-    for r, (nums, den) in enumerate(_int_rows(g, G, B, _BorderTable(G, B))):
-        for c, a in nums.items():
-            entries[(r, c)] = Fraction(a, den)
-    return MultiplicationMatrix(g, B, entries)
-
-
-def _int_rows(g: Polynomial, G: GroebnerBasis, B: StandardBasis, table) -> list:
-    """The rows NF(x^u g) in B's order as (numerators by column, denominator)."""
-    rows = [_int_row(normal_form(g, G), B.index)]
+    xs = [Polynomial.variable(G.n, j) for j in range(G.n)]
+    rows = [normal_form(g, G)]
     for p, j in _parents(B):
-        rows.append(table.times_variable(*rows[p], j))
-    return rows
+        rows.append(normal_form(xs[j] * rows[p], G))
+    entries = {(r, B.index[m]): Fraction(c)
+               for r, row in enumerate(rows) for m, c in row.terms.items()}
+    return MultiplicationMatrix(g, B, entries)
 
 
 def _parents(B: StandardBasis) -> list:
@@ -315,76 +309,49 @@ def _bump(mono: Monomial, j: int, step: int = 1) -> Monomial:
     return mono[:j] + (mono[j] + step,) + mono[j + 1:]
 
 
-def _int_row(p: Polynomial, index: dict):
-    """(numerators by column, denominator) of p, over its least denominator."""
-    den = math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
-    return {index[m]: int(c * den) for m, c in p.terms.items()}, den
+def _float_row(p: Polynomial, B: StandardBasis) -> np.ndarray:
+    """The float image of p, a polynomial on B's monomials, as a row over B
+    (``float`` of a ``Fraction`` is correctly rounded)."""
+    row = np.zeros(B.mu)
+    for m, c in p.terms.items():
+        row[B.index[m]] = float(c)
+    return row
 
 
-class _BorderTable:
-    """Normal forms of the border monomials x_j x^u (u standard, x_j x^u not).
+def _float_variable_matrices(G: GroebnerBasis, B: StandardBasis) -> list[np.ndarray]:
+    """The T_xj in floats, by one walk over the border monomials.
 
-    ``step[j][c]`` is the column of x_j x^u for the standard monomial u in
-    column c, or the border monomial itself when x_j x^u is not standard;
-    ``border`` maps each border monomial to its normal form as an int row.
-    A border monomial m with a non-standard m - e_j is one step from that
-    border row: NF(x^m) = NF(x_j NF(x^(m-e_j))).  Every other one is a
-    leading monomial, whose normal form is minus that of its generator's
-    tail.  In ascending graded-lex order each product finds the border rows
-    it needs already built.
+    Row u of T_xj is a unit row where x_j x^u is standard, else the row of
+    the border monomial m = x_j x^u.  In ascending graded-lex order, a border
+    m with a border m - e_k has row(m) = row(m - e_k) @ T_xk, since
+    NF(x^m) = NF(x_k NF(x^(m - e_k))); every other border m is a leading
+    monomial, whose row is minus the float image of its generator's tail's
+    normal form.  NF(x^m) holds only monomials below m, so every row a
+    product reads is already written.
     """
-
-    def __init__(self, G: GroebnerBasis, B: StandardBasis):
-        index = B.index
-        self.step = []
-        for j in range(G.n):
-            up = [_bump(u, j) for u in B.monomials]
-            self.step.append([index.get(m, m) for m in up])
-        tails: dict = {}
-        for lm, g in zip(G.leading_monomials, G.generators):
-            tails.setdefault(lm, g - Polynomial.from_monomial(G.n, lm))
-        self.border: dict = {}
-        todo = {m for col in self.step for m in col if type(m) is tuple}
-        for m in sorted(todo, key=grlex_key):
-            inner = [j for j in range(G.n) if m[j] and _bump(m, j, -1) not in index]
-            if inner:
-                j = inner[0]
-                self.border[m] = self.times_variable(*self.border[_bump(m, j, -1)], j)
+    n, index = G.n, B.index
+    Tx = [np.zeros((B.mu, B.mu)) for _ in range(n)]
+    holders: dict = {}   # border monomial -> the (j, row u) of T_xj it fills
+    for j in range(n):
+        for r, u in enumerate(B.monomials):
+            m = _bump(u, j)
+            if m in index:
+                Tx[j][r, index[m]] = 1.0
             else:
-                nums, den = _int_row(normal_form(tails[m], G), index)
-                self.border[m] = {c: -a for c, a in nums.items()}, den
-
-    def variable_rows(self, j: int):
-        """The rows NF(x_j x^u) of T_xj in B's order, as (nums, den): a unit
-        row where x_j x^u is standard, else its border row."""
-        return [({t: 1}, 1) if type(t) is int else self.border[t] for t in self.step[j]]
-
-    def times_variable(self, nums: dict, den: int, j: int):
-        """NF(x_j h) as (nums, den) for h = sum(nums[c] x^u_c) / den."""
-        step = self.step[j]
-        acc: dict = {}
-        border = []
-        for c, a in nums.items():
-            t = step[c]
-            if type(t) is int:
-                acc[t] = a  # u -> x_j x^u is injective: no collision yet
-            else:
-                border.append((a, self.border[t]))
-        if border:
-            lcm = math.lcm(*(bden for _, (_, bden) in border))
-            if lcm != 1:
-                acc = {c: a * lcm for c, a in acc.items()}
-            for a, (bnums, bden) in border:
-                f = a * (lcm // bden)
-                for c, b in bnums.items():
-                    acc[c] = acc.get(c, 0) + f * b
-            den *= lcm
-            acc = {c: a for c, a in acc.items() if a}
-        common = math.gcd(den, *acc.values())
-        if common != 1:
-            acc = {c: a // common for c, a in acc.items()}
-            den //= common
-        return acc, den
+                holders.setdefault(m, []).append((j, r))
+    tails: dict = {}
+    for lm, g in zip(G.leading_monomials, G.generators):
+        tails.setdefault(lm, g - Polynomial.from_monomial(n, lm))
+    border: dict = {}
+    for m in sorted(holders, key=grlex_key):
+        k = next((k for k in range(n) if m[k] and _bump(m, k, -1) in holders), None)
+        if k is None:
+            border[m] = -_float_row(normal_form(tails[m], G), B)
+        else:
+            border[m] = border[_bump(m, k, -1)] @ Tx[k]
+        for j, r in holders[m]:
+            Tx[j][r] = border[m]
+    return Tx
 
 
 @dataclass
@@ -454,9 +421,7 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
     G = GroebnerBasis.from_generators(gens)
     B = standard_monomials(G, mu_cap=mu_cap)
     mu = B.mu
-    table = _BorderTable(G, B)
-    Tx_dense = [_float_matrix(table.variable_rows(j), mu) for j in range(fe.n)]
-    del table
+    Tx_dense = _float_variable_matrices(G, B)
     Tf_dense = _float_rows(fe, G, B, Tx_dense)
     tf_nnz = int(np.count_nonzero(Tf_dense))
     eigen = eig_general(Tf_dense)
@@ -496,27 +461,16 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
     return OracleResult(fstar=best, points=points, mu=mu, eigen=eigen, tf_nnz=tf_nnz)
 
 
-def _float_matrix(rows, mu: int) -> np.ndarray:
-    """The float matrix of int rows (nums, den).
-
-    Python's int division is correctly rounded, so a / den is the float
-    nearest the rational entry.
-    """
-    T = np.zeros((mu, mu))
-    for r, (nums, den) in enumerate(rows):
-        for c, a in nums.items():
-            T[r, c] = a / den
-    return T
-
-
 def _float_rows(g: Polynomial, G: GroebnerBasis, B: StandardBasis, Tx_dense) -> np.ndarray:
-    """T_g in floats by the recurrence of ``_int_rows`` over the float T_xj.
+    """T_g in floats by the recurrence of ``multiplication_matrix`` over the
+    float T_xj.
 
     Row 0 is the float image of NF(g); the rows of one degree whose first
     nonzero exponent is j come from one product T[parents] @ T_xj, so there
     are at most n deg(B) products and no loop over entries.
     """
-    T = _float_matrix([_int_row(normal_form(g, G), B.index)], B.mu)
+    T = np.zeros((B.mu, B.mu))
+    T[0] = _float_row(normal_form(g, G), B)
     groups: dict = {}
     for r, (p, j) in enumerate(_parents(B), start=1):
         rows, parents = groups.setdefault((sum(B.monomials[r]), j), ([], []))

@@ -130,10 +130,7 @@ class PsdFactorization:
 
     success: bool
     B: np.ndarray | None
-    rank: int
     null: np.ndarray
-    failure_pivot: float | None = None
-    failure_index: int | None = None
 
 
 def psd_factor(S: np.ndarray, tol: float = 1e-10) -> PsdFactorization:
@@ -141,10 +138,9 @@ def psd_factor(S: np.ndarray, tol: float = 1e-10) -> PsdFactorization:
 
     Succeeds iff the smallest eigenvalue is >= -tol*max|S|.  B has one row
     sqrt(w) v^T per eigenpair (w, v) with w > tol*max|S|, largest first, so
-    S ~= B^T B and rank = len(B).  On an indefinite input the smallest
-    eigenvalue is reported as ``failure_pivot``, and the index where its
-    eigenvector is largest as ``failure_index``, instead of raising, since
-    rank deficiency is the common case for optimal Gram matrices.
+    S ~= B^T B.  An indefinite input gives ``success`` False instead of an
+    exception, since rank deficiency is the common case for optimal Gram
+    matrices.
     """
     A = np.asarray(S, dtype=float)
     n = A.shape[0]
@@ -156,13 +152,11 @@ def psd_factor(S: np.ndarray, tol: float = 1e-10) -> PsdFactorization:
     threshold = tol * scale
     w, V = np.linalg.eigh(A)
     big = w > threshold
-    rank = int(np.count_nonzero(big))
     null = V[:, ~big]
     if n and w[0] < -threshold:
-        return PsdFactorization(False, None, rank, null, failure_pivot=float(w[0]),
-                                failure_index=int(np.argmax(np.abs(V[:, 0]))))
+        return PsdFactorization(False, None, null)
     B = (V[:, big] * np.sqrt(w[big])).T[::-1]
-    return PsdFactorization(True, B, rank, null)
+    return PsdFactorization(True, B, null)
 
 
 _BLOCK = 64   # diagonal block side of the blocked triangular solves

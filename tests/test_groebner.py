@@ -209,11 +209,13 @@ def _reference_entries(g, G, B):
     return entries
 
 
-def _assert_matches_reference(G, B, gs):
-    for g in gs:
-        T = multiplication_matrix(g, G, B)
+def _exact_matrices(G, B, gs):
+    """multiplication_matrix of each g, held to the per-row construction."""
+    Ts = [multiplication_matrix(g, G, B) for g in gs]
+    for g, T in zip(gs, Ts):
         assert T.entries == _reference_entries(g, G, B)
         assert all(type(c) is Fraction for c in T.entries.values())
+    return Ts
 
 
 def _float_image(T):
@@ -223,21 +225,24 @@ def _float_image(T):
     return D
 
 
-def _assert_oracle_floats_match(G, B, gs):
-    """The oracle's T_xj (read off the border table) are the float images of
-    the exact matrices.  Its T_f, the row recurrence over those T_xj, rounds
-    at every product, so it must match the exact T_f's float image in its
-    nonzero pattern and in each entry to 1e-13 of the row's largest."""
-    f, variables = gs[0], gs[1:]
-    table = groebner._BorderTable(G, B)
-    Tx = [groebner._float_matrix(table.variable_rows(j), B.mu) for j in range(len(variables))]
-    for T, x in zip(Tx, variables):
-        assert np.array_equal(T, _float_image(multiplication_matrix(x, G, B)))
-    got = groebner._float_rows(f, G, B, Tx)
-    want = _float_image(multiplication_matrix(f, G, B))
+def _assert_near_exact(got, T):
+    """A float matrix built by products rounds at every one, so it must match
+    the exact T's float image in its nonzero pattern and in each entry to
+    1e-13 of the row's largest."""
+    want = _float_image(T)
     assert np.array_equal(got != 0, want != 0)
     row_max = np.max(np.abs(want), axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= 1e-13 * row_max)
+
+
+def _assert_oracle_floats_match(G, B, g, Tg, Txs):
+    """The oracle's float T_xj (one border walk) and its T_g (the row
+    recurrence over those T_xj) against the exact Txs and Tg."""
+    Tx = groebner._float_variable_matrices(G, B)
+    assert len(Tx) == len(Txs)
+    for got, T in zip(Tx, Txs):
+        _assert_near_exact(got, T)
+    _assert_near_exact(groebner._float_rows(g, G, B, Tx), Tg)
 
 
 def _family(n, two_d, seed):
@@ -258,21 +263,22 @@ def _objective_and_variables(f):
 
 class TestBorderTableMatchesNormalForms:
     """T_f and every T_xi equal the per-row normal-form construction, and the
-    oracle's float matrices equal their float images."""
+    oracle's float matrices are near their float images."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("cell", [(2, 4), (3, 4), (2, 6), (2, 8), (4, 4)], ids=str)
     def test_family_cells(self, cell, seed):
         G, B, gs = _objective_and_variables(_family(*cell, seed))
-        _assert_matches_reference(G, B, gs)
-        _assert_oracle_floats_match(G, B, gs)
-        f = gs[0]
-        assert minimize_by_eigenvalues(f).tf_nnz == multiplication_matrix(f, G, B).nnz
+        Tf, *Txs = _exact_matrices(G, B, gs)
+        _assert_oracle_floats_match(G, B, gs[0], Tf, Txs)
+        assert minimize_by_eigenvalues(gs[0]).tf_nnz == Tf.nnz
 
     @pytest.mark.parametrize("text", ["x1^2+1", "x1^4-2*x1^2"])
     def test_short_generators(self, text):
         # x1^2+1 gives the generator x1, whose tail is empty: NF(x1) = 0
-        _assert_matches_reference(*_objective_and_variables(parse(text, 1)))
+        G, B, gs = _objective_and_variables(parse(text, 1))
+        Tf, Tx = _exact_matrices(G, B, gs)
+        _assert_oracle_floats_match(G, B, gs[0], Tf, [Tx])
 
     def test_raw_partials(self):
         # the top-degree part is not monic, so the partials are not rescaled
@@ -281,7 +287,8 @@ class TestBorderTableMatchesNormalForms:
         assert gens == [f.differentiate(0), f.differentiate(1)]
         assert is_groebner(gens)
         G, B, gs = _objective_and_variables(f)
-        _assert_matches_reference(G, B, gs + [parse("x1*x2-x2^2", 2)])
+        Tf, Tx1, Tx2, _ = _exact_matrices(G, B, gs + [parse("x1*x2-x2^2", 2)])
+        _assert_oracle_floats_match(G, B, gs[0], Tf, [Tx1, Tx2])
 
     def test_tail_outside_the_standard_monomials(self):
         # x1^2 in the tail of the second generator reduces by the first
@@ -291,7 +298,8 @@ class TestBorderTableMatchesNormalForms:
         B = standard_monomials(G)
         assert B.mu == 6
         gs = [parse(t, 2) for t in ("x1", "x2", "x1^3-2*x1*x2+1/3", "x2^4")]
-        _assert_matches_reference(G, B, gs)
+        Tx1, Tx2, Tg, _ = _exact_matrices(G, B, gs)
+        _assert_oracle_floats_match(G, B, gs[2], Tg, [Tx1, Tx2])
 
     def test_commuting_family_at_mu_49(self):
         G, B, _ = _objective_and_variables(_family(2, 8, 1))

@@ -90,27 +90,26 @@ class TestEigGeneral:
 class TestPsdFactor:
     def test_zero_matrix(self):
         res = psd_factor(np.zeros((3, 3)))
-        assert res.success and res.rank == 0
+        assert res.success
         assert res.B.shape == (0, 3)
 
     def test_diagonal(self):
         res = psd_factor(np.diag([4.0, 9.0]))
-        assert res.success and res.rank == 2
+        assert res.success and len(res.B) == 2
         assert np.allclose(res.B.T @ res.B, np.diag([4.0, 9.0]))
 
     def test_rank_one(self):
         S = np.ones((2, 2))
         res = psd_factor(S)
-        assert res.success and res.rank == 1
+        assert res.success and len(res.B) == 1
         row = res.B[0]
         assert abs(abs(row[0]) - abs(row[1])) <= 1e-12  # proportional to (1, 1)
         assert np.allclose(res.B.T @ res.B, S)
 
     def test_indefinite_reports_pivot(self):
         res = psd_factor(np.diag([1.0, -1.0]), tol=1e-10)
-        assert not res.success
-        assert res.failure_pivot == pytest.approx(-1.0)
-        assert res.failure_index == 1
+        assert not res.success and res.B is None
+        assert np.allclose(np.abs(res.null), [[0.0], [1.0]])
 
     def test_reconstruction_random_psd(self):
         # contract: ||S - B^T B||_inf <= 10 * tol * ||S|| on 1000 PSD inputs
@@ -126,7 +125,7 @@ class TestPsdFactor:
             scale = max(np.max(np.abs(S)), 1e-300)
             err = np.max(np.abs(S - res.B.T @ res.B))
             assert err <= 10 * tol * scale
-            assert res.rank <= r
+            assert len(res.B) <= r
 
     @pytest.mark.parametrize("S, support", [
         ([[0.0, 1.0], [1.0, 0.0]], {0, 1}),
@@ -136,8 +135,9 @@ class TestPsdFactor:
         # eigenvalue -1 hides behind a diagonal with no negative pivot
         res = psd_factor(np.array(S), tol=1e-10)
         assert not res.success and res.B is None
-        assert res.failure_pivot == pytest.approx(-1.0)
-        assert res.failure_index in support
+        # the one null column is the eigenvector of -1
+        assert res.null.shape[1] == 1
+        assert set(np.flatnonzero(np.abs(res.null[:, 0]) > 1e-12)) == support
 
     def test_null_space(self):
         # null: orthonormal columns spanning the eigendirections at or below
@@ -145,13 +145,13 @@ class TestPsdFactor:
         rng = np.random.default_rng(7)
         G = rng.normal(size=(3, 6))
         res = psd_factor(G.T @ G)
-        assert res.success and res.rank == 3 and res.null.shape == (6, 3)
+        assert res.success and len(res.B) == 3 and res.null.shape == (6, 3)
         assert np.allclose(res.null.T @ res.null, np.eye(3))
         assert np.max(np.abs(G @ res.null)) <= 1e-12
         norms = np.linalg.norm(res.B, axis=1)
         assert np.all(np.diff(norms) <= 0)
         bad = psd_factor(np.diag([2.0, 0.0, -1.0]))
-        assert not bad.success and bad.rank == 1
+        assert not bad.success and bad.null.shape[1] == 2
         assert np.allclose(np.abs(bad.null), [[0, 0], [0, 1], [1, 0]])
 
     def test_near_psd_tolerance(self):
