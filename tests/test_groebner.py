@@ -25,7 +25,14 @@ from polymin.groebner import (
     standard_monomials,
     write_matrix_market,
 )
-from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
+from polymin.poly import (
+    FamilyParams,
+    Polynomial,
+    parse,
+    random_family_instance,
+    scale_homogeneous,
+    suggested_scaling,
+)
 from polymin.sos import minimize
 
 from conftest import MOTZKIN, SYMMETRIC_QUARTIC, permutations_match
@@ -370,6 +377,33 @@ class TestMinimizeByEigenvalues:
         assert res.mu == mu
         f_sos = _f_at_sos_point(f)
         assert abs(res.fstar - f_sos) <= 1e-9 * abs(f_sos)
+
+    # The exact matrices are too slow to build at these sizes (one normal
+    # form per row), so the oracle's own float T_xj are held to a
+    # consistency bound instead: multiplication matrices commute, so each
+    # commutator [T_i, T_j] must be rounding next to |T_i||T_j| + |T_j||T_i|
+    # (row-relative), however deep the border walk goes.
+    @pytest.mark.slow
+    @pytest.mark.parametrize("cell, seed, mu", [
+        ((3, 8), 1, 343), ((3, 8), 2, 343), ((4, 6), 1, 625), ((4, 6), 2, 625),
+        ((3, 10), 4000001, 729), ((3, 10), 4000003, 729), ((3, 10), 4000017, 729),
+    ], ids=str)
+    def test_paper_scale_variable_matrices_commute(self, cell, seed, mu):
+        # the scaled basis, as minimize_by_eigenvalues builds it
+        fe = _family(*cell, seed).to_fraction()
+        alpha = suggested_scaling(fe, cell[1])
+        if alpha >= 2.0:
+            fe = scale_homogeneous(fe, Fraction(alpha).limit_denominator(16), cell[1])
+        G = GroebnerBasis.from_generators(critical_ideal_generators(fe))
+        B = standard_monomials(G)
+        assert B.mu == mu
+        Tx = groebner._float_variable_matrices(G, B)
+        for i in range(len(Tx)):
+            for j in range(i + 1, len(Tx)):
+                A, C = Tx[i], Tx[j]
+                size = np.abs(A) @ np.abs(C) + np.abs(C) @ np.abs(A)
+                row_max = np.max(size, axis=1, keepdims=True)
+                assert np.all(np.abs(A @ C - C @ A) <= 1e-13 * row_max)
 
     # a bound <= f* check passes an oracle that drops the true minimizer and
     # so reports too high an f*; f at the SOS minimizer does not

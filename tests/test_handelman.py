@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import polymin.handelman
 from polymin.handelman import (
+    COLUMN_CAP,
     HandelmanColumnCapError,
     PolytopeDescription,
     UnboundedPolytopeError,
+    _product_table,
     handelman_bound,
     handelman_ladder,
 )
 from polymin.poly import parse
+from polymin.sdp import LpSolution, SdpFailure, SdpStatus
 
 
 @pytest.fixture
@@ -49,8 +53,11 @@ class TestHandelmanBound:
             handelman_bound(parse("x1^2", 1), unit_interval, 1)
 
     def test_column_cap(self, unit_box):
+        # C(49, 4) = 211876 columns at D = 45: refused before any product
+        # is built
+        assert math.comb(4 + 45, 45) > COLUMN_CAP
         with pytest.raises(HandelmanColumnCapError):
-            handelman_bound(parse("x1*x2", 2), unit_box, 2, column_cap=10)
+            handelman_bound(parse("x1*x2", 2), unit_box, 45)
 
     def test_validity_sampling(self, unit_box):
         from polymin.poly import Polynomial
@@ -85,10 +92,22 @@ class TestHandelmanLadder:
         assert values[-1] >= -0.05 - 1e-8
 
     def test_single_rung_equals_bound(self, unit_box):
+        # every rung reads a leading block of one table, which is the table
+        # of its own degree entry for entry
         f = parse("x1*x2", 2)
-        ladder = handelman_ladder(f, unit_box, 2)
-        assert len(ladder) == 1
-        assert ladder[0].value == handelman_bound(f, unit_box, 2).value
+        ladder = handelman_ladder(f, unit_box, 5)
+        assert [b.D for b in ladder] == [2, 3, 4, 5]
+        for rung in ladder:
+            alone = handelman_bound(f, unit_box, rung.D)
+            assert rung.value == alone.value
+            assert rung.coefficients == alone.coefficients
+            assert rung.residual == alone.residual
+        alphas, big = _product_table(unit_box, 5)
+        for D in (2, 3, 4):
+            small_alphas, small = _product_table(unit_box, D)
+            assert alphas[:len(small_alphas)] == small_alphas
+            assert np.array_equal(big[:small.shape[0], :small.shape[1]], small)
+            assert not big[small.shape[0]:, :small.shape[1]].any()
 
     def test_xy_ladder_constant(self, unit_box):
         ladder = handelman_ladder(parse("x1*x2", 2), unit_box, 4)
@@ -117,6 +136,63 @@ class TestPolytopeDescription:
         P = PolytopeDescription(1, [parse("x1-2", 1), parse("-x1", 1),
                                     parse("1-x1", 1)])
         P.check_bounded()
+
+    def test_lp_failure_is_not_bounded(self, monkeypatch, unit_box):
+        # a status the verdict table does not name is a solver failure, not
+        # a verdict
+        monkeypatch.setattr(polymin.handelman, "solve_lp", lambda c, rows: LpSolution(
+            SdpStatus.NUMERICAL_TROUBLE, None, None, None))
+        with pytest.raises(SdpFailure):
+            unit_box.check_bounded()
+
+
+def _polytope(n, facets):
+    return PolytopeDescription(n, [parse(t, n) for t in facets])
+
+
+def _cube(n):
+    return [t for k in range(1, n + 1) for t in (f"x{k}", f"1-x{k}")]
+
+
+def _simplex(n):
+    return [f"x{k}" for k in range(1, n + 1)] + ["1-" + "-".join(f"x{k}" for k in range(1, n + 1))]
+
+
+BOUNDED = {
+    "unit box": (2, _cube(2)),
+    "box [-100, 100]^2": (2, ["x1+100", "100-x1", "x2+100", "100-x2"]),
+    "thin box": (2, ["x1", "1/1000-x1", "x2", "1-x2"]),
+    "shifted box": (2, ["x1-50", "51-x1", "x2+7", "-6-x2"]),
+    "triangle": (2, ["x1", "x2", "3-x1-2*x2"]),
+    "hexagon": (2, ["1-x1", "1+x1", "1-x2", "1+x2", "3/2-x1-x2", "3/2+x1+x2"]),
+    "4-cube": (4, _cube(4)),
+    "3-simplex": (3, _simplex(3)),
+    "5-simplex": (5, _simplex(5)),
+    # empty sets are bounded; the last two need the degree-1 emptiness LP
+    "empty interval": (1, ["x1-2", "-x1", "1-x1"]),
+    "empty slab in R^2": (2, ["x1-1", "-x1"]),
+    "empty slab in R^3": (3, ["x1-1", "-x1", "x2", "1-x2"]),
+}
+
+UNBOUNDED = {
+    "ray": (1, ["x1"]),
+    "wedge": (2, ["x1", "x2"]),
+    "slab": (2, ["x1", "1-x1"]),
+    "half-plane": (2, ["x1+x2"]),
+    "diagonal strip": (2, ["x1-x2", "1-x1+x2"]),
+    "3-D wedge": (3, ["x1", "x2", "x3", "1-x1-x2"]),
+}
+
+
+class TestBoundednessVerdicts:
+    @pytest.mark.parametrize("name", BOUNDED)
+    def test_bounded(self, name):
+        _polytope(*BOUNDED[name]).check_bounded()
+
+    @pytest.mark.parametrize("name", UNBOUNDED)
+    def test_unbounded(self, name):
+        with pytest.raises(UnboundedPolytopeError):
+            _polytope(*UNBOUNDED[name]).check_bounded()
 
 
 class TestColumnEnumeration:

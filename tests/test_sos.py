@@ -496,13 +496,24 @@ class TestProgramSizes:
         assert problem.blocks == [side]
 
     def test_handelman_program_is_one_lp_block(self, monkeypatch):
-        seen = _posed_blocks(monkeypatch, polymin.sdp)
+        # the boundedness LP (the degree-2 block, C(4 + 2, 2) = 15 columns)
+        # is solved; the rung after it is answered as infeasible
+        seen, solve = [], polymin.sdp.solve
+
+        def capture(problem):
+            seen.append(problem.blocks)
+            if len(seen) % 2:
+                return solve(problem)
+            return SdpSolution(SdpStatus.PRIMAL_INFEASIBLE, None, None, None,
+                               None, None, None, 0)
+
+        monkeypatch.setattr(polymin.sdp, "solve", capture)
         box = PolytopeDescription(2, [parse("x1", 2), parse("1-x1", 2),
                                       parse("x2", 2), parse("1-x2", 2)])
         for D in (2, 5):
             with pytest.raises(HandelmanInfeasibleError):
-                handelman_bound(parse("x1*x2", 2), box, D, check_bounded=False)
-        assert seen == [[-math.comb(4 + D, D)] for D in (2, 5)]
+                handelman_bound(parse("x1*x2", 2), box, D)
+        assert seen == [b for D in (2, 5) for b in ([-15], [-math.comb(4 + D, D)])]
 
     def test_witness_program_blocks(self, monkeypatch):
         seen = _posed_blocks(monkeypatch, polymin.psatz)
