@@ -21,9 +21,11 @@ system is formed per Gram index by BLAS products over the constraints'
 classes of positions, factored by LAPACK's Cholesky, and its solves are
 blocked substitutions.
 
-The constraint matrix A (one row per constraint, flattened by ``_Layout``) is
-held only as coordinates sorted by row and then column.  The Schur kernel is
-built from them, and y @ A and A @ v are each one scatter-add over them.
+A problem is one coordinate table (``SdpProblem``), sorted as the solver
+reads it, and one index expression maps it onto the constraint matrix A (one
+row per constraint, flattened by ``_Layout``), so A is held only as
+coordinates.  The Schur kernel is built from them, and y @ A and A @ v are
+each one scatter-add over them.
 
 A solve call is single-threaded, deterministic and reentrant; independent
 problem instances may be solved concurrently.
@@ -81,74 +83,55 @@ class SdpProblem:
     ``blocks`` is the side length of a single PSD block or a list of block
     sizes in SDPA's convention (positive: PSD block, negative: diagonal block
     of that length), laid along the diagonal of one ``dim x dim`` index space.
-    Cost and constraint matrices are sparse coordinate maps ``{(i, j): v}``
-    with ``i <= j`` inside one block (``i == j`` in a diagonal block); an
-    off-diagonal entry v stands for the symmetric pair, so
-    ``<G, X> = sum v * X[i,j] * (2 if i < j else 1)``.  F may also be given
-    as a dense symmetric ``dim x dim`` array.
+    The data is one coordinate table: ``cost`` holds F as arrays (i, j, v),
+    ``constraints`` the G_k as arrays (k, i, j, v) and ``b`` the right-hand
+    sides.  Every entry lies in one block with ``i <= j`` (``i == j`` in a
+    diagonal block); an off-diagonal entry v stands for the symmetric pair,
+    so ``<G, X> = sum v * X[i,j] * (2 if i < j else 1)``.  The table is kept
+    in the solver's order, sorted by row and then (i, j), which is the
+    layout's column order; entries given twice at one position are summed in
+    the order given, and zeros are dropped.
     """
 
-    def __init__(self, blocks, F, constraints):
+    def __init__(self, blocks, cost, constraints, b):
         sizes = [blocks] if np.ndim(blocks) == 0 else list(blocks)
         self.blocks = [int(s) for s in sizes]
         if any(s == 0 for s in self.blocks):
             raise ValueError("block sizes must be nonzero")
-        lengths = [abs(s) for s in self.blocks]
-        self.dim = sum(lengths)
-        self.offsets = [sum(lengths[:b]) for b in range(len(lengths))]
-        self._owner = [b for b, n in enumerate(lengths) for _ in range(n)]
-        if not isinstance(F, dict):
-            F = np.asarray(F, dtype=float)
-            if F.shape != (self.dim, self.dim):
-                raise ValueError(f"F must be {self.dim}x{self.dim}")
-            scale = max(1.0, float(np.max(np.abs(F))) if F.size else 1.0)
-            if self.dim and np.max(np.abs(F - F.T)) > 1e-12 * scale:
-                raise ValueError("F must be symmetric")
-            F = (F + F.T) / 2.0
-            F = {(int(i), int(j)): F[i, j] for i, j in zip(*np.nonzero(np.triu(F)))}
-        self.cost = self._entries(F, "cost")
-        self.constraints = [(self._entries(g, "constraint"), float(bk))
-                            for g, bk in constraints]
+        lengths = np.abs(self.blocks)
+        self.dim = int(np.sum(lengths))
+        self.offsets = (np.cumsum(lengths) - lengths).tolist()
+        self.b = np.array(b, dtype=float).reshape(-1)
+        self.constraints = self._table("constraint", len(self.b), *constraints)
+        self.cost = self._table("cost", 1, np.zeros(len(cost[0]), dtype=np.intp), *cost)[1:]
 
-    def _entries(self, g: dict, what: str) -> dict:
-        out = {}
-        for (i, j), v in g.items():
-            if not (0 <= i <= j < self.dim):
-                raise ValueError(f"{what} entry ({i},{j}) out of range or not upper")
-            b = self._owner[i]
-            if self._owner[j] != b or (self.blocks[b] < 0 and i != j):
-                raise ValueError(f"{what} entry ({i},{j}) lies outside the blocks")
-            if v != 0:
-                out[(i, j)] = float(v)
-        return out
-
-    def locate(self, i: int) -> tuple[int, int]:
-        """(block number, index inside the block) of a global index."""
-        b = self._owner[i]
-        return b, i - self.offsets[b]
-
-    @property
-    def F(self) -> np.ndarray:
-        """The cost as a dense ``dim x dim`` matrix."""
-        return _dense(self.dim, self.cost)
+    def _table(self, what: str, rows: int, k, i, j, v) -> tuple:
+        k, i, j = (np.asarray(a, dtype=np.intp).reshape(-1) for a in (k, i, j))
+        v = np.asarray(v, dtype=float).reshape(-1)
+        if not len(k) == len(i) == len(j) == len(v):
+            raise ValueError(f"{what} arrays differ in length")
+        bad = (k < 0) | (k >= rows) | (i < 0) | (i > j) | (j >= self.dim)
+        if np.any(bad):
+            at = np.flatnonzero(bad)[0]
+            raise ValueError(f"{what} entry {k[at]}: ({i[at]},{j[at]}) out of range or not upper")
+        bi, bj = np.searchsorted(self.offsets, [i, j], side="right") - 1
+        bad = (bi != bj) | ((np.array(self.blocks)[bi] < 0) & (i != j))
+        if np.any(bad):
+            at = np.flatnonzero(bad)[0]
+            raise ValueError(f"{what} entry ({i[at]},{j[at]}) lies outside the blocks")
+        order = np.lexsort((j, i, k))          # stable: repeats keep their order
+        k, i, j, v = k[order], i[order], j[order], v[order]
+        first = np.ones(len(k), dtype=bool)
+        first[1:] = (np.diff(k) != 0) | (np.diff(i) != 0) | (np.diff(j) != 0)
+        # bincount adds each position's entries one by one, in the order given
+        # (and gives an int array when there are none)
+        v = np.bincount(np.cumsum(first) - 1, weights=v, minlength=int(np.sum(first)))
+        keep = v != 0
+        return k[first][keep], i[first][keep], j[first][keep], v[keep].astype(float)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
-
-    def constraint_dense(self, k: int) -> np.ndarray:
-        return _dense(self.dim, self.constraints[k][0])
-
-    def b_vector(self) -> np.ndarray:
-        return np.array([bk for _, bk in self.constraints])
-
-
-def _dense(dim: int, entries: dict) -> np.ndarray:
-    G = np.zeros((dim, dim))
-    for (i, j), v in entries.items():
-        G[i, j] = v
-        G[j, i] = v
-    return G
+        return len(self.b)
 
 
 @dataclass
@@ -215,7 +198,10 @@ class _Layout:
     """Flattening of block-diagonal matrices into one vector: a PSD block by
     its upper triangle (row-major), a diagonal block by its entries.  The
     iterates live in this space; ``mat`` unpacks them into one array per
-    block where the cone's structure matters."""
+    block where the cone's structure matters.  The problem's cost is ``F``
+    here, and its constraint matrix A (row k: G_k flattened) is ``A``, held
+    only as coordinates (rows, cols, vals) sorted by row and then column,
+    the order in which np.nonzero lists A's entries."""
 
     def __init__(self, prob: SdpProblem):
         self.prob = prob
@@ -228,18 +214,19 @@ class _Layout:
         for sl, iu in zip(self.slices, self.iu):
             if iu is not None:
                 self.weights[sl][iu[0] != iu[1]] = 2.0
-
-    def column(self, i: int, j: int) -> int:
-        b, li = self.prob.locate(i)
-        s = self.prob.blocks[b]
-        local = _tri_pos(s, li, j - self.prob.offsets[b]) if s > 0 else li
-        return self.slices[b].start + local
-
-    def row(self, entries: dict) -> np.ndarray:
-        out = np.zeros(self.size)
-        for (i, j), v in entries.items():
-            out[self.column(i, j)] = v
-        return out
+        # position (i, j), i <= j, sits in column lead[i] + j: in a PSD block
+        # of side s at offset o, row r = i - o of the upper triangle starts
+        # at r * s - r * (r - 1) / 2
+        lead = []
+        for s, o, st in zip(prob.blocks, prob.offsets, starts):
+            r = np.arange(abs(s))
+            lead.append(st + r * s - r * (r - 1) // 2 - (o + r) if s > 0 else np.full(-s, st - o))
+        lead = np.concatenate(lead)
+        k, i, j, v = prob.constraints
+        self.A = (k, lead[i] + j, v)
+        i, j, v = prob.cost
+        self.F = np.zeros(self.size)
+        self.F[lead[i] + j] = v
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> float:
         """The trace inner product of the matrices u and v flatten."""
@@ -262,26 +249,6 @@ class _Layout:
 
     def identity(self) -> np.ndarray:
         return self.vec([np.eye(s) if s > 0 else np.ones(-s) for s in self.prob.blocks])
-
-
-def _tri_pos(N: int, i: int, j: int) -> int:
-    # position of (i, j), i <= j, in row-major upper-triangle order
-    return i * N - i * (i - 1) // 2 + (j - i)
-
-
-def _coordinates(lay: _Layout, constraints) -> tuple:
-    """(rows, cols, vals) of the constraint matrix A, whose row k is
-    constraint k flattened by ``lay``: one triple per nonzero, sorted by row
-    and then column, the order in which np.nonzero lists A's entries."""
-    rows, cols, vals = [], [], []
-    for k, (g, _) in enumerate(constraints):
-        for (i, j), v in g.items():
-            rows.append(k)
-            cols.append(lay.column(i, j))
-            vals.append(v)
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], np.array(vals, dtype=float)[order]
 
 
 def _combine_rows(coords: tuple, y: np.ndarray, size: int) -> np.ndarray:
@@ -405,7 +372,7 @@ class _SchurKernel:
     one a are distinct, so repeats (the shifts of a multiplier, a class met
     twice along a Gram row) add up inside the products.  A diagonal block,
     whose W is the vector x / s, adds (A W) A^T.  The kernel is built from
-    A's coordinates (``_coordinates``) for M rows.
+    A's coordinates (``_Layout.A``) for M rows.
     """
 
     def __init__(self, lay: _Layout, M: int, coords: tuple):
@@ -543,11 +510,11 @@ def solve(prob: SdpProblem) -> SdpSolution:
     nu = prob.dim                    # barrier degree of the cone
 
     M = prob.num_constraints
-    rows, cols, vals = coords = _coordinates(lay, prob.constraints)
+    rows, cols, vals = coords = lay.A
     schur = _SchurKernel(lay, M, coords)
     # at unit scaling (W = I on every block) the Schur complement is <G_k, G_l>
     kept, inconsistent = _rank_filter(schur.assemble(lay.mat(lay.identity())),
-                                      prob.b_vector(), warnings_out)
+                                      prob.b, warnings_out)
     if inconsistent:
         return SdpSolution(
             status=SdpStatus.PRIMAL_INFEASIBLE, X_blocks=None, y=None, S_blocks=None,
@@ -555,7 +522,7 @@ def solve(prob: SdpProblem) -> SdpSolution:
             warnings=warnings_out + ["inconsistent dependent constraint rows"],
             tolerances=_tolerances(),
         )
-    b = np.array([prob.constraints[k][1] for k in kept])
+    b = prob.b[kept]
     if len(kept) < M:
         renumber = np.full(M, -1)
         renumber[kept] = np.arange(len(kept))
@@ -563,7 +530,7 @@ def solve(prob: SdpProblem) -> SdpSolution:
         coords = renumber[rows][keep], cols[keep], vals[keep]
         M = len(kept)
         schur = _SchurKernel(lay, M, coords)
-    F = lay.row(prob.cost)
+    F = lay.F
 
     def rows_dot(V: np.ndarray) -> np.ndarray:
         """<G_k, V> for every kept row k."""
@@ -830,20 +797,16 @@ def check_duality(prob: SdpProblem, sol: SdpSolution,
     """Complementary-slackness and weak-duality report for an Optimal solution."""
     if sol.status is not SdpStatus.OPTIMAL:
         raise ValueError("duality report requires an optimal solution")
-    X, y = sol.X, sol.y
-    Smat = prob.F - sum(
-        yk * prob.constraint_dense(k) for k, yk in enumerate(y)
-    ) if prob.num_constraints else prob.F.copy()
+    lay = _Layout(prob)
+    X = sol.X
+    # S = F - sum_k y_k G_k by one scatter of y
+    Smat = _block_diag(lay.mat(lay.F - _combine_rows(lay.A, sol.y, lay.size)))
     xnorm = float(np.linalg.norm(X))
     resid = float(np.linalg.norm(X @ Smat))
     tol = slack_tol * (1.0 + xnorm)
     margin = sol.primal_obj - sol.dual_obj
-    b = prob.b_vector()
-    prim = max(
-        (abs(float(np.tensordot(prob.constraint_dense(k), X)) - b[k])
-         for k in range(prob.num_constraints)),
-        default=0.0,
-    )
+    AX = _rows_dot(lay.A, lay.weights, lay.vec(sol.X_blocks), prob.num_constraints)
+    prim = float(np.max(np.abs(AX - prob.b), initial=0.0))
     min_eig = float(np.linalg.eigvalsh(_sym(Smat))[0]) if prob.dim else 0.0
     return DualityReport(
         slack_residual=resid,
@@ -872,14 +835,14 @@ def solve_lp(c, rows) -> LpSolution:
     """Minimize c @ x subject to a_k @ x = b_k and x >= 0, one diagonal block."""
     c = np.asarray(c, dtype=float)
     V = len(c)
-    constraints = []
-    for a, bk in rows:
-        a = np.asarray(a, dtype=float)
-        if len(a) != V:
-            raise ValueError("row length mismatch")
-        constraints.append(({(i, i): a[i] for i in np.flatnonzero(a)}, bk))
-    problem = SdpProblem([-V], {(i, i): c[i] for i in np.flatnonzero(c)}, constraints)
-    sol = solve(problem)
+    A = [np.asarray(a, dtype=float) for a, _ in rows]
+    if any(a.shape != (V,) for a in A):
+        raise ValueError("row length mismatch")
+    A = np.reshape(A, (len(A), V))
+    k, x = np.nonzero(A)
+    at = np.flatnonzero(c)
+    sol = solve(SdpProblem([-V], (at, at, c[at]), (k, x, x, A[k, x]),
+                           [bk for _, bk in rows]))
     if sol.status is not SdpStatus.OPTIMAL:
         return LpSolution(status=sol.status, x=None, value=None, y=sol.y)
     x = sol.X_blocks[0]
@@ -902,19 +865,27 @@ def write_sdpa(prob: SdpProblem, path_or_file):
     try:
         fh.write(f"{prob.num_constraints}\n{len(prob.blocks)}\n")
         fh.write(" ".join(str(s) for s in prob.blocks) + "\n")
-        fh.write(" ".join(repr(float(-bk)) for _, bk in prob.constraints) + "\n")
-        for k, g in enumerate([prob.cost] + [g for g, _ in prob.constraints]):
-            for (i, j), v in sorted(g.items()):
-                blk, li = prob.locate(i)
-                lj = j - prob.offsets[blk]
-                fh.write(f"{k} {blk + 1} {li + 1} {lj + 1} {float(-v)!r}\n")
+        fh.write(" ".join(repr(-bk) for bk in prob.b.tolist()) + "\n")
+        # matrix 0 is the cost, matrix k + 1 constraint k
+        (k, i, j, v), (ci, cj, cv) = prob.constraints, prob.cost
+        k, i, j, v = (np.concatenate(p) for p in
+                      ((np.zeros_like(ci), k + 1), (ci, i), (cj, j), (cv, v)))
+        blk = np.searchsorted(prob.offsets, i, side="right") - 1
+        off = np.array(prob.offsets)[blk]
+        for line in zip(k.tolist(), (blk + 1).tolist(), (i - off + 1).tolist(),
+                        (j - off + 1).tolist(), (-v).tolist()):
+            fh.write("%d %d %d %d %r\n" % line)
     finally:
         if own:
             fh.close()
 
 
 def read_sdpa(path_or_file) -> SdpProblem:
-    """Read an SDPA sparse file; malformed input raises ValueError."""
+    """Read an SDPA sparse file; malformed input raises ValueError.
+
+    A position may be given more than once, as (i, j) or as its mirror
+    (j, i): an identical repeat is read once, different values are an error.
+    """
     own = isinstance(path_or_file, str)
     fh = open(path_or_file) if own else path_or_file
     try:
@@ -934,19 +905,26 @@ def read_sdpa(path_or_file) -> SdpProblem:
     if m < 0 or nblocks < 1 or len(tokens) < body:
         raise ValueError("SDPA header is malformed or the data ends early")
     sizes = [int(float(t)) for t in tokens[2 : 2 + nblocks]]
-    shape = SdpProblem(sizes, {}, [])
-    gdicts = [dict() for _ in range(m + 1)]
+    offsets = np.cumsum([0] + [abs(s) for s in sizes]).tolist()
     if (len(tokens) - body) % 5:
         raise ValueError("SDPA entry list is truncated")
+    entries: dict = {}           # (matrix, i, j) with i <= j global -> value
     for at in range(body, len(tokens), 5):
         matno, blk, i, j = (int(t) for t in tokens[at : at + 4])
         if not (0 <= matno <= m and 1 <= blk <= nblocks
                 and 1 <= i <= abs(sizes[blk - 1]) and 1 <= j <= abs(sizes[blk - 1])):
             raise ValueError(f"SDPA entry {matno} {blk} {i} {j} is out of range")
-        off = shape.offsets[blk - 1]
-        gdicts[matno][tuple(sorted((off + i - 1, off + j - 1)))] = -float(tokens[at + 4])
-    cvec = [float(t) for t in tokens[2 + nblocks : body]]
-    return SdpProblem(sizes, gdicts[0], [(g, -ck) for g, ck in zip(gdicts[1:], cvec)])
+        off = offsets[blk - 1]
+        key = (matno, off + min(i, j) - 1, off + max(i, j) - 1)
+        v = -float(tokens[at + 4])
+        if key in entries and entries[key] != v:
+            raise ValueError(f"SDPA entry {matno} {blk} {i} {j} conflicts with an earlier one")
+        entries[key] = v
+    k, i, j = np.array(list(entries), dtype=np.intp).reshape(-1, 3).T
+    v = np.array(list(entries.values()), dtype=float)
+    c = k == 0
+    return SdpProblem(sizes, (i[c], j[c], v[c]), (k[~c] - 1, i[~c], j[~c], v[~c]),
+                      [-float(t) for t in tokens[2 + nblocks : body]])
 
 
 def sdpa_dumps(prob: SdpProblem) -> str:

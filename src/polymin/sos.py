@@ -112,8 +112,9 @@ class SosProgram:
     Gram matrices; each ``add_free(monos, factor)`` term is ``factor * t``
     with t free on the given monomials, its coefficients split as u - v in
     the nonnegative LP block.  ``match_coefficients`` equates the sum of the
-    terms with a target polynomial.  A row is a monomial, so the dual slack
-    S of a block with unit factor is a moment matrix.
+    terms with a target polynomial, writing the SDP's coordinate table from
+    each basis's ``rows``/``cols``/``slots`` arrays.  A row is a monomial, so
+    the dual slack S of a block with unit factor is a moment matrix.
     """
 
     def __init__(self, n: int):
@@ -145,47 +146,64 @@ class SosProgram:
         lambda is eliminated through the constant coefficient and ``bound``
         reads it back.  Without it the objective is the trace of X, a
         regularized feasibility search.
+
+        Rows are monomials in order of first appearance: class-major over the
+        terms, then the target's terms, then (with ``lam``) its terms.
         """
-        rows: dict = {}
+        row_of: dict = {}
+
+        def product_rows(left, right) -> np.ndarray:
+            """The row of each product of a left and a right monomial, left-major."""
+            r = [row_of.setdefault(monomial_mul(a, c), len(row_of)) for a in left for c in right]
+            return np.array(r, dtype=np.intp).reshape(len(left), len(right))
+
+        parts = []                      # (k, i, j, v) arrays of the terms' entries
         for off, basis, factor in self.sos_terms:
-            for m, pairs in basis.classes.items():
-                for e, c in factor.terms.items():
-                    row = rows.setdefault(monomial_mul(m, e), {})
-                    for i, j in pairs:
-                        key = (off + i, off + j)
-                        row[key] = row.get(key, 0.0) + c
+            # Gram pair (i, j) of class c meets factor term t in row R[c, t]
+            R = product_rows(basis.classes, factor.terms)
+            for t, c in enumerate(factor.terms.values()):
+                parts.append((R[basis.slots, t], off + basis.rows, off + basis.cols,
+                              np.full(len(basis.slots), c)))
         for off, monos, factor in self.free_terms:
-            for idx, beta in enumerate(monos):
-                u = self.psd_size + off + 2 * idx
-                for gamma, c in factor.terms.items():
-                    row = rows.setdefault(monomial_mul(beta, gamma), {})
-                    row[(u, u)] = row.get((u, u), 0.0) + c
-                    row[(u + 1, u + 1)] = row.get((u + 1, u + 1), 0.0) - c
+            R = product_rows(monos, factor.terms)
+            u = self.psd_size + off + 2 * np.arange(len(monos))
+            for t, c in enumerate(factor.terms.values()):
+                parts += [(R[:, t], u, u, np.full(len(monos), c)),
+                          (R[:, t], u + 1, u + 1, np.full(len(monos), -c))]
         target = target.to_float()
-        monos = dict.fromkeys([*rows, *target.terms])
-        shift, r0, t0 = {}, {}, 0.0
+        for m in target.terms:
+            row_of.setdefault(m, len(row_of))
+        k, i, j, v = (np.concatenate(a) for a in zip(*parts))
+        shift, t0, const = {}, 0.0, None
         if lam is None:
-            cost = {(i, i): 1.0 for i in range(self.psd_size + self.lp_size)}
+            size = self.psd_size + self.lp_size
+            cost = (np.arange(size), np.arange(size), np.ones(size))
         else:
             const = (0,) * self.n
             g0 = float(lam.constant_coefficient())
-            r0, t0 = rows.pop(const, {}), float(target.terms.get(const, 0.0))
-            cost = {k: v / g0 for k, v in r0.items()}
+            t0 = float(target.terms.get(const, 0.0))
             self.offset = t0 / g0
             shift = {m: float(c) / g0 for m, c in lam.terms.items()}
-            monos = {m: None for m in [*monos, *shift] if m != const}
-        constraints = []
-        for m in monos:
-            row, s = dict(rows.get(m, {})), shift.get(m, 0.0)
-            if s:
-                for k, v in r0.items():
-                    row[k] = row.get(k, 0.0) - s * v
-            rhs = float(target.terms.get(m, 0.0)) - s * t0
-            if row or rhs:
-                constraints.append((row, rhs))
+            for m in shift:
+                row_of.setdefault(m, len(row_of))
+            at0 = k == row_of[const]
+            i0, j0, v0 = i[at0], j[at0], v[at0]
+            cost = (i0, j0, v0 / g0)
+            # lambda's elimination: row m loses shift[m] times the constant row
+            lost = [(np.full(len(i0), row_of[m]), i0, j0, -s * v0)
+                    for m, s in shift.items() if s and m != const]
+            k, i, j, v = (np.concatenate(a) for a in zip(
+                (k[~at0], i[~at0], j[~at0], v[~at0]), *lost))
+        rhs = np.array([float(target.terms.get(m, 0.0)) - shift.get(m, 0.0) * t0
+                        for m in row_of])
+        # a row with no entries and a zero right-hand side is left out
+        keep = (np.bincount(k, minlength=len(row_of)) > 0) | (rhs != 0)
+        if const is not None:
+            keep[row_of[const]] = False
+        renumber = np.cumsum(keep) - 1
         blocks = [basis.N for _, basis, _ in self.sos_terms]
         return SdpProblem(blocks + ([-self.lp_size] if self.lp_size else []),
-                          cost, constraints)
+                          cost, (renumber[k], i, j, v), rhs[keep])
 
     def bound(self, sol: SdpSolution) -> float:
         """The maximized lambda at an optimal solution."""

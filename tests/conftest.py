@@ -1,8 +1,10 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from polymin.poly import parse
+from polymin.sdp import SdpProblem
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
 
@@ -32,6 +34,27 @@ def permutations_match(point, target, tol):
         if all(abs(a - b) <= tol for a, b in zip(point, perm)):
             return True
     return False
+
+
+def dict_problem(blocks, F, constraints) -> SdpProblem:
+    """An SdpProblem from coordinate maps: F as ``{(i, j): v}`` or as a dense
+    symmetric matrix (the upper triangle of its symmetric part is read), and
+    the constraints as pairs ``({(i, j): v}, b_k)``."""
+    if not isinstance(F, dict):
+        F = np.asarray(F, dtype=float)
+        F = (F + F.T) / 2.0
+        F = {(i, j): F[i, j] for i, j in zip(*np.nonzero(np.triu(F)))}
+    cost = [(i, j, v) for (i, j), v in F.items()]
+    rows = [(k, i, j, v) for k, (g, _) in enumerate(constraints) for (i, j), v in g.items()]
+    return SdpProblem(blocks, tuple(zip(*cost)) or ([],) * 3,
+                      tuple(zip(*rows)) or ([],) * 4, [bk for _, bk in constraints])
+
+
+def assert_same_table(p: SdpProblem, q: SdpProblem):
+    """p and q hold the same blocks and the same table, bit for bit."""
+    assert p.blocks == q.blocks
+    for a, b in zip((*p.constraints, *p.cost, p.b), (*q.constraints, *q.cost, q.b)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 _ACCEPTANCE_RESULTS = []

@@ -18,6 +18,8 @@ from polymin.sdp import (
 )
 from polymin.sos import build_gram_sdp
 
+from conftest import assert_same_table, dict_problem
+
 
 def dense_to_constraints(Gs, b):
     cons = []
@@ -48,7 +50,24 @@ def random_feasible_sdp(rng, normalized=True):
     y0 = rng.normal(size=M)
     F = S0 + sum(y0[k] * Gs[k] for k in range(M))
     b = np.array([np.tensordot(Gs[k], X0) for k in range(M)])
-    return SdpProblem(N, F, dense_to_constraints(Gs, b))
+    return dict_problem(N, F, dense_to_constraints(Gs, b))
+
+
+def dense(prob):
+    """F and the stacked G_k of prob as dense symmetric dim x dim matrices."""
+    F = np.zeros((prob.dim, prob.dim))
+    i, j, v = prob.cost
+    F[i, j] = F[j, i] = v
+    G = np.zeros((prob.num_constraints, prob.dim, prob.dim))
+    k, i, j, v = prob.constraints
+    G[k, i, j] = G[k, j, i] = v
+    return F, G
+
+
+def rescaled(prob, cost_by=1.0, b_by=1.0):
+    """prob with its cost times cost_by and its right-hand sides times b_by."""
+    i, j, v = prob.cost
+    return SdpProblem(prob.blocks, (i, j, cost_by * v), prob.constraints, b_by * prob.b)
 
 
 def lp_vertex_oracle(c, rows):
@@ -77,7 +96,7 @@ def lp_vertex_oracle(c, rows):
 
 class TestSolveBasics:
     def test_scalar_equality(self):
-        prob = SdpProblem(1, np.array([[1.0]]), [({(0, 0): 1.0}, 3.0)])
+        prob = dict_problem(1, np.array([[1.0]]), [({(0, 0): 1.0}, 3.0)])
         sol = solve(prob)
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.X[0, 0] == pytest.approx(3.0, abs=1e-7)
@@ -85,8 +104,8 @@ class TestSolveBasics:
 
     def test_2x2_schur_boundary(self):
         # min trace X with X11 = 1, X12 = 1: X22 >= X12^2/X11 forces obj 2
-        prob = SdpProblem(2, np.eye(2),
-                          [({(0, 0): 1.0}, 1.0), ({(0, 1): 0.5}, 1.0)])
+        prob = dict_problem(2, np.eye(2),
+                            [({(0, 0): 1.0}, 1.0), ({(0, 1): 0.5}, 1.0)])
         sol = solve(prob)
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.primal_obj == pytest.approx(2.0, abs=1e-6)
@@ -99,18 +118,18 @@ class TestSolveBasics:
         assert sol.status is SdpStatus.OPTIMAL
         psd_tol = 1e-9 * max(1.0, np.linalg.norm(sol.X))
         assert np.linalg.eigvalsh(sol.X)[0] >= -psd_tol
-        Smat = prob.F - sum(y * prob.constraint_dense(k)
-                            for k, y in enumerate(sol.y))
+        F, G = dense(prob)
+        Smat = F - sum(y * G[k] for k, y in enumerate(sol.y))
         assert np.linalg.eigvalsh(Smat)[0] >= -1e-9 * max(1, np.linalg.norm(Smat))
-        b = prob.b_vector()
+        b = prob.b
         for k in range(prob.num_constraints):
-            v = np.tensordot(prob.constraint_dense(k), sol.X)
+            v = np.tensordot(G[k], sol.X)
             assert abs(v - b[k]) <= 1e-8 * (1 + abs(b[k]))
         assert sol.gap >= -1e-8
         assert sol.gap <= 1e-8 * (1 + abs(sol.primal_obj))
 
     def test_tolerances_report_every_option(self):
-        sol = solve(SdpProblem(1, np.array([[1.0]]), [({(0, 0): 1.0}, 3.0)]))
+        sol = solve(dict_problem(1, np.array([[1.0]]), [({(0, 0): 1.0}, 3.0)]))
         assert sol.tolerances == {
             "feas_tol": 1e-8, "gap_tol": 1e-8, "max_iter": 200, "step_fraction": 0.95,
             "sigma_floor": 0.05, "infeas_ratio": 1e-8, "slack_goal": 1e-8,
@@ -177,8 +196,7 @@ class TestScalingInvariance:
         prob = random_feasible_sdp(rng)
         base = solve(prob)
         for gamma in (1e-3, 1e3):
-            sol = solve(SdpProblem(prob.dim, gamma * prob.F,
-                                   list(prob.constraints)))
+            sol = solve(rescaled(prob, cost_by=gamma))
             assert sol.status is base.status is SdpStatus.OPTIMAL
             assert abs(sol.primal_obj / gamma - base.primal_obj) <= 1e-6 * (
                 1 + abs(base.primal_obj)
@@ -189,8 +207,7 @@ class TestScalingInvariance:
         prob = random_feasible_sdp(rng)
         base = solve(prob)
         for gamma in (1e-3, 1e3):
-            sol = solve(SdpProblem(prob.dim, prob.F,
-                                   [(g, gamma * bk) for g, bk in prob.constraints]))
+            sol = solve(rescaled(prob, b_by=gamma))
             assert sol.status is SdpStatus.OPTIMAL
             assert abs(sol.primal_obj / gamma - base.primal_obj) <= 1e-6 * (
                 1 + abs(base.primal_obj)
@@ -201,8 +218,7 @@ class TestScalingInvariance:
         prob = random_feasible_sdp(rng)
         base = solve(prob)
         for gamma in (1e-3, 1e3):
-            sol = solve(SdpProblem(prob.dim, gamma * prob.F,
-                                   [(g, gamma * bk) for g, bk in prob.constraints]))
+            sol = solve(rescaled(prob, cost_by=gamma, b_by=gamma))
             assert sol.status is SdpStatus.OPTIMAL
             target = gamma**2 * base.primal_obj
             # tolerance in the scaled problem's own units (the solver's gap
@@ -221,20 +237,20 @@ class TestInfeasibility:
 
     def test_primal_infeasible_sdp(self):
         # trace X = -1 with X PSD is impossible
-        prob = SdpProblem(2, np.zeros((2, 2)),
-                          [({(0, 0): 1.0, (1, 1): 1.0}, -1.0)])
+        prob = dict_problem(2, np.zeros((2, 2)),
+                            [({(0, 0): 1.0, (1, 1): 1.0}, -1.0)])
         assert solve(prob).status is SdpStatus.PRIMAL_INFEASIBLE
 
     def test_unbounded_sdp(self):
         # min -trace X with only X12 pinned: diverges
-        prob = SdpProblem(2, -np.eye(2), [({(0, 1): 0.5}, 0.0)])
+        prob = dict_problem(2, -np.eye(2), [({(0, 1): 0.5}, 0.0)])
         assert solve(prob).status is SdpStatus.DUAL_INFEASIBLE
 
 
 class TestRankFilter:
     def test_dependent_consistent_rows(self):
-        prob = SdpProblem(1, np.array([[1.0]]),
-                          [({(0, 0): 1.0}, 3.0), ({(0, 0): 2.0}, 6.0)])
+        prob = dict_problem(1, np.array([[1.0]]),
+                            [({(0, 0): 1.0}, 3.0), ({(0, 0): 2.0}, 6.0)])
         sol = solve(prob)
         assert sol.status is SdpStatus.OPTIMAL
         assert any("dependent" in w for w in sol.warnings)
@@ -242,8 +258,8 @@ class TestRankFilter:
         assert len(sol.y) == 2  # original indexing preserved
 
     def test_dependent_inconsistent_rows(self):
-        prob = SdpProblem(1, np.array([[1.0]]),
-                          [({(0, 0): 1.0}, 3.0), ({(0, 0): 2.0}, 7.0)])
+        prob = dict_problem(1, np.array([[1.0]]),
+                            [({(0, 0): 1.0}, 3.0), ({(0, 0): 2.0}, 7.0)])
         assert solve(prob).status is SdpStatus.PRIMAL_INFEASIBLE
 
     @staticmethod
@@ -255,7 +271,7 @@ class TestRankFilter:
         rows = [({(k, k): 1.0, (100, 100): 1.0}, 1.0) for k in range(100)]
         rows.append(({(3, 3): 0.1, (40, 40): 0.1, (90, 90): 0.1, (100, 100): 0.3,
                       (50, 50): nudge}, b_dependent))
-        return SdpProblem([-101], {(i, i): 1.0 for i in range(101)}, rows)
+        return dict_problem([-101], {(i, i): 1.0 for i in range(101)}, rows)
 
     # nudge 1e-6 leaves a last Cholesky pivot of ~1e-14: LAPACK accepts it,
     # but it lies under the rank threshold 1e-13 * max|gram|
@@ -281,7 +297,7 @@ class TestRankFilter:
         rows.append(({(3, 3): 0.1, (40, 40): 0.1, (90, 90): 0.1, (100, 100): 0.3}, b100))
         rows.append(({(3, 3): 0.1, (40, 40): 0.1, (90, 90): 0.1, (10, 10): 0.2,
                       (60, 60): 0.2, (100, 100): 0.7}, b101))
-        return SdpProblem([-101], {(i, i): 1.0 for i in range(101)}, rows)
+        return dict_problem([-101], {(i, i): 1.0 for i in range(101)}, rows)
 
     def test_two_dependent_rows(self):
         prob = self._lp_with_two_dependent_rows(0.3, 0.7)
@@ -289,7 +305,10 @@ class TestRankFilter:
         assert sol.status is SdpStatus.OPTIMAL
         assert any("removed 2 " in w and "[100, 101]" in w for w in sol.warnings)
         assert len(sol.y) == 102 and sol.y[100] == 0.0 and sol.y[101] == 0.0
-        ref = solve(SdpProblem([-101], prob.cost, prob.constraints[:100]))
+        k, i, j, v = prob.constraints
+        first = k < 100
+        ref = solve(SdpProblem([-101], prob.cost, (k[first], i[first], j[first], v[first]),
+                               prob.b[:100]))
         assert ref.status is SdpStatus.OPTIMAL
         assert sol.primal_obj == ref.primal_obj and sol.dual_obj == ref.dual_obj
         assert np.array_equal(sol.y[:100], ref.y)
@@ -301,6 +320,42 @@ class TestRankFilter:
     def test_two_dependent_rows_one_inconsistent(self, b100, b101):
         sol = solve(self._lp_with_two_dependent_rows(b100, b101))
         assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+
+
+class TestProblemTable:
+    """SdpProblem keeps its table as the solver reads it: sorted by row and
+    then (i, j), entries at one position summed in the order given, zeros
+    dropped; entries outside the blocks or below the diagonal are errors."""
+
+    def test_sorted_summed_in_order_and_zeros_dropped(self):
+        # row 0 at (0, 0): (1e16 + 1) - 1e16 = 0 in this order, so it is
+        # dropped, as is the explicit zero at (0, 1); row 1 at (0, 0):
+        # (1e16 - 1e16) + 1 = 1
+        entries = [(1, 2, 2, 5.0), (0, 0, 0, 1e16), (1, 0, 0, 1e16), (0, 0, 0, 1.0),
+                   (0, 1, 1, 3.0), (1, 0, 0, -1e16), (0, 0, 0, -1e16), (1, 0, 0, 1.0),
+                   (0, 0, 1, 0.0)]
+        cost = [(3, 3, 2.0), (0, 1, 0.0), (0, 0, 1.0), (0, 0, 1.0)]
+        prob = SdpProblem([2, -2], tuple(zip(*cost)), tuple(zip(*entries)), [1.0, 2.0])
+        k, i, j, v = prob.constraints
+        assert np.array_equal(k, [0, 1, 1]) and np.array_equal(i, [1, 0, 2])
+        assert np.array_equal(j, [1, 0, 2]) and np.array_equal(v, [3.0, 1.0, 5.0])
+        i, j, v = prob.cost
+        assert np.array_equal(i, [0, 3]) and np.array_equal(j, [0, 3])
+        assert np.array_equal(v, [2.0, 2.0])
+        assert np.array_equal(prob.b, [1.0, 2.0]) and prob.num_constraints == 2
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (1, 0), (2, 3), (0, 4)],
+                             ids=["across-blocks", "lower-triangle",
+                                  "off-diagonal-in-diagonal-block", "out-of-range"])
+    def test_entry_rejected(self, i, j):
+        with pytest.raises(ValueError):
+            SdpProblem([2, -2], ([], [], []), ([0], [i], [j], [1.0]), [1.0])
+        with pytest.raises(ValueError):
+            SdpProblem([2, -2], ([i], [j], [1.0]), ([], [], [], []), [])
+
+    def test_row_without_right_hand_side_rejected(self):
+        with pytest.raises(ValueError):
+            SdpProblem([2, -2], ([], [], []), ([1], [0], [0], [1.0]), [1.0])
 
 
 class TestCheckDuality:
@@ -319,7 +374,7 @@ class TestCheckDuality:
 
     def test_requires_optimal(self):
         res = solve_lp([1.0], [([1.0], -1.0)])
-        prob = SdpProblem(1, np.array([[1.0]]), [({(0, 0): 1.0}, -1.0)])
+        prob = dict_problem(1, np.array([[1.0]]), [({(0, 0): 1.0}, -1.0)])
         sol = solve(prob)
         with pytest.raises(ValueError):
             check_duality(prob, sol)
@@ -370,13 +425,7 @@ class TestSdpaFormat:
         prob = random_feasible_sdp(rng)
         prob2 = sdpa_loads(sdpa_dumps(prob))
         assert prob2.dim == prob.dim
-        assert np.allclose(prob2.F, prob.F)
-        assert len(prob2.constraints) == len(prob.constraints)
-        for (g1, b1), (g2, b2) in zip(prob.constraints, prob2.constraints):
-            assert b1 == pytest.approx(b2, abs=0)
-            assert g1.keys() == g2.keys()
-            for k in g1:
-                assert g1[k] == g2[k]
+        assert_same_table(prob2, prob)
 
     def test_solution_survives_roundtrip(self):
         rng = np.random.default_rng(42)
@@ -387,8 +436,8 @@ class TestSdpaFormat:
 
     def test_file_io(self, tmp_path):
         from polymin.sdp import read_sdpa, write_sdpa
-        prob = SdpProblem(2, np.eye(2),
-                          [({(0, 0): 1.0}, 1.0), ({(0, 1): 0.5}, 1.0)])
+        prob = dict_problem(2, np.eye(2),
+                            [({(0, 0): 1.0}, 1.0), ({(0, 1): 0.5}, 1.0)])
         path = str(tmp_path / "prob.dat-s")
         write_sdpa(prob, path)
         prob2 = read_sdpa(path)
@@ -398,17 +447,15 @@ class TestSdpaFormat:
 class TestSdpaBlocks:
     def test_multi_block_roundtrip(self):
         # a 2x2 PSD block, a diagonal block of three and a 1x1 PSD block
-        prob = SdpProblem([2, -3, 1], {(0, 0): 1.0, (0, 1): 0.25, (3, 3): 2.0,
-                                       (5, 5): 1.0},
-                          [({(0, 0): 1.0, (2, 2): 1.0}, 1.0),
-                           ({(1, 1): 1.0, (3, 3): -1.0, (4, 4): 1.0}, 0.5),
-                           ({(0, 1): 0.5, (5, 5): 1.0}, 0.0)])
+        prob = dict_problem([2, -3, 1], {(0, 0): 1.0, (0, 1): 0.25, (3, 3): 2.0,
+                                         (5, 5): 1.0},
+                            [({(0, 0): 1.0, (2, 2): 1.0}, 1.0),
+                             ({(1, 1): 1.0, (3, 3): -1.0, (4, 4): 1.0}, 0.5),
+                             ({(0, 1): 0.5, (5, 5): 1.0}, 0.0)])
         text = sdpa_dumps(prob)
         assert text.splitlines()[1:3] == ["3", "2 -3 1"]
         prob2 = sdpa_loads(text)
-        assert prob2.blocks == prob.blocks
-        assert prob2.cost == prob.cost
-        assert prob2.constraints == prob.constraints
+        assert_same_table(prob2, prob)
         s1, s2 = solve(prob), solve(prob2)
         assert s1.status is s2.status is SdpStatus.OPTIMAL
         assert s1.primal_obj == pytest.approx(s2.primal_obj, rel=1e-9)
@@ -432,17 +479,46 @@ class TestSdpaBlocks:
         with pytest.raises(ValueError):
             sdpa_loads("1\n1\n-2\n1.0\n1 1 1 2 1.0\n")
 
+    def test_identical_repeat_is_read_once(self):
+        # (1, 2) twice, once as its mirror (2, 1), and (1, 1) twice
+        prob = sdpa_loads(self.HEADER + "1 1 1 2 0.5\n1 1 2 1 0.5\n"
+                          "1 1 1 1 1.0\n1 1 1 1 1.0\n")
+        k, i, j, v = prob.constraints
+        assert np.array_equal(k, [0, 0]) and np.array_equal(i, [0, 0])
+        assert np.array_equal(j, [0, 1]) and np.array_equal(v, [-1.0, -0.5])
+
+    @pytest.mark.parametrize("entries", ["1 1 1 2 0.5\n1 1 2 1 0.25\n",
+                                         "0 1 2 2 1.0\n0 1 2 2 2.0\n"],
+                             ids=["mirror", "same-position"])
+    def test_conflicting_repeat_rejected(self, entries):
+        with pytest.raises(ValueError):
+            sdpa_loads(self.HEADER + entries)
+
+    def test_psatz_program_roundtrip_is_bit_identical(self):
+        # two PSD blocks and an LP block: the table and the solve come back
+        # bit for bit
+        prob = _psatz_program()
+        assert prob.blocks[-1] < 0 and sum(s > 0 for s in prob.blocks) == 2
+        prob2 = sdpa_loads(sdpa_dumps(prob))
+        assert_same_table(prob2, prob)
+        s1, s2 = solve(prob), solve(prob2)
+        assert s1.status is s2.status and s1.iterations == s2.iterations
+        assert s1.primal_obj == s2.primal_obj and s1.dual_obj == s2.dual_obj
+        assert np.array_equal(s1.y, s2.y)
+        assert all(np.array_equal(a, b) for a, b in zip(s1.X_blocks, s2.X_blocks))
+        assert all(np.array_equal(a, b) for a, b in zip(s1.S_blocks, s2.S_blocks))
+
 
 class TestSingleZeroRow:
     # a lone row with no entries is dependent: dropped when b = 0,
     # inconsistent otherwise
     def test_consistent(self):
-        sol = solve(SdpProblem(1, np.array([[1.0]]), [({}, 0.0)]))
+        sol = solve(dict_problem(1, np.array([[1.0]]), [({}, 0.0)]))
         assert sol.status is SdpStatus.OPTIMAL
         assert any("dependent" in w for w in sol.warnings)
 
     def test_inconsistent(self):
-        sol = solve(SdpProblem(1, np.array([[1.0]]), [({}, 1.0)]))
+        sol = solve(dict_problem(1, np.array([[1.0]]), [({}, 1.0)]))
         assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
 
 
@@ -453,7 +529,7 @@ def dense_schur(prob, scalings):
     for off, w in zip(prob.offsets, scalings):
         w = w if w.ndim == 2 else np.diag(np.sqrt(w))
         W[off : off + len(w), off : off + len(w)] = w
-    G = np.array([prob.constraint_dense(k) for k in range(prob.num_constraints)])
+    _, G = dense(prob)
     WGW = W @ G @ W
     return G.reshape(len(G), -1) @ WGW.reshape(len(G), -1).T
 
@@ -474,7 +550,7 @@ def _psatz_program():
 def _shared_class_problem():
     # positions (0,1) and (0,2) have equal columns, so Gram row 0 meets
     # their class twice; a second PSD block and a diagonal block ride along
-    return SdpProblem([3, 2, -2], {}, [
+    return dict_problem([3, 2, -2], {}, [
         ({(0, 1): 1.0, (0, 2): 1.0, (1, 1): 2.0, (3, 4): 1.0}, 1.0),
         ({(0, 1): 3.0, (0, 2): 3.0, (2, 2): -1.0, (5, 5): 2.0}, 0.0),
         ({(0, 0): 1.0, (1, 2): 0.5, (3, 3): 1.0, (6, 6): -1.0}, 2.0),
@@ -506,8 +582,7 @@ class TestSchurKernel:
             else:
                 scalings.append(rng.uniform(0.5, 2.0, size=-s))
         lay = sdp._Layout(prob)
-        kernel = sdp._SchurKernel(lay, prob.num_constraints,
-                                  sdp._coordinates(lay, prob.constraints))
+        kernel = sdp._SchurKernel(lay, prob.num_constraints, lay.A)
         for w in (scalings, lay.mat(lay.identity())):
             got = kernel.assemble(w)
             want = dense_schur(prob, w)
@@ -529,10 +604,14 @@ class TestCoordinates:
 
     @staticmethod
     def _dense_and_coordinates(name):
+        # A from the dense G_k, each flattened block by block by lay.vec
         prob = TestCoordinates.PROGRAMS[name]()
         lay = sdp._Layout(prob)
-        A = np.array([lay.row(g) for g, _ in prob.constraints])
-        return A, sdp._coordinates(lay, prob.constraints)
+        _, G = dense(prob)
+        A = np.array([lay.vec([g[o : o + s, o : o + s] if s > 0
+                               else np.diag(g[o : o - s, o : o - s])
+                               for s, o in zip(prob.blocks, prob.offsets)]) for g in G])
+        return A, lay.A
 
     @pytest.mark.parametrize("name", list(PROGRAMS))
     def test_lists_A_as_nonzero_does(self, name):
@@ -567,11 +646,10 @@ class TestCoordinates:
         V = np.zeros((prob.dim, prob.dim))
         for off, p in zip(prob.offsets, parts):
             V[off : off + len(p), off : off + len(p)] = p if p.ndim == 2 else np.diag(p)
-        G = [prob.constraint_dense(k) for k in range(prob.num_constraints)]
+        _, G = dense(prob)
         want = np.array([np.sum(g * V) for g in G])
         scale = max(np.sum(np.abs(g * V)) for g in G)
-        got = sdp._rows_dot(sdp._coordinates(lay, prob.constraints), lay.weights,
-                            lay.vec(parts), prob.num_constraints)
+        got = sdp._rows_dot(lay.A, lay.weights, lay.vec(parts), prob.num_constraints)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 

@@ -12,17 +12,25 @@ from polymin.handelman import HandelmanInfeasibleError, PolytopeDescription, han
 from polymin.poly import (
     FamilyParams,
     Polynomial,
+    monomial_mul,
+    monomials_up_to_degree,
     parse,
     random_family_instance,
     scale_homogeneous,
     suggested_scaling,
 )
-from polymin.psatz import NotFoundAtDegree, SemialgebraicSystem, find_witness
+from polymin.psatz import (
+    NotFoundAtDegree,
+    SemialgebraicSystem,
+    _multiplier_program,
+    find_witness,
+)
 from polymin.sdp import SdpSolution, SdpStatus
 from polymin.sos import (
     MINUS_INFINITY,
     MonomialVector,
     OddDegreeError,
+    SosProgram,
     build_gram_sdp,
     extract_certificate,
     extract_minimizer,
@@ -32,7 +40,7 @@ from polymin.sos import (
     sos_lower_bound,
 )
 
-from conftest import permutations_match
+from conftest import assert_same_table, dict_problem, permutations_match
 
 
 class TestMonomialVector:
@@ -219,10 +227,105 @@ class TestRematchProgram:
         target = f + Polynomial.variable(3, 0) * 1e-4 + Polynomial.variable(3, 2) * 3e-4
         again = gs.program.match_coefficients(target, lam=Polynomial.constant(3, 1.0))
         fresh = build_gram_sdp(target).problem
-        assert again.blocks == fresh.blocks
-        assert again.cost == fresh.cost
-        assert again.constraints == fresh.constraints
+        assert_same_table(again, fresh)
         assert gs.program.offset == f.constant_coefficient()
+
+
+def reference_match(prog: SosProgram, target: Polynomial, lam: Polynomial | None = None):
+    """``prog.match_coefficients(target, lam)`` one Gram pair at a time, a
+    dict per row: the problem and lambda's offset."""
+    rows: dict = {}
+    for off, basis, factor in prog.sos_terms:
+        for m, pairs in basis.classes.items():
+            for e, c in factor.terms.items():
+                row = rows.setdefault(monomial_mul(m, e), {})
+                for i, j in pairs:
+                    key = (off + i, off + j)
+                    row[key] = row.get(key, 0.0) + c
+    for off, monos, factor in prog.free_terms:
+        for idx, beta in enumerate(monos):
+            u = prog.psd_size + off + 2 * idx
+            for gamma, c in factor.terms.items():
+                row = rows.setdefault(monomial_mul(beta, gamma), {})
+                row[(u, u)] = row.get((u, u), 0.0) + c
+                row[(u + 1, u + 1)] = row.get((u + 1, u + 1), 0.0) - c
+    target = target.to_float()
+    monos = dict.fromkeys([*rows, *target.terms])
+    shift, r0, t0, offset = {}, {}, 0.0, None
+    if lam is None:
+        cost = {(i, i): 1.0 for i in range(prog.psd_size + prog.lp_size)}
+    else:
+        const = (0,) * prog.n
+        g0 = float(lam.constant_coefficient())
+        r0, t0 = rows.pop(const, {}), float(target.terms.get(const, 0.0))
+        cost = {k: v / g0 for k, v in r0.items()}
+        offset = t0 / g0
+        shift = {m: float(c) / g0 for m, c in lam.terms.items()}
+        monos = {m: None for m in [*monos, *shift] if m != const}
+    constraints = []
+    for m in monos:
+        row, s = dict(rows.get(m, {})), shift.get(m, 0.0)
+        if s:
+            for k, v in r0.items():
+                row[k] = row.get(k, 0.0) - s * v
+        rhs = float(target.terms.get(m, 0.0)) - s * t0
+        if row or rhs:
+            constraints.append((row, rhs))
+    blocks = [basis.N for _, basis, _ in prog.sos_terms]
+    blocks += [-prog.lp_size] if prog.lp_size else []
+    return dict_problem(blocks, cost, constraints), offset
+
+
+def _gram_case(n, d, k=0):
+    # build_gram_sdp(f, k): target g * f and lambda's multiplier g
+    f = random_family_instance(FamilyParams(n, d, 100, seed=4200000 + n))
+    g = Polynomial.constant(n, 1.0)
+    for i in range(n if k else 0):
+        g = g + Polynomial.from_monomial(n, tuple(2 * k if t == i else 0 for t in range(n)),
+                                         1.0)
+    return build_gram_sdp(f, k).program, g * f, g
+
+
+def _psatz_case():
+    # two SOS multiplier blocks and the free multiplier's LP block
+    system = SemialgebraicSystem(2, inequalities=[parse("x1-x2^2+3", 2)],
+                                 equalities=[parse("x2+x1^2+2", 2)])
+    prog, _, _ = _multiplier_program(system, 4)
+    return prog, Polynomial.constant(2, -1.0), None
+
+
+def _shared_class_case():
+    # the classes of two SOS blocks, whose factors have several terms, and of
+    # a free term share rows; lambda's multiplier meets positions the terms
+    # already hold, so its elimination sums onto them (to zero at (0, 0) of
+    # row x1^2).  x1^8 and x2^8 lie beyond the terms' degree 6: the target's
+    # row x1^8 has only a right-hand side, lambda's row x2^8 only entries
+    prog = SosProgram(2)
+    prog.add_sos(MonomialVector.build(2, 2), parse("1+x1^2", 2))
+    prog.add_sos(MonomialVector.build(2, 1), parse("3-x1*x2+x2^2", 2))
+    prog.add_free(monomials_up_to_degree(2, 2), parse("x1-1", 2))
+    return (prog, parse("x1^4+x2^4-x1*x2+5+x1^8", 2),
+            parse("1+x1^2+2*x1*x2+x2^8", 2))
+
+
+class TestMatchCoefficientsTable:
+    """The builder's coordinate table against the per-entry dict algorithm:
+    the same rows in the same order, indices, values, b and cost, bit for
+    bit."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _gram_case(2, 4),                      # plain SOS at (2,8)
+        lambda: _gram_case(6, 2),                      # plain SOS at (6,4)
+        lambda: _gram_case(3, 2, k=1),                 # higher_degree_bound(f, 1)
+        _psatz_case,
+        _shared_class_case,
+    ], ids=["sos-2-8", "sos-6-4", "multiplier", "psatz-lp", "shared-class"])
+    def test_equals_reference(self, make):
+        prog, target, lam = make()
+        want, offset = reference_match(prog, target, lam)
+        got = prog.match_coefficients(target, lam)
+        assert_same_table(got, want)
+        assert prog.offset == offset
 
 
 class TestExtractMinimizer:
