@@ -18,8 +18,9 @@ takes X and S to the same diagonal point; it gives the scaling W = G G^T, the
 corrector's diagonal solve and the step lengths, so no block is factored
 again in an iteration.  The (dense, SPD) Schur complement of the Newton
 system is formed per Gram index by BLAS products over the constraints'
-classes of positions, factored by LAPACK's Cholesky, and its solves are
-blocked substitutions.
+classes of positions and factored by ``linalg.spd_cholesky``, a blocked
+Cholesky built of BLAS products that keeps the inverses of its diagonal
+blocks, so each solve with the factor is matrix products too.
 
 A problem is one coordinate table (``SdpProblem``), sorted as the solver
 reads it, and one index expression maps it onto the constraint matrix A (one
@@ -465,14 +466,14 @@ def _rank_filter(gram: np.ndarray, b: np.ndarray, warnings_out: list[str]):
     M = len(gram)
     if M == 0:
         return [], False
-    # Independent rows, the builders' case, pass one LAPACK Cholesky whose
+    # Independent rows, the builders' case, pass one Cholesky factor whose
     # pivots all clear the rank threshold 1e-13 max|gram|; anything else goes
     # to psd_factor, whose null space names the rows to drop.
     try:
-        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+        pivots = np.diagonal(spd_cholesky(gram).L) ** 2
         if np.min(pivots) > 1e-13 * np.max(np.abs(gram)):
             return list(range(M)), False
-    except np.linalg.LinAlgError:
+    except NotPositiveDefiniteError:
         pass
     Z = psd_factor(_sym(gram), tol=1e-13).null
     if not Z.size:

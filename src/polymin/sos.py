@@ -151,10 +151,15 @@ class SosProgram:
         terms, then the target's terms, then (with ``lam``) its terms.
         """
         row_of: dict = {}
+        n = self.n
 
         def product_rows(left, right) -> np.ndarray:
-            """The row of each product of a left and a right monomial, left-major."""
-            r = [row_of.setdefault(monomial_mul(a, c), len(row_of)) for a in left for c in right]
+            """The row of each product of a left and a right monomial, left-major:
+            the exponent sums in one array, numbered in one dict pass."""
+            sums = (np.array(list(left), dtype=np.intp).reshape(-1, 1, n)
+                    + np.array(list(right), dtype=np.intp).reshape(1, -1, n))
+            r = [row_of.setdefault(m, len(row_of))
+                 for m in map(tuple, sums.reshape(-1, n).tolist())]
             return np.array(r, dtype=np.intp).reshape(len(left), len(right))
 
         parts = []                      # (k, i, j, v) arrays of the terms' entries

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from polymin.linalg import _BLOCK
 from polymin.poly import parse
 from polymin.sdp import SdpProblem
 
@@ -55,6 +56,23 @@ def assert_same_table(p: SdpProblem, q: SdpProblem):
     assert p.blocks == q.blocks
     for a, b in zip((*p.constraints, *p.cost, p.b), (*q.constraints, *q.cost, q.b)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def blockwise_solve(L, rhs):
+    """L L^T x = rhs by blocked substitution over strided views of L, with
+    LAPACK's solve on each diagonal block: the reference for the factor's
+    solves, which multiply by the diagonal blocks' inverses instead."""
+    n = len(L)
+    y = np.array(rhs, dtype=float)
+    for s in range(0, n, _BLOCK):
+        e = s + _BLOCK
+        y[s:e] = np.linalg.solve(L[s:e, s:e], y[s:e])
+        y[e:] -= L[e:, s:e] @ y[s:e]
+    for s in reversed(range(0, n, _BLOCK)):
+        e = s + _BLOCK
+        y[s:e] = np.linalg.solve(L[s:e, s:e].T, y[s:e])
+        y[:s] -= L[s:e, :s].T @ y[s:e]
+    return y
 
 
 _ACCEPTANCE_RESULTS = []

@@ -10,6 +10,8 @@ from polymin.linalg import (
     sym_eig,
 )
 
+from conftest import blockwise_solve
+
 
 class TestSymEig:
     def test_identity(self):
@@ -205,23 +207,9 @@ class TestSolveSpd:
             spd_cholesky(np.diag([1.0, np.inf]))
 
 
-def blockwise_solve(L, rhs):
-    """L L^T x = rhs by blocked substitution over strided views of L."""
-    n = len(L)
-    y = np.array(rhs, dtype=float)
-    for s in range(0, n, _BLOCK):
-        e = s + _BLOCK
-        y[s:e] = np.linalg.solve(L[s:e, s:e], y[s:e])
-        y[e:] -= L[e:, s:e] @ y[s:e]
-    for s in reversed(range(0, n, _BLOCK)):
-        e = s + _BLOCK
-        y[s:e] = np.linalg.solve(L[s:e, s:e].T, y[s:e])
-        y[:s] -= L[s:e, :s].T @ y[s:e]
-    return y
-
-
 class TestCholeskySolve:
-    # the factor's contiguous diagonal blocks change no bit of a solve
+    # the factor's solve, built on its kept diagonal-block inverses, agrees
+    # with a substitution solve over the same L
     @pytest.mark.parametrize("n", [44, 209, 1000])
     @pytest.mark.parametrize("shape", ["vector", "two-columns"])
     def test_matches_blockwise_reference(self, n, shape):
@@ -229,4 +217,52 @@ class TestCholeskySolve:
         G = rng.normal(size=(n, n))
         chol = spd_cholesky(G @ G.T + n * np.eye(n))
         rhs = rng.normal(size=n if shape == "vector" else (n, 2))
-        assert np.array_equal(chol.solve(rhs), blockwise_solve(chol.L, rhs))
+        want = blockwise_solve(chol.L, rhs)
+        assert np.max(np.abs(chol.solve(rhs) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestCholeskyFactor:
+    # sizes around one and two block columns
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 209, 1000])
+    def test_factor_and_block_inverses(self, n):
+        rng = np.random.default_rng(n)
+        G = rng.normal(size=(n, n))
+        S = G @ G.T + n * np.eye(n)
+        chol = spd_cholesky(S)
+        want = np.linalg.cholesky(S)
+        assert np.max(np.abs(chol.L - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(chol.L, np.tril(chol.L))
+        for s, e, inv in chol._blocks:
+            assert e - s == min(_BLOCK, n - s)
+            assert np.max(np.abs(inv @ chol.L[s:e, s:e] - np.eye(e - s))) <= 1e-12
+
+    def test_reads_the_lower_triangle(self):
+        rng = np.random.default_rng(3)
+        G = rng.normal(size=(150, 150))
+        S = G @ G.T + 150 * np.eye(150)
+        junk = np.triu(rng.normal(size=(150, 150)), 1)
+        assert np.array_equal(spd_cholesky(S).L, spd_cholesky(np.tril(S) + junk).L)
+
+    def test_rejects_late_bad_pivot(self):
+        # leading 100 x 100 block positive definite, pivot 100 negative
+        rng = np.random.default_rng(100)
+        G = rng.normal(size=(150, 150))
+        S = G @ G.T + 150 * np.eye(150)
+        head = S[:100, 100]
+        S[100, 100] = head @ np.linalg.solve(S[:100, :100], head) - 1.0
+        np.linalg.cholesky(S[:100, :100])
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_cholesky(S)
+
+    # a diagonal entry, an entry in a later diagonal block, and one below a
+    # later column's diagonal block
+    @pytest.mark.parametrize("i, j", [(100, 100), (150, 100), (200, 70)])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the entry spreads
+    def test_rejects_late_non_finite_entry(self, i, j, value):
+        rng = np.random.default_rng(i + j)
+        G = rng.normal(size=(260, 260))
+        S = G @ G.T + 260 * np.eye(260)
+        S[i, j] = S[j, i] = value
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_cholesky(S)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from polymin import sdp
+from polymin.linalg import spd_cholesky
 from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
 from polymin.psatz import SemialgebraicSystem, _multiplier_program
 from polymin.sdp import (
@@ -16,9 +18,9 @@ from polymin.sdp import (
     solve,
     solve_lp,
 )
-from polymin.sos import build_gram_sdp
+from polymin.sos import build_gram_sdp, sos_lower_bound
 
-from conftest import assert_same_table, dict_problem
+from conftest import assert_same_table, blockwise_solve, dict_problem
 
 
 def dense_to_constraints(Gs, b):
@@ -587,6 +589,39 @@ class TestSchurKernel:
             got = kernel.assemble(w)
             want = dense_schur(prob, w)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestGateSchurSolves:
+    """Solves with the factor on the last Schur complements of two gate
+    solves (condition numbers 3e14-6e18): the residual bound of
+    test_linalg's residual contract, and within 10x of the residual of a
+    substitution solve on LAPACK's factor."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as conftest intends
+    @pytest.mark.parametrize("n, two_d, seed", [(3, 8, 20240001), (3, 10, 4000000)],
+                             ids=["3-8-20240001", "3-10-4000000"])
+    def test_last_schur_matrices(self, monkeypatch, n, two_d, seed):
+        last = collections.deque(maxlen=3)
+        factor = sdp._factor_schur
+
+        def capture(Mmat):
+            chol = factor(Mmat)
+            if chol is not None:
+                last.append(Mmat.copy())    # as factored, with any jitter
+            return chol
+
+        monkeypatch.setattr(sdp, "_factor_schur", capture)
+        f = random_family_instance(FamilyParams(n, two_d // 2, 100, seed=seed))
+        assert sos_lower_bound(f).status is SdpStatus.OPTIMAL and len(last) == 3
+        rng = np.random.default_rng(seed)
+        for S in last:
+            rhs = rng.normal(size=len(S))
+            x = spd_cholesky(S).solve(rhs)
+            res = np.linalg.norm(S @ x - rhs)
+            assert res <= 1e-10 * (np.linalg.norm(S) * np.linalg.norm(x)
+                                   + np.linalg.norm(rhs))
+            ref = blockwise_solve(np.linalg.cholesky(S), rhs)
+            assert res <= 10 * np.linalg.norm(S @ ref - rhs)
 
 
 class TestCoordinates:
