@@ -28,6 +28,7 @@ generators are not already a Groebner basis (the benchmark family always is).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -140,22 +141,29 @@ def critical_ideal_generators(f: Polynomial) -> list[Polynomial]:
     return partials
 
 
+def _grlex_desc(mono: Monomial) -> tuple:     # a heap entry: largest graded-lex first
+    return (-sum(mono), tuple(-e for e in mono), mono)
+
+
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of p on division by G; supported only on standard monomials.
 
     Exact rational arithmetic throughout; p minus the result lies in the
     ideal by construction (the loop only ever subtracts multiples of
-    generators).
+    generators).  The largest term left comes off a heap; a term that
+    cancels stays in the heap and is skipped when it comes up.
     """
     p = p.to_fraction() if not p.is_exact() else p
     work = dict(p.terms)
+    heap = [_grlex_desc(m) for m in work]
+    heapq.heapify(heap)
     remainder: dict = {}
-    lms = G.leading_monomials
-    gens = G.generators
-    while work:
-        mono = max(work, key=grlex_key)
-        coef = work.pop(mono)
-        for lm, g in zip(lms, gens):
+    while heap:
+        mono = heapq.heappop(heap)[-1]
+        coef = work.pop(mono, None)
+        if coef is None:
+            continue
+        for lm, g in zip(G.leading_monomials, G.generators):
             if monomial_divides(lm, mono):
                 shift = monomial_div(mono, lm)
                 for m2, c2 in g.terms.items():
@@ -166,6 +174,8 @@ def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
                     if s == 0:
                         work.pop(mm, None)
                     else:
+                        if mm not in work:
+                            heapq.heappush(heap, _grlex_desc(mm))
                         work[mm] = s
                 break
         else:

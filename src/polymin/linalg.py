@@ -2,15 +2,15 @@
 
 Every factorization delegates to LAPACK and BLAS through numpy: ``eigh``
 for symmetric input and ``eig`` for general input (balancing + Hessenberg
-reduction + shifted QR).  The SPD Cholesky factor is built by block columns
-of BLAS products around LAPACK's ``potrf`` on each 64-wide diagonal block;
-the inverses of those diagonal blocks (and of no larger triangle) are kept,
-so both triangular solves are matrix products.  The semidefinite factor
-comes from one ``eigh``, so rank deficiency surfaces as an explicit rank and
-null space rather than an error.
+reduction + shifted QR).  The SPD Cholesky factor is built over its input by
+block columns of BLAS products around LAPACK's ``potrf`` on each 64-wide
+diagonal block; the inverses of those diagonal blocks (and of no larger
+triangle) are kept, so both triangular solves are matrix products.  The
+semidefinite factor comes from one ``eigh``, so rank deficiency surfaces as
+an explicit rank and null space rather than an error.
 
-Kernels are pure on owned inputs; independent factorizations and eigensolves
-may run concurrently with no shared mutable state.
+Only ``spd_cholesky`` writes to its input.  Independent factorizations and
+eigensolves may run concurrently with no shared mutable state.
 """
 
 from __future__ import annotations
@@ -179,13 +179,14 @@ class CholeskyFactor:
     """Lower-triangular Cholesky factor L of an SPD matrix S, with the
     inverses of its diagonal blocks, which serve every triangular solve.
 
-    S is factored by left-looking block columns of width _BLOCK: one BLAS
-    product subtracts the finished columns' contribution from the panel
-    S[s:, s:e], LAPACK factors the panel's diagonal block K, and the panel's
-    rows below K are multiplied by K^-T.  Only the lower triangle of S is
-    read.  The inverses K^-1 are formed once per factor and kept; the inverse
-    of the whole L is never formed.  A solve is then two matrix products per
-    block column and pass, and it still meets the residual bound
+    S is factored in place by left-looking block columns of width _BLOCK:
+    one BLAS product subtracts the finished columns' contribution from the
+    panel S[s:, s:e], LAPACK factors the panel's diagonal block K, and the
+    panel's rows below K are multiplied by K^-T.  S's lower triangle becomes
+    L (``L`` is S) and its strict upper triangle is zeroed.  The inverses
+    K^-1 are formed once per factor and kept; the inverse of the whole L is
+    never formed.  A solve is then two matrix products per block column and
+    pass, and it still meets the residual bound
     ||S x - rhs|| <= 1e-10 (||S|| ||x|| + ||rhs||) at condition number 1e12
     and on the interior-point method's last Schur complements of the
     robustness gate.  ``rhs`` may be a vector or a matrix of right-hand-side
@@ -197,7 +198,7 @@ class CholeskyFactor:
 
     def __init__(self, S: np.ndarray):
         n = len(S)
-        L = self.L = np.tril(S)
+        L = self.L = S
         self._blocks = []
         for s in range(0, n, _BLOCK):
             e = min(s + _BLOCK, n)
@@ -209,6 +210,7 @@ class CholeskyFactor:
             if not np.all(np.isfinite(np.diagonal(K))):
                 raise NotPositiveDefiniteError(f"non-finite Cholesky pivot (block column {s}:{e})")
             L[s:e, s:e] = K
+            L[s:e, e:] = 0.0
             inv = _lower_inverse(K)
             L[e:, s:e] = L[e:, s:e] @ inv.T
             self._blocks.append((s, e, inv))
@@ -227,7 +229,12 @@ class CholeskyFactor:
 
 
 def spd_cholesky(S: np.ndarray) -> CholeskyFactor:
-    """Plain (unpivoted) blocked Cholesky factor of S; raises
-    NotPositiveDefiniteError when S is not numerically positive definite or
-    a pivot is not finite."""
-    return CholeskyFactor(np.asarray(S, dtype=float))
+    """Plain (unpivoted) blocked Cholesky factor of S, written over S: no
+    copy is made, so S must be a writeable C-contiguous square float64 array
+    (else ValueError).  Raises NotPositiveDefiniteError, leaving S partly
+    overwritten, when S is not numerically positive definite or a pivot is
+    not finite."""
+    if not (isinstance(S, np.ndarray) and S.dtype == np.float64 and S.flags.c_contiguous
+            and S.flags.writeable and S.ndim == 2 and len(S) == S.shape[1]):
+        raise ValueError("spd_cholesky needs a writeable C-contiguous square float64 array")
+    return CholeskyFactor(S)

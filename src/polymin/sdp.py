@@ -18,9 +18,11 @@ takes X and S to the same diagonal point; it gives the scaling W = G G^T, the
 corrector's diagonal solve and the step lengths, so no block is factored
 again in an iteration.  The (dense, SPD) Schur complement of the Newton
 system is formed per Gram index by BLAS products over the constraints'
-classes of positions and factored by ``linalg.spd_cholesky``, a blocked
-Cholesky built of BLAS products that keeps the inverses of its diagonal
-blocks, so each solve with the factor is matrix products too.
+classes of positions and factored over itself by ``linalg.spd_cholesky``, a
+blocked Cholesky built of BLAS products that keeps the inverses of its
+diagonal blocks, so each solve with the factor is matrix products too.  At
+the start, where W = I, that matrix is the rows' Gram matrix, and its
+factor also decides which rows are linearly dependent.
 
 A problem is one coordinate table (``SdpProblem``), sorted as the solver
 reads it, and one index expression maps it onto the constraint matrix A (one
@@ -432,52 +434,54 @@ class _SchurKernel:
         return schur
 
 
-def _factor_schur(Mmat: np.ndarray):
-    """Cholesky factor of the Schur matrix; a failed attempt is retried
-    twice, with a diagonal jitter that grows 100-fold and is written into
-    Mmat's diagonal.  None if all fail."""
-    M = len(Mmat)
-    base = np.trace(Mmat) / M if M else 1.0
-    diag = np.diagonal(Mmat).copy()
-    jitter = 0.0
-    for _ in range(3):
+def _factor_schur(assemble):
+    """Cholesky factor of the Schur matrix ``assemble()`` gives, built over
+    it.  A failure is retried twice on a fresh assembly with a diagonal
+    jitter of 1e-13 trace/M, then 100 times that; None if all fail."""
+    Mmat, jitter = assemble(), 0.0
+    for retries in (2, 1, 0):
         try:
             return spd_cholesky(Mmat)
         except NotPositiveDefiniteError:
-            jitter = max(jitter * 100, 1e-13 * max(base, 1e-30))
-            np.fill_diagonal(Mmat, diag + jitter)
-    return None
+            if not retries:
+                return None
+        del Mmat            # free the failed factor before assembling afresh
+        Mmat = assemble()
+        jitter = max(jitter * 100, 1e-13 * max(np.trace(Mmat) / len(Mmat), 1e-30))
+        np.fill_diagonal(Mmat, np.diagonal(Mmat) + jitter)
 
 
 # ---------------------------------------------------------------------------
 # Rank filter
 # ---------------------------------------------------------------------------
 
-def _rank_filter(gram: np.ndarray, b: np.ndarray, warnings_out: list[str]):
+def _rank_filter(assemble, b: np.ndarray, warnings_out: list[str]):
     """Drop linearly dependent constraint rows; flag inconsistent duplicates.
 
-    ``gram`` holds the trace inner products <G_k, G_l> of the rows, so its
-    null vectors z are the dependencies sum_k z_k G_k = 0.  Gauss-Jordan
+    ``assemble()`` gives iteration 0's Schur complement, whose scaling W is
+    I up to rounding, so it is the Gram matrix <G_k, G_l> of the rows and
+    its null vectors z are the dependencies sum_k z_k G_k = 0.  Gauss-Jordan
     elimination on the null space, pivoting on each column's largest entry,
     gives one dependency per dropped row k with z_k = 1 and zero on the
     other dropped rows; it is inconsistent when |z.b| > 1e-8 (1 + |b_k|).
-    Returns (kept_indices, inconsistent: bool).
+    Returns (kept_indices, inconsistent: bool, factor), factor the Gram
+    matrix's Cholesky factor when its pivots keep every row, else None.
     """
+    gram = assemble()
     M = len(gram)
-    if M == 0:
-        return [], False
     # Independent rows, the builders' case, pass one Cholesky factor whose
     # pivots all clear the rank threshold 1e-13 max|gram|; anything else goes
     # to psd_factor, whose null space names the rows to drop.
+    threshold = 1e-13 * max(gram.max(initial=0.0), -gram.min(initial=0.0))
     try:
-        pivots = np.diagonal(spd_cholesky(gram).L) ** 2
-        if np.min(pivots) > 1e-13 * np.max(np.abs(gram)):
-            return list(range(M)), False
+        chol = spd_cholesky(gram)
+        if np.all(np.diagonal(chol.L) ** 2 > threshold):
+            return list(range(M)), False, chol
     except NotPositiveDefiniteError:
         pass
-    Z = psd_factor(_sym(gram), tol=1e-13).null
+    Z = psd_factor(_sym(assemble()), tol=1e-13).null
     if not Z.size:
-        return list(range(M)), False
+        return list(range(M)), False, None
     dropped = []
     for j in range(Z.shape[1]):
         k = int(np.argmax(np.abs(Z[:, j])))
@@ -488,11 +492,11 @@ def _rank_filter(gram: np.ndarray, b: np.ndarray, warnings_out: list[str]):
         dropped.append(k)
     kept = sorted(set(range(M)) - set(dropped))
     if np.any(np.abs(b @ Z) > 1e-8 * (1.0 + np.abs(b[dropped]))):
-        return kept, True
+        return kept, True, None
     warnings_out.append(
         f"removed {len(dropped)} linearly dependent constraint row(s): {sorted(dropped)}"
     )
-    return kept, False
+    return kept, False, None
 
 
 # ---------------------------------------------------------------------------
@@ -504,57 +508,15 @@ def solve(prob: SdpProblem) -> SdpSolution:
 
     Deterministic for identical inputs: fixed initialization
     X = S = I * (1 + max|b| + max|F|), y = 0, tau = kappa = 1, and no
-    randomized pivoting anywhere.
+    randomized pivoting anywhere.  Each iteration assembles one Schur matrix
+    and factors it in place; iteration 0's factor also decides the rank.
     """
     warnings_out: list[str] = []
     lay = _Layout(prob)
     nu = prob.dim                    # barrier degree of the cone
-
-    M = prob.num_constraints
-    rows, cols, vals = coords = lay.A
-    schur = _SchurKernel(lay, M, coords)
-    # at unit scaling (W = I on every block) the Schur complement is <G_k, G_l>
-    kept, inconsistent = _rank_filter(schur.assemble(lay.mat(lay.identity())),
-                                      prob.b, warnings_out)
-    if inconsistent:
-        return SdpSolution(
-            status=SdpStatus.PRIMAL_INFEASIBLE, X_blocks=None, y=None, S_blocks=None,
-            primal_obj=None, dual_obj=None, gap=None, iterations=0,
-            warnings=warnings_out + ["inconsistent dependent constraint rows"],
-            tolerances=_tolerances(),
-        )
-    b = prob.b[kept]
-    if len(kept) < M:
-        renumber = np.full(M, -1)
-        renumber[kept] = np.arange(len(kept))
-        keep = renumber[rows] >= 0
-        coords = renumber[rows][keep], cols[keep], vals[keep]
-        M = len(kept)
-        schur = _SchurKernel(lay, M, coords)
     F = lay.F
-
-    def rows_dot(V: np.ndarray) -> np.ndarray:
-        """<G_k, V> for every kept row k."""
-        return _rows_dot(coords, lay.weights, V, M)
-
-    def rows_combine(v: np.ndarray) -> np.ndarray:
-        """sum_k v_k G_k, flattened: v @ A."""
-        return _combine_rows(coords, v, lay.size)
-
-    bmax = float(np.max(np.abs(b))) if M else 0.0
     fmax = float(np.max(np.abs(F))) if F.size else 0.0
-    rho = 1.0 + bmax + fmax
-    X = lay.identity() * rho
-    S = lay.identity() * rho
-    y = np.zeros(M)
-    tau, kappa = 1.0, 1.0
-
     trace: list[IterateRecord] = []
-    stall_strikes = 0
-    last_alpha = 1.0
-    best = None          # best converged iterate by slack-product residual
-    relaxed = None       # latest iterate within the relaxed tolerances
-    polish_used = 0
 
     def finish(status, Xh=None, yh=None, Sh=None, cert=None, iters=0):
         pobj = lay.dot(F, Xh) if Xh is not None else None
@@ -570,6 +532,55 @@ def solve(prob: SdpProblem) -> SdpSolution:
             dual_obj=dobj, gap=gap, iterations=iters, trace=trace,
             warnings=warnings_out, tolerances=_tolerances(), certificate=cert,
         )
+
+    def frames_at(X, S):
+        return [_NtFrame(x, s) if x.ndim == 2 else _LpFrame(x, s)
+                for x, s in zip(lay.mat(X), lay.mat(S))]
+
+    def schur_matrix():
+        return schur.assemble([fr.W for fr in frames])
+
+    b, coords = prob.b, lay.A
+    for restarted in (False, True):
+        # at X = S = rho I every NT scaling W is I up to rounding, so
+        # iteration 0's Schur matrix is the rows' Gram matrix <G_k, G_l>
+        bmax = float(np.max(np.abs(b), initial=0.0))
+        rho = 1.0 + bmax + fmax
+        if not np.isfinite(rho):
+            warnings_out.append("non-finite problem data")
+            return finish(SdpStatus.NUMERICAL_TROUBLE)
+        X, S = lay.identity() * rho, lay.identity() * rho
+        frames = frames_at(X, S)
+        schur = _SchurKernel(lay, len(b), coords)
+        if restarted:
+            break
+        kept, inconsistent, chol = _rank_filter(schur_matrix, b, warnings_out)
+        if inconsistent:
+            warnings_out.append("inconsistent dependent constraint rows")
+            return finish(SdpStatus.PRIMAL_INFEASIBLE)
+        if len(kept) == len(b):
+            break
+        rows, cols, vals = coords      # restart on the kept rows
+        keep = np.isin(rows, kept)
+        b, coords = b[kept], (np.searchsorted(kept, rows[keep]), cols[keep], vals[keep])
+    M = len(b)
+
+    def rows_dot(V: np.ndarray) -> np.ndarray:
+        """<G_k, V> for every kept row k."""
+        return _rows_dot(coords, lay.weights, V, M)
+
+    def rows_combine(v: np.ndarray) -> np.ndarray:
+        """sum_k v_k G_k, flattened: v @ A."""
+        return _combine_rows(coords, v, lay.size)
+
+    y = np.zeros(M)
+    tau, kappa = 1.0, 1.0
+
+    stall_strikes = 0
+    last_alpha = 1.0
+    best = None          # best converged iterate by slack-product residual
+    relaxed = None       # latest iterate within the relaxed tolerances
+    polish_used = 0
 
     for it in range(MAX_ITER + 1):
         FX = lay.dot(F, X)
@@ -674,18 +685,19 @@ def solve(prob: SdpProblem) -> SdpSolution:
         if it == MAX_ITER:
             return best_or(SdpStatus.ITERATION_LIMIT)
 
-        try:
-            frames = [_NtFrame(x, s) if x.ndim == 2 else _LpFrame(x, s)
-                      for x, s in zip(lay.mat(X), lay.mat(S))]
-        except np.linalg.LinAlgError:
-            warnings_out.append("NT scaling eigendecomposition failed")
-            return best_or(SdpStatus.NUMERICAL_TROUBLE)
+        if it:      # iteration 0 has the start's frames and the rank filter's factor
+            chol = None     # the last factor is dead: free it before the next matrix
+            try:
+                frames = frames_at(X, S)
+            except np.linalg.LinAlgError:
+                warnings_out.append("NT scaling eigendecomposition failed")
+                return best_or(SdpStatus.NUMERICAL_TROUBLE)
 
         def scaled(U: np.ndarray) -> np.ndarray:
             return lay.vec([fr.scale(u) for fr, u in zip(frames, lay.mat(U))])
 
-        chol = None     # the last factor is dead: free it before the next matrix
-        chol = _factor_schur(schur.assemble([fr.W for fr in frames]))
+        if chol is None:
+            chol = _factor_schur(schur_matrix)
         if chol is None:
             warnings_out.append("Schur complement lost positive definiteness")
             return best_or(SdpStatus.NUMERICAL_TROUBLE)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,7 @@ class TestSolveSpd:
         for S in inputs + [(ill + ill.T) / 2]:
             n = len(S)
             rhs = rng.normal(size=n)
-            x = spd_cholesky(S).solve(rhs)
+            x = spd_cholesky(S.copy()).solve(rhs)
             res = np.linalg.norm(S @ x - rhs)
             bound = 1e-10 * (np.linalg.norm(S) * np.linalg.norm(x)
                              + np.linalg.norm(rhs))
@@ -228,7 +230,7 @@ class TestCholeskyFactor:
         rng = np.random.default_rng(n)
         G = rng.normal(size=(n, n))
         S = G @ G.T + n * np.eye(n)
-        chol = spd_cholesky(S)
+        chol = spd_cholesky(S.copy())
         want = np.linalg.cholesky(S)
         assert np.max(np.abs(chol.L - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(chol.L, np.tril(chol.L))
@@ -241,7 +243,7 @@ class TestCholeskyFactor:
         G = rng.normal(size=(150, 150))
         S = G @ G.T + 150 * np.eye(150)
         junk = np.triu(rng.normal(size=(150, 150)), 1)
-        assert np.array_equal(spd_cholesky(S).L, spd_cholesky(np.tril(S) + junk).L)
+        assert np.array_equal(spd_cholesky(S.copy()).L, spd_cholesky(np.tril(S) + junk).L)
 
     def test_rejects_late_bad_pivot(self):
         # leading 100 x 100 block positive definite, pivot 100 negative
@@ -253,6 +255,43 @@ class TestCholeskyFactor:
         np.linalg.cholesky(S[:100, :100])
         with pytest.raises(NotPositiveDefiniteError):
             spd_cholesky(S)
+
+    def test_factors_in_place(self):
+        rng = np.random.default_rng(5)
+        G = rng.normal(size=(150, 150))
+        S = G @ G.T + 150 * np.eye(150)
+        want = np.linalg.cholesky(S)
+        chol = spd_cholesky(S)
+        assert chol.L is S
+        assert np.max(np.abs(np.tril(S) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not np.any(np.triu(S, 1))
+
+    def test_allocates_little_beyond_S(self):
+        # the kept diagonal-block inverses and one panel product, no n x n copy
+        n = 500
+        rng = np.random.default_rng(500)
+        G = rng.normal(size=(n, n))
+        S = G @ G.T + n * np.eye(n)
+        tracemalloc.start()
+        try:
+            chol = spd_cholesky(S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chol.L is S and peak <= 0.25 * n * n * 8
+
+    @pytest.mark.parametrize("make", [
+        lambda S: S.astype(np.float32),
+        lambda S: S.astype(np.int64),
+        lambda S: np.asfortranarray(S + np.triu(S, 1)),   # not C-contiguous
+        lambda S: np.repeat(S, 2, axis=1)[:, ::2],         # strided
+        lambda S: np.broadcast_to(S, S.shape),             # read-only
+        lambda S: S.tolist(),
+        lambda S: S[:, :-1].copy(),                        # not square
+    ], ids=["float32", "int64", "fortran", "strided", "read-only", "list", "not-square"])
+    def test_rejects_what_it_cannot_overwrite(self, make):
+        with pytest.raises(ValueError):
+            spd_cholesky(make(4 * np.eye(5) + 1.0))
 
     # a diagonal entry, an entry in a later diagonal block, and one below a
     # later column's diagonal block

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polymin import sdp
-from polymin.linalg import spd_cholesky
+from polymin.linalg import NotPositiveDefiniteError, spd_cholesky
 from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
 from polymin.psatz import SemialgebraicSystem, _multiplier_program
 from polymin.sdp import (
@@ -146,6 +146,15 @@ class TestSolveBasics:
         assert sol.iterations == 2
         assert sol.X is not None and sol.warnings == []
         assert sol.primal_obj == pytest.approx(1.6500726169368394, rel=1e-12)
+
+    # iteration 0's Schur matrix, which the rank filter reads, is scaled by
+    # rho = 1 + max|b| + max|F|, so non-finite data must stop the solve first
+    @pytest.mark.parametrize("blocks", [1, 3, [-1]], ids=["psd-1", "psd-3", "lp"])
+    @pytest.mark.parametrize("b, f", [(np.nan, 1.0), (1.0, np.inf)], ids=["nan-b", "inf-F"])
+    def test_non_finite_data(self, blocks, b, f):
+        sol = solve(dict_problem(blocks, {(0, 0): f}, [({(0, 0): 1.0}, b)]))
+        assert sol.status is SdpStatus.NUMERICAL_TROUBLE
+        assert sol.warnings == ["non-finite problem data"] and sol.X is None
 
     def test_determinism(self):
         rng = np.random.default_rng(77)
@@ -561,8 +570,8 @@ def _shared_class_problem():
 
 class TestSchurKernel:
     """The class kernel against <G_k, W G_l W> at a random SPD scaling, and
-    at unit scaling, where it is the rows' Gram matrix <G_k, G_l> that the
-    rank filter reads."""
+    at unit scaling, where it is the rows' Gram matrix <G_k, G_l>, which the
+    rank filter reads off iteration 0 (W = I up to rounding)."""
 
     @pytest.mark.parametrize("make", [
         lambda: _family_gram(2, 4),                    # plain SOS at (2,8)
@@ -602,21 +611,20 @@ class TestGateSchurSolves:
                              ids=["3-8-20240001", "3-10-4000000"])
     def test_last_schur_matrices(self, monkeypatch, n, two_d, seed):
         last = collections.deque(maxlen=3)
-        factor = sdp._factor_schur
 
-        def capture(Mmat):
-            chol = factor(Mmat)
-            if chol is not None:
-                last.append(Mmat.copy())    # as factored, with any jitter
+        def capture(S):
+            before = S.copy()               # as factored, with any jitter
+            chol = spd_cholesky(S)
+            last.append(before)
             return chol
 
-        monkeypatch.setattr(sdp, "_factor_schur", capture)
+        monkeypatch.setattr(sdp, "spd_cholesky", capture)
         f = random_family_instance(FamilyParams(n, two_d // 2, 100, seed=seed))
         assert sos_lower_bound(f).status is SdpStatus.OPTIMAL and len(last) == 3
         rng = np.random.default_rng(seed)
         for S in last:
             rhs = rng.normal(size=len(S))
-            x = spd_cholesky(S).solve(rhs)
+            x = spd_cholesky(S.copy()).solve(rhs)
             res = np.linalg.norm(S @ x - rhs)
             assert res <= 1e-10 * (np.linalg.norm(S) * np.linalg.norm(x)
                                    + np.linalg.norm(rhs))
@@ -688,13 +696,73 @@ class TestCoordinates:
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
+class TestOneSchurMatrixPerIteration:
+    def test_full_rank_sos_solve(self, monkeypatch):
+        # the rank filter reads iteration 0's factor, so a solve whose Schur
+        # factors never need a retry assembles and factors one matrix per
+        # iteration
+        counts = collections.Counter()
+        assemble, factor = sdp._SchurKernel.assemble, sdp.spd_cholesky
+
+        def counted_assemble(kernel, scalings):
+            counts["assemble"] += 1
+            return assemble(kernel, scalings)
+
+        def counted_factor(S):
+            counts["factor"] += 1
+            return factor(S)
+
+        monkeypatch.setattr(sdp._SchurKernel, "assemble", counted_assemble)
+        monkeypatch.setattr(sdp, "spd_cholesky", counted_factor)
+        res = sos_lower_bound(random_family_instance(FamilyParams(4, 3, 100, seed=4200004)))
+        assert res.status is SdpStatus.OPTIMAL and not res.solution.warnings
+        n = res.solution.iterations
+        assert n > 0 and counts == {"assemble": n, "factor": n}
+
+
+class TestFactorSchurRetries:
+    """A failed factor is retried on a fresh assembly with the jitter
+    1e-13 trace/M, then 100 times that, on the diagonal."""
+
+    @staticmethod
+    def _run(monkeypatch, failures):
+        rng = np.random.default_rng(70)
+        G = rng.normal(size=(70, 70))
+        A = G @ G.T + 70 * np.eye(70)
+        factored = []
+
+        def fail_first(S):
+            factored.append(S.copy())
+            if len(factored) <= failures:
+                raise NotPositiveDefiniteError("forced")
+            return spd_cholesky(S)
+
+        monkeypatch.setattr(sdp, "spd_cholesky", fail_first)
+        return A, factored, sdp._factor_schur(A.copy)
+
+    def test_retry_factors_diagonal_plus_jitter(self, monkeypatch):
+        A, factored, chol = self._run(monkeypatch, failures=1)
+        want = A.copy()
+        np.fill_diagonal(want, np.diagonal(A) + 1e-13 * (np.trace(A) / len(A)))
+        assert len(factored) == 2 and np.array_equal(factored[0], A)
+        assert np.array_equal(factored[1], want)
+        assert np.array_equal(chol.L, spd_cholesky(want).L)
+
+    def test_three_failures_give_none(self, monkeypatch):
+        A, factored, chol = self._run(monkeypatch, failures=3)
+        jitter = 1e-13 * (np.trace(A) / len(A)) * 100
+        assert chol is None and len(factored) == 3
+        assert np.array_equal(np.diagonal(factored[2]), np.diagonal(A) + jitter)
+
+
 class TestSolveMemory:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_peak_is_under_three_and_a_half_schur_matrices(self):
-        # (8,4), M = 494: the Schur matrix, its factor and the class
-        # kernel's arrays, but no M x size constraint matrix and no
-        # per-iteration copies.  Posed unscaled, this program loses
-        # definiteness near the end, so the Schur factor's retries run too
+    def test_peak_is_under_2_8_schur_matrices(self):
+        # (8,4), M = 494: the Schur matrix, factored in its own buffer, and
+        # the class kernel's arrays, but no M x size constraint matrix, no
+        # copy of the Schur matrix and no per-iteration copies.  Posed
+        # unscaled, this program loses definiteness near the end, so the
+        # Schur factor's retries run too
         prob = build_gram_sdp(random_family_instance(
             FamilyParams(8, 2, 100, seed=4000000)), 0).problem
         M = prob.num_constraints
@@ -704,7 +772,7 @@ class TestSolveMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * M * M * 8
+        assert peak <= 2.8 * M * M * 8
 
 
 def _random_spd(rng, N):
