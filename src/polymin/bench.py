@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .groebner import (
     MuCapExceededError,
@@ -57,14 +57,7 @@ class BenchmarkPlan:
                 raise ValueError(f"bad cell ({n}, {two_d})")
 
     def to_json_dict(self) -> dict:
-        return {
-            "cells": [list(c) for c in self.cells],
-            "instances": self.instances,
-            "K_values": list(self.K_values),
-            "methods": list(self.methods),
-            "seed_base": self.seed_base,
-            "mu_cap": self.mu_cap,
-        }
+        return {**asdict(self), "cells": [list(c) for c in self.cells]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BenchmarkPlan":
@@ -98,15 +91,7 @@ class CellReport:
     median_wall_ms: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "two_d": self.two_d, "K": self.K,
-            "instances": self.instances, "agreement": self.agreement,
-            "disagreement": self.disagreement, "skipped": self.skipped,
-            "extraction_successes": self.extraction_successes,
-            "failures": self.failures,
-            "mean_wall_ms": self.mean_wall_ms,
-            "median_wall_ms": self.median_wall_ms,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -178,7 +163,8 @@ def _run_instance(n: int, two_d: int, K: int, seed: int, methods, mu_cap: int) -
         rows.append(row)
     agree = ""
     if bound is not None and oracle_min is not None:
-        agree = abs(bound - oracle_min) <= 1e-5 * (1.0 + abs(oracle_min))
+        # a NumPy bound would make a NumPy bool, which `agr is True` misses
+        agree = bool(abs(bound - oracle_min) <= 1e-5 * (1.0 + abs(oracle_min)))
     for row in rows:
         row["oracle_min"] = oracle_min if oracle_min is not None else ""
         row["agree"] = agree

@@ -71,6 +71,7 @@ SIGMA_FLOOR = 0.05      # minimum centering weight, keeps iterates near-central
 INFEAS_RATIO = 1e-8     # tau/kappa collapse threshold of the embedding
 SLACK_GOAL = 1e-8       # target for ||X S|| / (1 + ||X|| + ||S||) in polish
 POLISH_ITERS = 8        # extra centering steps allowed after convergence
+STOP_GAP = 1e-4         # relative gap below which a caller's stop test is asked
 
 
 def _tolerances() -> dict:
@@ -149,6 +150,7 @@ class IterateRecord:
     primal_obj: float
     dual_obj: float
     embedding_gap: float
+    stop: dict | None = None         # what a caller's stop test reported, if it fired
 
 
 @dataclass
@@ -503,13 +505,17 @@ def _rank_filter(assemble, b: np.ndarray, warnings_out: list[str]):
 # Main solver
 # ---------------------------------------------------------------------------
 
-def solve(prob: SdpProblem) -> SdpSolution:
+def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     """Solve the SDP on the homogeneous self-dual embedding.
 
     Deterministic for identical inputs: fixed initialization
     X = S = I * (1 + max|b| + max|F|), y = 0, tau = kappa = 1, and no
     randomized pivoting anywhere.  Each iteration assembles one Schur matrix
     and factors it in place; iteration 0's factor also decides the rank.
+    ``stop(X_blocks, S_blocks)`` is asked at each iterate (tau divided out)
+    with relative gap <= STOP_GAP, up to the first converged one; the first
+    record it returns (not None) goes on that iterate's ``IterateRecord``,
+    which is returned as OPTIMAL, without the centering polish.
     """
     warnings_out: list[str] = []
     lay = _Layout(prob)
@@ -613,6 +619,10 @@ def solve(prob: SdpProblem) -> SdpSolution:
             rel_primal=rel_p, rel_dual=rel_d, primal_obj=pobj, dual_obj=dobj,
             embedding_gap=XS + tau * kappa,
         ))
+        if stop is not None and best is None and rel_gap <= STOP_GAP:
+            trace[-1].stop = stop(lay.mat(X / tau), lay.mat(S / tau))
+            if trace[-1].stop is not None:
+                return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)
 
         converged_now = (
             rel_p <= FEAS_TOL and rel_d <= FEAS_TOL

@@ -7,7 +7,10 @@ most 2d matches the coefficient of the Gram matrix's polynomial against f,
 lambda is eliminated through the constant coefficient, and the objective
 minimizes the Gram matrix's constant slot.  The solver's primal X is then
 the Gram matrix of ``f - lambda`` (the certificate) and its dual slack S is
-the moment matrix, which yields minimizers when it has rank one.
+the moment matrix, which yields minimizers when it has rank one.  Late
+iterates prove bounds: X projected onto the Gram matrices of f - lambda and
+backed off in its constant slot is PSD (Peyrl-Parrilo, Lofberg), and f at
+S's point is an upper bound, so the solve stops once the two agree.
 
 ``MonomialVector`` owns the map from Gram entries to monomial coefficients:
 it groups the Gram index pairs by product monomial once, and the program
@@ -49,6 +52,7 @@ RANK_TOL = 1e-4           # largest second-to-first eigenvalue ratio of a rank-o
 MOMENT_TOL = 1e-4         # degree-two moment consistency, relative to the point's scale
 EXTRACT_TOL = 1e-5        # f(point) - bound allowed, relative to 1 + |bound|
 CERT_PSD_TOL = 1e-8       # pivot threshold of the certificate's square factor
+STOP_TOL = 1e-8           # f(moment point) - certified bound that stops a solve, relative to |f|
 
 
 class OddDegreeError(ValueError):
@@ -102,6 +106,16 @@ class MonomialVector:
         A = np.asarray(A, dtype=float)
         weights = A[self.rows, self.cols] * np.where(self.rows == self.cols, 1.0, 2.0)
         return np.bincount(self.slots, weights=weights, minlength=len(self.classes))
+
+    def project(self, A: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """The matrix nearest to symmetric A (Frobenius) with coefficients ``target``
+        in every class but the constant's: the classes are disjoint, so class m's
+        entries move by (target_m - c_m) / w_m, c and w the coefficients of A and 1."""
+        shift = (target - self.coefficients(A)) / self.coefficients(np.ones((self.N, self.N)))
+        shift[0] = 0.0
+        D = np.zeros((self.N, self.N))
+        D[self.rows, self.cols] = D[self.cols, self.rows] = shift[self.slots]
+        return np.asarray(A, dtype=float) + D
 
 
 class SosProgram:
@@ -320,6 +334,22 @@ def extract_certificate(A: np.ndarray, lam: float, vec: MonomialVector) -> SosCe
                           cert_tol=cert_tol, target_scale=scale)
 
 
+def _top_moments(moment: np.ndarray, vec: MonomialVector) -> tuple:
+    """A moment matrix's second-to-first eigenvalue ratio, its top eigenvector
+    scaled to a constant coordinate of one, and the point that vector lists
+    (both None when that coordinate vanishes: a point at infinity)."""
+    w, v = np.linalg.eigh(np.asarray(moment, dtype=float))
+    lam1 = float(w[-1])
+    lam2 = float(w[-2]) if len(w) > 1 else 0.0
+    ratio = max(lam2, 0.0) / lam1 if lam1 > 0 else float("inf")
+    u = v[:, -1] * np.sqrt(max(lam1, 0.0))
+    if abs(u[0]) < 1e-8:
+        return ratio, None, None
+    u = u / u[0]
+    return ratio, u, [float(u[vec.index[tuple(int(t == i) for t in range(vec.n))]])
+                      for i in range(vec.n if vec.d else 0)]
+
+
 @dataclass
 class ExtractionResult:
     found: bool
@@ -338,34 +368,20 @@ def extract_minimizer(primal: np.ndarray, vec: MonomialVector, f: Polynomial,
     accepted only if the second eigenvalue ratio, the degree-two moment
     consistency, and the objective-vs-bound gap all pass.
     """
-    w, v = np.linalg.eigh(np.asarray(primal, dtype=float))
-    lam1 = float(w[-1])
-    lam2 = float(w[-2]) if len(w) > 1 else 0.0
-    ratio = max(lam2, 0.0) / lam1 if lam1 > 0 else float("inf")
+    ratio, u, point = _top_moments(primal, vec)
     if ratio > RANK_TOL:
         return ExtractionResult(False, None, None, ratio, "moment matrix not rank one")
-    u = v[:, -1] * np.sqrt(max(lam1, 0.0))
-    if abs(u[0]) < 1e-8:
+    if u is None:
         return ExtractionResult(False, None, None, ratio, "point at infinity")
-    u = u / u[0]
     fl = f.to_float()
     n = vec.n
-    if vec.d < 1:
-        # degree-zero relaxation: every point attains a constant objective
-        return ExtractionResult(True, (0.0,) * n, float(fl.evaluate((0.0,) * n)),
-                                ratio)
-    point = []
-    for i in range(n):
-        mono = tuple(1 if t == i else 0 for t in range(n))
-        point.append(float(u[vec.index[mono]]))
+    if vec.d < 1:       # degree-zero relaxation: every point attains a constant
+        return ExtractionResult(True, (0.0,) * n, float(fl.evaluate((0.0,) * n)), ratio)
     pscale = 1.0 + max(abs(p) for p in point) ** 2 if point else 1.0
     for i in range(n):
         for j in range(i, n):
-            mono = tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(n))
-            k = vec.index.get(mono)
-            if k is None:
-                continue
-            if abs(u[k] - point[i] * point[j]) > MOMENT_TOL * pscale:
+            k = vec.index.get(tuple(int(t == i) + int(t == j) for t in range(n)))
+            if k is not None and abs(u[k] - point[i] * point[j]) > MOMENT_TOL * pscale:
                 return ExtractionResult(False, tuple(point), None, ratio,
                                         "degree-two moments inconsistent")
     upper = float(fl.evaluate(point))
@@ -405,11 +421,11 @@ def sos_lower_bound(f: Polynomial, with_certificate: bool = True) -> SosResult:
     Returns -inf exactly when the shifted-Gram feasibility fails for every
     lambda, which the solver detects as infeasibility of the Gram problem.
     Homogeneous scaling is applied up front and inverted on output.  The
-    solve is repeated once at the bound's own scale, max(1, |lambda|^(1/2d)),
-    if that is 10 % off the first factor and the first pass either revealed a
-    bound far below the coefficient scale, which unscaling would amplify
-    solver tolerance past, or ended with a warning: a bound far above it
-    drives the solve into breakdown.
+    bound is lambda_c of the first iterate whose backed-off Gram matrix
+    proves it (see ``_certified_stop``), else the converged solve's.  A bound
+    below 1e-5 of the coefficient scale, which unscaling would amplify solver
+    tolerance past, is solved again at its own scale, max(1, |lambda|^(1/2d)),
+    if that is 10 % off the first factor.
     """
     return _bound(f, 0, with_certificate)
 
@@ -419,20 +435,49 @@ def _bound(f: Polynomial, k: int, with_certificate: bool) -> SosResult:
     two_d = _even_degree(f)
     alpha = suggested_scaling(f, two_d)
     res = _sos_bound_at_scale(f, k, alpha, two_d, with_certificate)
-    if res.status is SdpStatus.OPTIMAL and two_d > 0:
-        lam_scaled = res.value / alpha**two_d
-        # a tiny bound, or a breakdown: every warning of a Gram solve marks one
-        if 0 < abs(lam_scaled) < 1e-5 or res.solution.warnings:
-            alpha2 = max(1.0, abs(res.value) ** (1.0 / two_d))
-            if abs(alpha2 - alpha) / alpha > 0.1:
-                return _sos_bound_at_scale(f, k, alpha2, two_d, with_certificate)
+    if res.status is SdpStatus.OPTIMAL and two_d > 0 and 0 < abs(res.value / alpha**two_d) < 1e-5:
+        alpha2 = max(1.0, abs(res.value) ** (1.0 / two_d))
+        if abs(alpha2 - alpha) / alpha > 0.1:
+            return _sos_bound_at_scale(f, k, alpha2, two_d, with_certificate)
     return res
+
+
+def _certified_stop(vec: MonomialVector, fs: Polynomial, grams: list):
+    """``sdp.solve``'s stop test for the plain SOS program of f_s over vec:
+    X~, X projected onto the Gram matrices of f_s - lambda, backed off by
+    eps = b^T A^-1 b - X~[0, 0] (A, b: the rest of X~ and its constant column)
+    proves lambda_c = t_1 - X~[0, 0] - eps.  It fires, appending X~ + eps E11
+    to ``grams``, when f_s at S's point is within STOP_TOL |f_s(x)| of it."""
+    t = np.array([fs.terms.get(m, 0.0) for m in vec.classes])
+
+    def stop(X_blocks, S_blocks):
+        G = vec.project(X_blocks[0], t)
+        try:
+            L = np.linalg.cholesky(G[1:, 1:])
+        except np.linalg.LinAlgError:
+            return None
+        z = np.linalg.solve(L, G[1:, 0])
+        # at eps = z^T z - X~[0, 0] exactly X~ + eps E11 is singular: 16 N ulps more
+        eps = max(0.0, float(z @ z) * (1.0 + 16 * len(G) * np.finfo(float).eps) - G[0, 0])
+        lam = float(t[0] - G[0, 0] - eps)
+        x = _top_moments(S_blocks[0], vec)[2]
+        fx = float(fs.evaluate(x)) if x is not None else math.nan
+        if not fx - lam <= STOP_TOL * abs(fx):
+            return None
+        G[0, 0] += eps
+        grams.append(G)
+        return {"lam": lam, "eps": eps, "f_x": fx}
+
+    return stop
 
 
 def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
                         with_certificate: bool) -> SosResult:
-    gs = build_gram_sdp(scale_homogeneous(f.to_float(), alpha, two_d), k)
-    sol = solve(gs.problem)
+    fs = scale_homogeneous(f.to_float(), alpha, two_d)
+    gs = build_gram_sdp(fs, k)
+    grams: list = []            # the Gram matrix of f_s - lambda_c, once a stop fires
+    sol = solve(gs.problem, stop=_certified_stop(gs.vector, fs, grams)
+                if k == 0 and gs.vector.d >= 1 else None)
     tols = {**sol.tolerances, "rank_tol": RANK_TOL, "moment_tol": MOMENT_TOL,
             "extract_tol": EXTRACT_TOL, "alpha": alpha}
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
@@ -440,15 +485,14 @@ def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
                          sol, gs, tols)
     if sol.status is not SdpStatus.OPTIMAL:
         raise SdpFailure(sol.status, f"(SOS bound, multiplier power {k})")
-    lam_s = gs.program.bound(sol)
+    lam_s = sol.trace[-1].stop["lam"] if grams else gs.program.bound(sol)
     lam = lam_s * alpha**two_d
     d = gs.vector.d
     moment = _unscale_moment(sol.S_blocks[0], gs.vector, alpha)
     cert = None
     if with_certificate:
-        shifted_s = gs.optimal_shifted_gram(sol)   # Gram of f_s - lam_s
-        gram_s = shifted_s.copy()
-        gram_s[0, 0] += lam_s
+        gram_s = grams[0] if grams else gs.optimal_shifted_gram(sol)   # of f_s - lam_s
+        gram_s[0, 0] += lam_s                                           # now of f_s
         cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha, d), lam,
                                    gs.vector)
     return SosResult(lam, sol.status, cert, moment, gs.vector, alpha, sol, gs, tols)

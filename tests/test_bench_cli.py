@@ -2,8 +2,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+import polymin.bench
 import polymin.cli
 from polymin.bench import CSV_COLUMNS, BenchmarkPlan, run_benchmark
 from polymin.cli import main
@@ -84,6 +86,22 @@ class TestRunBenchmark:
         assert cell.instances == 4
         assert cell.agreement + cell.disagreement + cell.skipped == 4
         assert cell.agreement == 4
+
+    def test_numpy_bound_counts_as_agreement(self, monkeypatch):
+        # a bound held as a NumPy scalar makes a NumPy bool, which the
+        # accounting's `is True` test would count as skipped
+        minimize = polymin.bench.minimize
+
+        def numpy_bound(f):
+            res = minimize(f)
+            res.bound = np.float64(res.bound)
+            return res
+
+        monkeypatch.setattr(polymin.bench, "minimize", numpy_bound)
+        rep = run_benchmark(BenchmarkPlan(cells=[(2, 4)], instances=2, K_values=[20],
+                                          seed_base=99))
+        assert [r["agree"] for r in rep.rows] == [True] * 4
+        assert rep.cells[0].agreement == 2 and rep.cells[0].skipped == 0
 
     def test_determinism(self):
         plan = BenchmarkPlan(cells=[(2, 4)], instances=3, K_values=[15],

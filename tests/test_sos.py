@@ -31,6 +31,7 @@ from polymin.sos import (
     MonomialVector,
     OddDegreeError,
     SosProgram,
+    _certified_stop,
     build_gram_sdp,
     extract_certificate,
     extract_minimizer,
@@ -536,25 +537,107 @@ class TestBoundAtExtractedPoint:
         assert res.status is SdpStatus.OPTIMAL
         assert res.solution.warnings == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as conftest intends
-    def test_breakdown_is_resolved_at_the_bounds_scale(self):
-        # 4000017 breaks down at the coefficient scale, where its bound is
-        # about 2e5 times that scale; the re-solve at the bound's own scale
-        # ends clean
+    def test_breakdown_instance_stops_certified_in_one_solve(self):
+        # 4000017 broke down at the coefficient scale, where its bound is
+        # about 2e5 times that scale, and was re-solved at the bound's own
+        # scale; an iterate certifies the bound before the breakdown
         f = random_family_instance(FamilyParams(3, 5, 100, seed=4000017))
         res = sos_lower_bound(f)
         assert res.status is SdpStatus.OPTIMAL
         assert res.solution.warnings == []
-        assert res.alpha > suggested_scaling(f)
+        assert res.alpha == suggested_scaling(f)
+        assert res.solution.trace[-1].stop is not None
+
+
+def _stopped_solve(f: Polynomial, asked: list | None = None):
+    """The plain SOS solve of f as sos_lower_bound poses it at the suggested
+    scale, with the certified stop: (f_s, the Gram SDP, the solution, the
+    Grams the stop stored).  ``asked`` collects the iterates' X it was asked at."""
+    two_d = f.degree()
+    fs = scale_homogeneous(f.to_float(), suggested_scaling(f, two_d), two_d)
+    gs, grams = build_gram_sdp(fs), []
+    certify = _certified_stop(gs.vector, fs, grams)
+
+    def stop(X_blocks, S_blocks):
+        if asked is not None:
+            asked.append(X_blocks[0])
+        return certify(X_blocks, S_blocks)
+
+    return fs, gs, polymin.sdp.solve(gs.problem, stop=stop), grams
+
+
+class TestCertifiedStop:
+    """A plain SOS solve ends at the first iterate whose projected,
+    backed-off Gram matrix proves a bound within 1e-8 |f(x)| of f at the
+    moment point; sos_lower_bound reports that bound and that Gram matrix."""
+
+    @pytest.mark.parametrize("n, two_d, seed", [
+        (6, 4, 4000000), (6, 4, 4000002), (3, 8, 4000000), (3, 8, 4000003),
+        (10, 4, 4000002)], ids=["6-4-0", "6-4-2", "3-8-0", "3-8-3", "10-4-2"])
+    def test_stopped_solve_proves_its_bound(self, n, two_d, seed):
+        f = random_family_instance(FamilyParams(n, two_d // 2, 100, seed=seed))
+        fs, gs, sol, grams = _stopped_solve(f)
+        assert sol.status is SdpStatus.OPTIMAL and len(grams) == 1
+        rec = sol.trace[-1]
+        assert rec.iteration == sol.iterations
+        assert all(r.stop is None for r in sol.trace[:-1])
+        assert set(rec.stop) == {"lam", "eps", "f_x"}
+        lam, eps, fx = rec.stop["lam"], rec.stop["eps"], rec.stop["f_x"]
+        assert type(lam) is float and eps > 0
+        assert fx - lam <= 1e-8 * abs(fx)
+        # the stored Gram matrix is PD in floats and matches f_s - lambda_c
+        np.linalg.cholesky(grams[0])
+        want = np.array([fs.terms.get(m, 0.0) for m in gs.vector.classes])
+        want[0] -= lam
+        got = gs.vector.coefficients(grams[0])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # minimize reports lambda_c, which lies below f at the refined minimizer
+        res = minimize(f)
+        assert res.bound == lam * res.alpha**two_d and type(res.bound) is float
+        assert res.refined
+        f_at_point = f.to_fraction().evaluate([Fraction(x) for x in res.extraction.point])
+        assert Fraction(res.bound) <= f_at_point
+
+    @pytest.mark.parametrize("gap", [False, True], ids=["motzkin", "gap-instance"])
+    def test_never_fires_without_a_tight_sos_bound(self, motzkin, gap):
+        # Motzkin has no SOS shift at all; the gap instance's SOS bound lies
+        # more than 1e-3 below its minimum
+        f = parse("x1^8+x2^8", 2) + motzkin * 2700 if gap else motzkin
+        asked = []
+        _, _, sol, grams = _stopped_solve(f, asked)
+        assert grams == [] and all(r.stop is None for r in sol.trace)
+        assert sol.status is (SdpStatus.OPTIMAL if gap else SdpStatus.PRIMAL_INFEASIBLE)
+        assert bool(asked) == gap
+
+    def test_a_stop_that_never_fires_changes_nothing(self):
+        _, gs, _, _ = _stopped_solve(random_family_instance(FamilyParams(6, 2, 100, seed=4000000)))
+        problem, asked = gs.problem, []
+        plain = polymin.sdp.solve(problem)
+        probed = polymin.sdp.solve(problem, stop=lambda X, S: asked.append(X))
+        assert asked and plain.iterations == probed.iterations
+        for a, b in [(plain.X, probed.X), (plain.y, probed.y), (plain.S, probed.S)]:
+            assert np.array_equal(a, b)
+        # asked from the first iterate with relative gap <= 1e-4 to the first
+        # converged one, and never after it
+        gaps = [abs(r.primal_obj - r.dual_obj) / (1 + abs(r.primal_obj) + abs(r.dual_obj))
+                for r in probed.trace]
+        first = next(i for i, g in enumerate(gaps) if g <= 1e-4)
+        assert len(asked) <= len(probed.trace) - first
+
+    def test_bound_not_above_the_oracle_minimum(self):
+        # oracle-crosscheck's (2,8) op 31 at seed 1 (lambda_s = -5.05e-3):
+        # a converged solve's bound lay 7.35e-8 relative above f*
+        f = random_family_instance(FamilyParams(2, 4, 100, seed=3000027))
+        assert minimize(f).bound <= minimize_by_eigenvalues(f).fstar
 
 
 # The robustness gate: K = 100 family instances on which sos_lower_bound must
 # end OPTIMAL with no "reduced accuracy" warning.  Posed at the coefficient
-# scale, about a third of the (3,10) instances below break down in the
-# solver's last iterations (the Schur complement loses definiteness); their
-# scaled bounds are 1e3-2e5 times that scale, and which of them break down
-# moves with the BLAS kernel's rounding.  sos_lower_bound re-solves a
-# breakdown at the bound's own scale, where every case here ends clean.
+# scale, about a third of the (3,10) instances below broke down in the
+# solver's last iterations (the Schur complement loses definiteness) before
+# the certified stop ended their solves; their scaled bounds are 1e3-2e5
+# times that scale, and where a breakdown or a stop comes moves with the BLAS
+# kernel's rounding.  Every case here ends clean in one solve.
 _GATE_CASES = [(cell, seed) for cell in [(3, 8), (4, 6), (3, 10), (6, 4)]
                for seed in (20240001, 20240002, 20240003)] \
     + [((3, 10), seed) for seed in range(4000000, 4000023)]
