@@ -21,8 +21,8 @@ system is formed per Gram index by BLAS products over the constraints'
 classes of positions and factored over itself by ``linalg.spd_cholesky``, a
 blocked Cholesky built of BLAS products that keeps the inverses of its
 diagonal blocks, so each solve with the factor is matrix products too.  At
-the start, where W = I, that matrix is the rows' Gram matrix, and its
-factor also decides which rows are linearly dependent.
+the start every W is a multiple of I, so that matrix, a multiple of the rows'
+Gram matrix, also decides by its factor which rows are linearly dependent.
 
 A problem is one coordinate table (``SdpProblem``), sorted as the solver
 reads it, and one index expression maps it onto the constraint matrix A (one
@@ -71,7 +71,7 @@ SIGMA_FLOOR = 0.05      # minimum centering weight, keeps iterates near-central
 INFEAS_RATIO = 1e-8     # tau/kappa collapse threshold of the embedding
 SLACK_GOAL = 1e-8       # target for ||X S|| / (1 + ||X|| + ||S||) in polish
 POLISH_ITERS = 8        # extra centering steps allowed after convergence
-STOP_GAP = 1e-4         # relative gap below which a caller's stop test is asked
+STOP_GAP = 1e-4         # relative gap and residuals at which a caller's stop is asked
 
 
 def _tolerances() -> dict:
@@ -215,6 +215,12 @@ class _Layout:
         self.slices = [slice(int(a), int(c)) for a, c in zip(starts[:-1], starts[1:])]
         self.size = int(starts[-1])
         self.iu = [np.triu_indices(s) if s > 0 else None for s in prob.blocks]
+        # a PSD block's s x s table of (i, j) -> position in its upper triangle
+        self.unpack = [None if iu is None else np.empty((s, s), dtype=np.intp)
+                       for s, iu in zip(prob.blocks, self.iu)]
+        for t, iu in zip(self.unpack, self.iu):
+            if iu is not None:
+                t[iu] = t[iu[1], iu[0]] = np.arange(len(iu[0]))
         self.weights = np.ones(self.size)
         for sl, iu in zip(self.slices, self.iu):
             if iu is not None:
@@ -244,13 +250,8 @@ class _Layout:
         return out
 
     def mat(self, v: np.ndarray) -> list:
-        parts = []
-        for s, sl, iu in zip(self.prob.blocks, self.slices, self.iu):
-            full = v[sl].copy() if iu is None else np.zeros((s, s))
-            if iu is not None:
-                full[iu] = full[iu[1], iu[0]] = v[sl]
-            parts.append(full)
-        return parts
+        return [v[sl].copy() if t is None else v[sl][t]
+                for sl, t in zip(self.slices, self.unpack)]
 
     def identity(self) -> np.ndarray:
         return self.vec([np.eye(s) if s > 0 else np.ones(-s) for s in self.prob.blocks])
@@ -294,8 +295,11 @@ class _NtFrame:
         self.G = (Us @ (V / rs[:, None])) * q.T
         self.G_inv = (Ut.T @ S_half) / q
         self.W = _sym(self.G @ self.G.T)
-        self.S_inv = _sym((self.G / self.d) @ self.G.T)
         self.H = {"x": self.G_inv / q, "s": self.G.T / q}
+
+    @property
+    def S_inv(self) -> np.ndarray:
+        return _sym((self.G / self.d) @ self.G.T)
 
     def scale(self, U: np.ndarray) -> np.ndarray:
         return _sym(self.W @ U @ self.W)
@@ -461,11 +465,12 @@ def _rank_filter(assemble, b: np.ndarray, warnings_out: list[str]):
     """Drop linearly dependent constraint rows; flag inconsistent duplicates.
 
     ``assemble()`` gives iteration 0's Schur complement, whose scaling W is
-    I up to rounding, so it is the Gram matrix <G_k, G_l> of the rows and
-    its null vectors z are the dependencies sum_k z_k G_k = 0.  Gauss-Jordan
-    elimination on the null space, pivoting on each column's largest entry,
-    gives one dependency per dropped row k with z_k = 1 and zero on the
-    other dropped rows; it is inconsistent when |z.b| > 1e-8 (1 + |b_k|).
+    a multiple of I, so it is a multiple of the rows' Gram matrix <G_k, G_l>
+    (the rank threshold is relative) and its null vectors z are the
+    dependencies sum_k z_k G_k = 0.  Gauss-Jordan elimination on the null
+    space, pivoting on each column's largest entry, gives one dependency per
+    dropped row k with z_k = 1 and zero on the other dropped rows; it is
+    inconsistent when |z.b| > 1e-8 (1 + |b_k|).
     Returns (kept_indices, inconsistent: bool, factor), factor the Gram
     matrix's Cholesky factor when its pivots keep every row, else None.
     """
@@ -509,13 +514,15 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     """Solve the SDP on the homogeneous self-dual embedding.
 
     Deterministic for identical inputs: fixed initialization
-    X = S = I * (1 + max|b| + max|F|), y = 0, tau = kappa = 1, and no
-    randomized pivoting anywhere.  Each iteration assembles one Schur matrix
-    and factors it in place; iteration 0's factor also decides the rank.
+    X = I * (1 + max|b| + max|F|), S = I * max(1 + max|F|, nu) with nu the
+    barrier degree, y = 0, tau = kappa = 1, and no randomized pivoting
+    anywhere.  Each iteration assembles one Schur matrix and factors it in
+    place; iteration 0's factor also decides the rank.
     ``stop(X_blocks, S_blocks)`` is asked at each iterate (tau divided out)
-    with relative gap <= STOP_GAP, up to the first converged one; the first
-    record it returns (not None) goes on that iterate's ``IterateRecord``,
-    which is returned as OPTIMAL, without the centering polish.
+    whose relative gap, primal and dual residuals are all <= STOP_GAP, up to
+    the first converged one; the first record it returns (not None) goes on
+    that iterate's ``IterateRecord``, which is returned as OPTIMAL, without
+    the centering polish.
     """
     warnings_out: list[str] = []
     lay = _Layout(prob)
@@ -548,14 +555,15 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
 
     b, coords = prob.b, lay.A
     for restarted in (False, True):
-        # at X = S = rho I every NT scaling W is I up to rounding, so
-        # iteration 0's Schur matrix is the rows' Gram matrix <G_k, G_l>
+        # X = rho I and S = eta I, eta = max(1 + max|F|, nu) at least the
+        # barrier degree: every NT scaling is then a multiple of I, so
+        # iteration 0's Schur matrix is rho / eta times the rows' Gram matrix
         bmax = float(np.max(np.abs(b), initial=0.0))
         rho = 1.0 + bmax + fmax
         if not np.isfinite(rho):
             warnings_out.append("non-finite problem data")
             return finish(SdpStatus.NUMERICAL_TROUBLE)
-        X, S = lay.identity() * rho, lay.identity() * rho
+        X, S = lay.identity() * rho, lay.identity() * max(1.0 + fmax, nu)
         frames = frames_at(X, S)
         schur = _SchurKernel(lay, len(b), coords)
         if restarted:
@@ -619,7 +627,7 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
             rel_primal=rel_p, rel_dual=rel_d, primal_obj=pobj, dual_obj=dobj,
             embedding_gap=XS + tau * kappa,
         ))
-        if stop is not None and best is None and rel_gap <= STOP_GAP:
+        if stop is not None and best is None and max(rel_gap, rel_p, rel_d) <= STOP_GAP:
             trace[-1].stop = stop(lay.mat(X / tau), lay.mat(S / tau))
             if trace[-1].stop is not None:
                 return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)

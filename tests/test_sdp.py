@@ -145,10 +145,11 @@ class TestSolveBasics:
         assert sol.status is SdpStatus.ITERATION_LIMIT
         assert sol.iterations == 2
         assert sol.X is not None and sol.warnings == []
-        assert sol.primal_obj == pytest.approx(1.6500726169368394, rel=1e-12)
+        assert sol.primal_obj == pytest.approx(1.718513731829152, rel=1e-12)
 
     # iteration 0's Schur matrix, which the rank filter reads, is scaled by
-    # rho = 1 + max|b| + max|F|, so non-finite data must stop the solve first
+    # rho / eta, with rho = 1 + max|b| + max|F| and eta = max(1 + max|F|, nu),
+    # so non-finite data must stop the solve first
     @pytest.mark.parametrize("blocks", [1, 3, [-1]], ids=["psd-1", "psd-3", "lp"])
     @pytest.mark.parametrize("b, f", [(np.nan, 1.0), (1.0, np.inf)], ids=["nan-b", "inf-F"])
     def test_non_finite_data(self, blocks, b, f):
@@ -164,6 +165,27 @@ class TestSolveBasics:
         assert s1.iterations == s2.iterations
         assert np.array_equal(s1.X, s2.X)
         assert s1.primal_obj == s2.primal_obj
+
+
+class TestStartPoint:
+    """The embedding starts at X = rho I, S = eta I and tau = kappa = 1, with
+    rho = 1 + max|b| + max|F|, eta = max(1 + max|F|, nu) and nu = prob.dim
+    the barrier degree, so iteration 0's mu is (rho eta nu + 1) / (nu + 1)."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _family_gram(6, 2),                    # eta = nu
+        lambda: _ball_program(),                       # eta = nu, two PSD blocks
+        lambda: dict_problem([-2], {(0, 0): 5.0, (1, 1): 1.0},
+                             [({(0, 0): 1.0, (1, 1): 1.0}, 1.0)]),   # eta = 1 + max|F|
+    ], ids=["sos-6-4", "ball-2-4", "lp"])
+    def test_first_mu(self, monkeypatch, make):
+        monkeypatch.setattr(sdp, "MAX_ITER", 0)       # return iteration 0
+        prob = make()
+        fmax = float(np.max(np.abs(prob.cost[2])))
+        rho, nu = 1.0 + float(np.max(np.abs(prob.b))) + fmax, prob.dim
+        eta = max(1.0 + fmax, nu)
+        assert solve(prob).trace[0].mu == pytest.approx((rho * eta * nu + 1) / (nu + 1),
+                                                        rel=1e-15)
 
 
 class TestRandomFeasible:
@@ -558,6 +580,15 @@ def _psatz_program():
     return prog.match_coefficients(Polynomial.constant(2, -1.0))
 
 
+def _ball_program():
+    # bounded_minimization's program on the disc of radius 2: the SOS block
+    # s0 and the block of the disc's multiplier
+    system = SemialgebraicSystem(2, inequalities=[parse("4-x1^2-x2^2", 2)])
+    prog, _, _ = _multiplier_program(system, 4)
+    return prog.match_coefficients(parse("x1^4+x2^4-3*x1*x2+x1", 2),
+                                   lam=Polynomial.constant(2, 1.0))
+
+
 def _shared_class_problem():
     # positions (0,1) and (0,2) have equal columns, so Gram row 0 meets
     # their class twice; a second PSD block and a diagonal block ride along
@@ -570,8 +601,8 @@ def _shared_class_problem():
 
 class TestSchurKernel:
     """The class kernel against <G_k, W G_l W> at a random SPD scaling, and
-    at unit scaling, where it is the rows' Gram matrix <G_k, G_l>, which the
-    rank filter reads off iteration 0 (W = I up to rounding)."""
+    at unit scaling, where it is the rows' Gram matrix <G_k, G_l>, a multiple
+    of which the rank filter reads off iteration 0 (W a multiple of I)."""
 
     @pytest.mark.parametrize("make", [
         lambda: _family_gram(2, 4),                    # plain SOS at (2,8)
