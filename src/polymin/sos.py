@@ -346,8 +346,25 @@ def _top_moments(moment: np.ndarray, vec: MonomialVector) -> tuple:
     if abs(u[0]) < 1e-8:
         return ratio, None, None
     u = u / u[0]
-    return ratio, u, [float(u[vec.index[tuple(int(t == i) for t in range(vec.n))]])
-                      for i in range(vec.n if vec.d else 0)]
+    return ratio, u, tuple(float(u[vec.index[tuple(int(t == i) for t in range(vec.n))]])
+                           for i in range(vec.n if vec.d else 0))
+
+
+def _moment_point(moment: np.ndarray, vec: MonomialVector) -> tuple:
+    """``_top_moments``' ratio and point, and why the matrix is not that point's
+    moment matrix ("" if it is): not rank one, at infinity, degree-two moments off."""
+    ratio, u, point = _top_moments(moment, vec)
+    if ratio > RANK_TOL:
+        return ratio, None, "moment matrix not rank one"
+    if u is None:
+        return ratio, None, "point at infinity"
+    pscale = 1.0 + max(abs(p) for p in point) ** 2 if point else 1.0
+    for i in range(vec.n):
+        for j in range(i, vec.n):
+            k = vec.index.get(tuple(int(t == i) + int(t == j) for t in range(vec.n)))
+            if k is not None and abs(u[k] - point[i] * point[j]) > MOMENT_TOL * pscale:
+                return ratio, point, "degree-two moments inconsistent"
+    return ratio, point, ""
 
 
 @dataclass
@@ -361,35 +378,19 @@ class ExtractionResult:
 
 def extract_minimizer(primal: np.ndarray, vec: MonomialVector, f: Polynomial,
                       bound: float) -> ExtractionResult:
-    """Read a candidate global minimizer off a rank-one moment matrix.
-
-    The top eigenvector, normalized so its constant-monomial coordinate is
-    one, lists the monomial values of the candidate point.  The candidate is
-    accepted only if the second eigenvalue ratio, the degree-two moment
-    consistency, and the objective-vs-bound gap all pass.
-    """
-    ratio, u, point = _top_moments(primal, vec)
-    if ratio > RANK_TOL:
-        return ExtractionResult(False, None, None, ratio, "moment matrix not rank one")
-    if u is None:
-        return ExtractionResult(False, None, None, ratio, "point at infinity")
+    """Read a candidate global minimizer off a rank-one moment matrix: the point
+    ``_moment_point`` reads, accepted if f there lies within EXTRACT_TOL
+    (1 + |bound|) of the bound."""
+    ratio, point, reason = _moment_point(primal, vec)
+    if reason:
+        return ExtractionResult(False, point, None, ratio, reason)
     fl = f.to_float()
-    n = vec.n
     if vec.d < 1:       # degree-zero relaxation: every point attains a constant
-        return ExtractionResult(True, (0.0,) * n, float(fl.evaluate((0.0,) * n)), ratio)
-    pscale = 1.0 + max(abs(p) for p in point) ** 2 if point else 1.0
-    for i in range(n):
-        for j in range(i, n):
-            k = vec.index.get(tuple(int(t == i) + int(t == j) for t in range(n)))
-            if k is not None and abs(u[k] - point[i] * point[j]) > MOMENT_TOL * pscale:
-                return ExtractionResult(False, tuple(point), None, ratio,
-                                        "degree-two moments inconsistent")
+        return ExtractionResult(True, (0.0,) * vec.n, float(fl.evaluate((0.0,) * vec.n)), ratio)
     upper = float(fl.evaluate(point))
-    gap = upper - bound
-    if gap > EXTRACT_TOL * (1.0 + abs(bound)):
-        return ExtractionResult(False, tuple(point), upper, ratio,
-                                "objective exceeds the bound")
-    return ExtractionResult(True, tuple(point), upper, ratio)
+    if upper - bound > EXTRACT_TOL * (1.0 + abs(bound)):
+        return ExtractionResult(False, point, upper, ratio, "objective exceeds the bound")
+    return ExtractionResult(True, point, upper, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +408,6 @@ class SosResult:
     vector: MonomialVector | None
     alpha: float
     solution: SdpSolution | None = None
-    gram_sdp: GramSdp | None = None
     tolerances: dict = field(default_factory=dict)
 
     @property
@@ -442,12 +442,13 @@ def _bound(f: Polynomial, k: int, with_certificate: bool) -> SosResult:
     return res
 
 
-def _certified_stop(vec: MonomialVector, fs: Polynomial, grams: list):
-    """``sdp.solve``'s stop test for the plain SOS program of f_s over vec:
-    X~, X projected onto the Gram matrices of f_s - lambda, backed off by
-    eps = b^T A^-1 b - X~[0, 0] (A, b: the rest of X~ and its constant column)
-    proves lambda_c = t_1 - X~[0, 0] - eps.  It fires, appending X~ + eps E11
-    to ``grams``, when f_s at S's point is within STOP_TOL |f_s(x)| of it."""
+def _certified_stop(vec: MonomialVector, fs: Polynomial, alpha: float):
+    """``sdp.solve``'s stop test for the plain SOS program over vec of f_s, f
+    at scale alpha: X~, X projected onto the Gram matrices of f_s - lambda,
+    backed off by eps = b^T A^-1 b - X~[0, 0] (A, b: the rest of X~ and its
+    constant column) proves lambda_c = t_1 - X~[0, 0] - eps.  It fires when f_s
+    at S's point is within STOP_TOL |f_s(x)| of it and S, unscaled, lists a
+    moment point as extraction reads it; the record holds X~ + eps E11 as "gram"."""
     t = np.array([fs.terms.get(m, 0.0) for m in vec.classes])
 
     def stop(X_blocks, S_blocks):
@@ -462,11 +463,11 @@ def _certified_stop(vec: MonomialVector, fs: Polynomial, grams: list):
         lam = float(t[0] - G[0, 0] - eps)
         x = _top_moments(S_blocks[0], vec)[2]
         fx = float(fs.evaluate(x)) if x is not None else math.nan
-        if not fx - lam <= STOP_TOL * abs(fx):
+        if (not fx - lam <= STOP_TOL * abs(fx)
+                or _moment_point(_unscale_moment(S_blocks[0], vec, alpha), vec)[2]):
             return None
         G[0, 0] += eps
-        grams.append(G)
-        return {"lam": lam, "eps": eps, "f_x": fx}
+        return {"lam": lam, "eps": eps, "f_x": fx, "gram": G}
 
     return stop
 
@@ -475,27 +476,24 @@ def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
                         with_certificate: bool) -> SosResult:
     fs = scale_homogeneous(f.to_float(), alpha, two_d)
     gs = build_gram_sdp(fs, k)
-    grams: list = []            # the Gram matrix of f_s - lambda_c, once a stop fires
-    sol = solve(gs.problem, stop=_certified_stop(gs.vector, fs, grams)
+    sol = solve(gs.problem, stop=_certified_stop(gs.vector, fs, alpha)
                 if k == 0 and gs.vector.d >= 1 else None)
     tols = {**sol.tolerances, "rank_tol": RANK_TOL, "moment_tol": MOMENT_TOL,
             "extract_tol": EXTRACT_TOL, "alpha": alpha}
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
-        return SosResult(MINUS_INFINITY, sol.status, None, None, gs.vector, alpha,
-                         sol, gs, tols)
+        return SosResult(MINUS_INFINITY, sol.status, None, None, gs.vector, alpha, sol, tols)
     if sol.status is not SdpStatus.OPTIMAL:
         raise SdpFailure(sol.status, f"(SOS bound, multiplier power {k})")
-    lam_s = sol.trace[-1].stop["lam"] if grams else gs.program.bound(sol)
+    stopped = sol.trace[-1].stop            # the certified stop's record, if it fired
+    lam_s = stopped["lam"] if stopped else gs.program.bound(sol)
     lam = lam_s * alpha**two_d
-    d = gs.vector.d
     moment = _unscale_moment(sol.S_blocks[0], gs.vector, alpha)
     cert = None
     if with_certificate:
-        gram_s = grams[0] if grams else gs.optimal_shifted_gram(sol)   # of f_s - lam_s
-        gram_s[0, 0] += lam_s                                           # now of f_s
-        cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha, d), lam,
-                                   gs.vector)
-    return SosResult(lam, sol.status, cert, moment, gs.vector, alpha, sol, gs, tols)
+        gram_s = stopped["gram"].copy() if stopped else gs.optimal_shifted_gram(sol)
+        gram_s[0, 0] += lam_s                   # was of f_s - lam_s, now of f_s
+        cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha), lam, gs.vector)
+    return SosResult(lam, sol.status, cert, moment, gs.vector, alpha, sol, tols)
 
 
 def _unscale_moment(X: np.ndarray, vec: MonomialVector, alpha: float) -> np.ndarray:
@@ -503,8 +501,8 @@ def _unscale_moment(X: np.ndarray, vec: MonomialVector, alpha: float) -> np.ndar
     return X * np.outer(d, d)
 
 
-def _unscale_gram(A: np.ndarray, vec: MonomialVector, alpha: float, d: int) -> np.ndarray:
-    s = np.array([alpha ** (d - sum(m)) for m in vec.entries])
+def _unscale_gram(A: np.ndarray, vec: MonomialVector, alpha: float) -> np.ndarray:
+    s = np.array([alpha ** (vec.d - sum(m)) for m in vec.entries])
     return A * np.outer(s, s)
 
 
@@ -563,17 +561,17 @@ def minimize(f: Polynomial, *, extract: bool = True) -> MinimizeResult:
     """SOS bound plus minimizer extraction with a degenerate-face fallback.
 
     When several global minimizers exist the moment matrix converges to a
-    mixture over all of them and the rank-one test fails; a deterministic
-    tiny linear perturbation of the objective then isolates one vertex of
-    the optimal face, and the candidate is still validated against the
-    unperturbed bound.  A Newton polish tightens accepted points.
+    mixture over all of them and the rank-one test fails; the bound's pipeline
+    then solves f plus a tiny generic linear form at the same scale, isolating
+    one vertex of the optimal face, and the candidate is still validated
+    against the unperturbed bound.  A Newton polish tightens accepted points.
     """
     res = sos_lower_bound(f)
     extraction = None
     refined = False
     if extract and not res.is_minus_infinity:
         extraction = extract_minimizer(res.moment_matrix, res.vector, f, res.value)
-        if not extraction.found and extraction.reason == "moment matrix not rank one":
+        if extraction.rank_ratio > RANK_TOL:
             perturbed = _perturbed_moment(f, res)
             if perturbed is not None:
                 candidate = extract_minimizer(perturbed, res.vector, f, res.value)
@@ -594,21 +592,16 @@ def minimize(f: Polynomial, *, extract: bool = True) -> MinimizeResult:
 
 
 def _perturbed_moment(f: Polynomial, res: SosResult) -> np.ndarray | None:
-    """Moment matrix of the SOS bound of f + eps * l, l a generic linear form,
-    posed by matching the perturbed coefficients on the program res solved."""
-    vec = res.vector
-    two_d = 2 * vec.d
-    lam_s = res.value / res.alpha**two_d
-    eps = 1e-4 * (1.0 + abs(lam_s))
-    n = vec.n
-    fs = scale_homogeneous(f.to_float(), res.alpha, two_d)
-    for i in range(n):
-        fs = fs + Polynomial.variable(n, i) * (eps * (i + 1) / n)
-    problem = res.gram_sdp.program.match_coefficients(fs, lam=Polynomial.constant(n, 1.0))
-    sol = solve(problem)
-    if sol.status is not SdpStatus.OPTIMAL:
+    """Moment matrix of the bound of f + sum_i delta (i+1)/n x_i by the bound's
+    pipeline at res's scale alpha (None if it fails or finds no bound), delta =
+    eps_s alpha^(2d-1): f_s gains eps_s (i+1)/n x_i, eps_s = 1e-4 (1 + |lambda_s|)."""
+    n, two_d = res.vector.n, 2 * res.vector.d
+    delta = 1e-4 * (1.0 + abs(res.value / res.alpha**two_d)) * res.alpha ** (two_d - 1)
+    g = sum((Polynomial.variable(n, i) * (delta * (i + 1) / n) for i in range(n)), f.to_float())
+    try:
+        return _sos_bound_at_scale(g, 0, res.alpha, two_d, False).moment_matrix
+    except SdpFailure:
         return None
-    return _unscale_moment(sol.S_blocks[0], vec, res.alpha)
 
 
 # ---------------------------------------------------------------------------
