@@ -7,10 +7,12 @@ most 2d matches the coefficient of the Gram matrix's polynomial against f,
 lambda is eliminated through the constant coefficient, and the objective
 minimizes the Gram matrix's constant slot.  The solver's primal X is then
 the Gram matrix of ``f - lambda`` (the certificate) and its dual slack S is
-the moment matrix, which yields minimizers when it has rank one.  Late
-iterates prove bounds: X projected onto the Gram matrices of f - lambda and
-backed off in its constant slot is PSD (Peyrl-Parrilo, Lofberg), and f at
-S's point is an upper bound, so the solve stops once the two agree.
+the moment matrix, whose top eigenvector lists a candidate minimizer: once
+polished by Newton steps, it is a global minimizer if f there meets the
+bound.  Late iterates prove bounds: X projected onto the Gram matrices of
+f - lambda and backed off in its constant slot is PSD (Peyrl-Parrilo,
+Lofberg), and f at S's point is an upper bound, so the solve stops once the
+two agree.
 
 ``MonomialVector`` owns the map from Gram entries to monomial coefficients:
 it groups the Gram index pairs by product monomial once, and the program
@@ -46,10 +48,9 @@ from .sdp import SdpFailure, SdpProblem, SdpSolution, SdpStatus, solve
 
 MINUS_INFINITY = float("-inf")
 
-# Extraction and certificate settings; results report the first three in
+# Extraction and certificate settings; results report the first two in
 # their ``tolerances``.
-RANK_TOL = 1e-4           # largest second-to-first eigenvalue ratio of a rank-one moment
-MOMENT_TOL = 1e-4         # degree-two moment consistency, relative to the point's scale
+RANK_TOL = 1e-4           # second-to-first eigenvalue ratio past which a rejected point re-solves
 EXTRACT_TOL = 1e-5        # f(point) - bound allowed, relative to 1 + |bound|
 CERT_PSD_TOL = 1e-8       # pivot threshold of the certificate's square factor
 STOP_TOL = 1e-8           # f(moment point) - certified bound that stops a solve, relative to |f|
@@ -335,36 +336,18 @@ def extract_certificate(A: np.ndarray, lam: float, vec: MonomialVector) -> SosCe
 
 
 def _top_moments(moment: np.ndarray, vec: MonomialVector) -> tuple:
-    """A moment matrix's second-to-first eigenvalue ratio, its top eigenvector
-    scaled to a constant coordinate of one, and the point that vector lists
-    (both None when that coordinate vanishes: a point at infinity)."""
+    """A moment matrix's second-to-first eigenvalue ratio and the point its top
+    eigenvector lists, scaled to a constant coordinate of one (None when that
+    coordinate vanishes: a point at infinity)."""
     w, v = np.linalg.eigh(np.asarray(moment, dtype=float))
     lam1 = float(w[-1])
     lam2 = float(w[-2]) if len(w) > 1 else 0.0
     ratio = max(lam2, 0.0) / lam1 if lam1 > 0 else float("inf")
     u = v[:, -1] * np.sqrt(max(lam1, 0.0))
     if abs(u[0]) < 1e-8:
-        return ratio, None, None
-    u = u / u[0]
-    return ratio, u, tuple(float(u[vec.index[tuple(int(t == i) for t in range(vec.n))]])
-                           for i in range(vec.n if vec.d else 0))
-
-
-def _moment_point(moment: np.ndarray, vec: MonomialVector) -> tuple:
-    """``_top_moments``' ratio and point, and why the matrix is not that point's
-    moment matrix ("" if it is): not rank one, at infinity, degree-two moments off."""
-    ratio, u, point = _top_moments(moment, vec)
-    if ratio > RANK_TOL:
-        return ratio, None, "moment matrix not rank one"
-    if u is None:
-        return ratio, None, "point at infinity"
-    pscale = 1.0 + max(abs(p) for p in point) ** 2 if point else 1.0
-    for i in range(vec.n):
-        for j in range(i, vec.n):
-            k = vec.index.get(tuple(int(t == i) + int(t == j) for t in range(vec.n)))
-            if k is not None and abs(u[k] - point[i] * point[j]) > MOMENT_TOL * pscale:
-                return ratio, point, "degree-two moments inconsistent"
-    return ratio, point, ""
+        return ratio, None
+    return ratio, tuple(float(u[vec.index[tuple(int(t == i) for t in range(vec.n))]] / u[0])
+                        if vec.d else 0.0 for i in range(vec.n))
 
 
 @dataclass
@@ -378,19 +361,17 @@ class ExtractionResult:
 
 def extract_minimizer(primal: np.ndarray, vec: MonomialVector, f: Polynomial,
                       bound: float) -> ExtractionResult:
-    """Read a candidate global minimizer off a rank-one moment matrix: the point
-    ``_moment_point`` reads, accepted if f there lies within EXTRACT_TOL
-    (1 + |bound|) of the bound."""
-    ratio, point, reason = _moment_point(primal, vec)
-    if reason:
-        return ExtractionResult(False, point, None, ratio, reason)
-    fl = f.to_float()
-    if vec.d < 1:       # degree-zero relaxation: every point attains a constant
-        return ExtractionResult(True, (0.0,) * vec.n, float(fl.evaluate((0.0,) * vec.n)), ratio)
-    upper = float(fl.evaluate(point))
-    if upper - bound > EXTRACT_TOL * (1.0 + abs(bound)):
-        return ExtractionResult(False, point, upper, ratio, "objective exceeds the bound")
-    return ExtractionResult(True, point, upper, ratio)
+    """Read a candidate global minimizer off a moment matrix: ``_top_moments``'
+    point, polished by ``local_refine``, accepted if f there lies within
+    EXTRACT_TOL (1 + |bound|) of the bound.  A point where f meets a lower bound
+    is a global minimizer whatever the matrix's rank, so that is the only test."""
+    ratio, point = _top_moments(primal, vec)
+    if point is None:
+        return ExtractionResult(False, None, None, ratio, "point at infinity")
+    r = local_refine(f, point)
+    if r.value - bound > EXTRACT_TOL * (1.0 + abs(bound)):
+        return ExtractionResult(False, r.point, r.value, ratio, "objective exceeds the bound")
+    return ExtractionResult(True, r.point, r.value, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +423,12 @@ def _bound(f: Polynomial, k: int, with_certificate: bool) -> SosResult:
     return res
 
 
-def _certified_stop(vec: MonomialVector, fs: Polynomial, alpha: float):
-    """``sdp.solve``'s stop test for the plain SOS program over vec of f_s, f
-    at scale alpha: X~, X projected onto the Gram matrices of f_s - lambda,
-    backed off by eps = b^T A^-1 b - X~[0, 0] (A, b: the rest of X~ and its
-    constant column) proves lambda_c = t_1 - X~[0, 0] - eps.  It fires when f_s
-    at S's point is within STOP_TOL |f_s(x)| of it and S, unscaled, lists a
-    moment point as extraction reads it; the record holds X~ + eps E11 as "gram"."""
+def _certified_stop(vec: MonomialVector, fs: Polynomial):
+    """``sdp.solve``'s stop test for the plain SOS program over vec of f_s:
+    X~, X projected onto the Gram matrices of f_s - lambda, backed off by
+    eps = b^T A^-1 b - X~[0, 0] (A, b: the rest of X~ and its constant column)
+    proves lambda_c = t_1 - X~[0, 0] - eps.  It fires when f_s at S's point is
+    within STOP_TOL |f_s(x)| of it; the record holds X~ + eps E11 as "gram"."""
     t = np.array([fs.terms.get(m, 0.0) for m in vec.classes])
 
     def stop(X_blocks, S_blocks):
@@ -461,10 +441,9 @@ def _certified_stop(vec: MonomialVector, fs: Polynomial, alpha: float):
         # at eps = z^T z - X~[0, 0] exactly X~ + eps E11 is singular: 16 N ulps more
         eps = max(0.0, float(z @ z) * (1.0 + 16 * len(G) * np.finfo(float).eps) - G[0, 0])
         lam = float(t[0] - G[0, 0] - eps)
-        x = _top_moments(S_blocks[0], vec)[2]
+        x = _top_moments(S_blocks[0], vec)[1]
         fx = float(fs.evaluate(x)) if x is not None else math.nan
-        if (not fx - lam <= STOP_TOL * abs(fx)
-                or _moment_point(_unscale_moment(S_blocks[0], vec, alpha), vec)[2]):
+        if not fx - lam <= STOP_TOL * abs(fx):
             return None
         G[0, 0] += eps
         return {"lam": lam, "eps": eps, "f_x": fx, "gram": G}
@@ -476,10 +455,10 @@ def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
                         with_certificate: bool) -> SosResult:
     fs = scale_homogeneous(f.to_float(), alpha, two_d)
     gs = build_gram_sdp(fs, k)
-    sol = solve(gs.problem, stop=_certified_stop(gs.vector, fs, alpha)
+    sol = solve(gs.problem, stop=_certified_stop(gs.vector, fs)
                 if k == 0 and gs.vector.d >= 1 else None)
-    tols = {**sol.tolerances, "rank_tol": RANK_TOL, "moment_tol": MOMENT_TOL,
-            "extract_tol": EXTRACT_TOL, "alpha": alpha}
+    tols = {**sol.tolerances, "rank_tol": RANK_TOL, "extract_tol": EXTRACT_TOL,
+            "alpha": alpha}
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return SosResult(MINUS_INFINITY, sol.status, None, None, gs.vector, alpha, sol, tols)
     if sol.status is not SdpStatus.OPTIMAL:
@@ -487,18 +466,14 @@ def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
     stopped = sol.trace[-1].stop            # the certified stop's record, if it fired
     lam_s = stopped["lam"] if stopped else gs.program.bound(sol)
     lam = lam_s * alpha**two_d
-    moment = _unscale_moment(sol.S_blocks[0], gs.vector, alpha)
+    d = np.array([alpha ** sum(m) for m in gs.vector.entries])
+    moment = sol.S_blocks[0] * np.outer(d, d)
     cert = None
     if with_certificate:
         gram_s = stopped["gram"].copy() if stopped else gs.optimal_shifted_gram(sol)
         gram_s[0, 0] += lam_s                   # was of f_s - lam_s, now of f_s
         cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha), lam, gs.vector)
     return SosResult(lam, sol.status, cert, moment, gs.vector, alpha, sol, tols)
-
-
-def _unscale_moment(X: np.ndarray, vec: MonomialVector, alpha: float) -> np.ndarray:
-    d = np.array([alpha ** sum(m) for m in vec.entries])
-    return X * np.outer(d, d)
 
 
 def _unscale_gram(A: np.ndarray, vec: MonomialVector, alpha: float) -> np.ndarray:
@@ -529,7 +504,6 @@ class MinimizeResult:
     status: SdpStatus
     certificate: SosCertificate | None
     extraction: ExtractionResult | None
-    refined: bool
     tolerances: dict
     alpha: float
 
@@ -561,34 +535,25 @@ def minimize(f: Polynomial, *, extract: bool = True) -> MinimizeResult:
     """SOS bound plus minimizer extraction with a degenerate-face fallback.
 
     When several global minimizers exist the moment matrix converges to a
-    mixture over all of them and the rank-one test fails; the bound's pipeline
-    then solves f plus a tiny generic linear form at the same scale, isolating
-    one vertex of the optimal face, and the candidate is still validated
-    against the unperturbed bound.  A Newton polish tightens accepted points.
+    mixture over all of them, and its point, polished, may miss the bound.
+    If that matrix is not rank one, the bound's pipeline then solves f plus a
+    tiny generic linear form at the same scale, isolating one vertex of the
+    optimal face, and that candidate is tested against the unperturbed bound.
+    Every accepted point has been polished.
     """
     res = sos_lower_bound(f)
     extraction = None
-    refined = False
     if extract and not res.is_minus_infinity:
         extraction = extract_minimizer(res.moment_matrix, res.vector, f, res.value)
-        if extraction.rank_ratio > RANK_TOL:
+        if not extraction.found and extraction.rank_ratio > RANK_TOL:
             perturbed = _perturbed_moment(f, res)
             if perturbed is not None:
                 candidate = extract_minimizer(perturbed, res.vector, f, res.value)
                 if candidate.found:
                     extraction = candidate
-        if extraction.found:
-            r = local_refine(f, extraction.point)
-            if r.converged and r.value <= extraction.upper_bound + 1e-12 * (
-                1.0 + abs(extraction.upper_bound)
-            ):
-                extraction = ExtractionResult(True, r.point, r.value,
-                                              extraction.rank_ratio)
-                refined = True
     return MinimizeResult(bound=res.value, status=res.status,
                           certificate=res.certificate, extraction=extraction,
-                          refined=refined, tolerances=res.tolerances,
-                          alpha=res.alpha)
+                          tolerances=res.tolerances, alpha=res.alpha)
 
 
 def _perturbed_moment(f: Polynomial, res: SosResult) -> np.ndarray | None:

@@ -279,6 +279,17 @@ class TestInfeasibility:
         prob = dict_problem(2, -np.eye(2), [({(0, 1): 0.5}, 0.0)])
         assert solve(prob).status is SdpStatus.DUAL_INFEASIBLE
 
+    def test_weakly_unbounded_sdp_has_no_ray(self):
+        # min -X12 with X11 = 1: X12 = t, X22 = t^2 drives the objective down,
+        # but a ray of the PSD cone with D11 = 0 has D12 = 0, so tau and kappa
+        # vanish together with no Farkas ray; the diverging objective alone
+        # names the status
+        prob = SdpProblem(2, ([0], [1], [-0.5]), ([0], [0], [0], [1.0]), [1.0])
+        res = solve(prob)
+        assert res.status is SdpStatus.DUAL_INFEASIBLE
+        assert res.warnings == ["unboundedness inferred from objective divergence (no ray)"]
+        assert res.certificate is None
+
 
 class TestRankFilter:
     def test_dependent_consistent_rows(self):

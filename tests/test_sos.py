@@ -348,8 +348,8 @@ class TestExtractMinimizer:
         res = minimize(symmetric_quartic)
         assert res.alpha == 4.0
         assert {k: res.tolerances[k] for k in
-                ("rank_tol", "moment_tol", "extract_tol", "alpha")} == {
-            "rank_tol": 1e-4, "moment_tol": 1e-4, "extract_tol": 1e-5, "alpha": 4.0}
+                ("rank_tol", "extract_tol", "alpha")} == {
+            "rank_tol": 1e-4, "extract_tol": 1e-5, "alpha": 4.0}
         assert res.tolerances["feas_tol"] == 1e-8
 
     def test_gap_instance_detected(self, motzkin):
@@ -385,11 +385,12 @@ class TestExtractMinimizer:
 
 class TestExtractMinimizerRejections:
     # rank-one moment matrices u u^T built by hand over the monomials of
-    # degree <= 2 in two variables
+    # degree <= 2; extraction polishes the point they list before it tests f
+    # there against the bound
 
     @staticmethod
-    def moments(values: dict) -> tuple:
-        vec = MonomialVector.build(2, 2)
+    def moments(values: dict, n: int = 2) -> tuple:
+        vec = MonomialVector.build(n, 2)
         u = np.zeros(vec.N)
         for mono, value in values.items():
             u[vec.index[mono]] = value
@@ -401,11 +402,22 @@ class TestExtractMinimizerRejections:
                 (1, 1): x1 * x2, (0, 2): x2 * x2}
 
     def test_accepts_consistent_point_at_its_value(self):
-        f = parse("x1^2+x2^2", 2)
+        # (1, 2) is the minimizer of f, where f = 0: the polish stays there
+        f = parse("x1^2-2*x1+1+x2^2-4*x2+4", 2)
         primal, vec = self.moments(self.point_moments(1.0, 2.0))
-        ext = extract_minimizer(primal, vec, f, 5.0)
+        ext = extract_minimizer(primal, vec, f, 0.0)
         assert ext.found and ext.reason == ""
         assert ext.point == pytest.approx((1.0, 2.0), abs=1e-12)
+        assert 0.0 <= ext.upper_bound <= 1e-20
+
+    def test_polish_carries_a_near_point_to_the_bound(self):
+        # f = 1e-4 at (1e-2, 0), ten times EXTRACT_TOL past the bound 0; the
+        # polish reaches the minimizer (0, 0), where f meets the bound
+        primal, vec = self.moments(self.point_moments(1e-2, 0.0))
+        ext = extract_minimizer(primal, vec, parse("x1^2+x2^2", 2), 0.0)
+        assert ext.found and ext.reason == ""
+        assert ext.point == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert ext.upper_bound <= 1e-20
 
     def test_point_at_infinity(self):
         # all mass on x1^2: the constant moment is zero
@@ -414,23 +426,20 @@ class TestExtractMinimizerRejections:
         assert not ext.found and ext.reason == "point at infinity"
         assert ext.point is None and ext.rank_ratio <= 1e-12
 
-    def test_degree_two_moments_inconsistent(self):
-        # the x1^2 moment is 5, not x1 * x1 = 1
-        values = self.point_moments(1.0, 2.0)
-        values[(2, 0)] = 5.0
-        primal, vec = self.moments(values)
-        ext = extract_minimizer(primal, vec, parse("x1^2+x2^2", 2), 5.0)
-        assert not ext.found and ext.reason == "degree-two moments inconsistent"
-        assert ext.point == pytest.approx((1.0, 2.0), abs=1e-12)
-        assert ext.upper_bound is None
-
     def test_objective_exceeds_the_bound(self):
-        # consistent moments of (1, 2), where f = 5, against the bound 0
-        primal, vec = self.moments(self.point_moments(1.0, 2.0))
-        ext = extract_minimizer(primal, vec, parse("x1^2+x2^2", 2), 0.0)
+        # the moments of x = 1 on a tilted double well: the polish descends
+        # into the shallow well's local minimum near 0.9601, which lies above
+        # the bound set by the deep well near -1.04
+        f = parse("x1^4-2*x1^2+1+0.3*x1", 1)
+        bound = minimize(f).bound
+        primal, vec = self.moments({(0,): 1.0, (1,): 1.0, (2,): 1.0}, n=1)
+        ext = extract_minimizer(primal, vec, f, bound)
         assert not ext.found and ext.reason == "objective exceeds the bound"
-        assert ext.point == pytest.approx((1.0, 2.0), abs=1e-12)
-        assert ext.upper_bound == pytest.approx(5.0, rel=1e-12)
+        x = ext.point[0]
+        assert x == pytest.approx(0.9601, abs=1e-4)
+        assert abs(4 * x**3 - 4 * x + 0.3) <= 1e-10
+        assert ext.upper_bound == pytest.approx(f.to_float().evaluate((x,)), rel=1e-12)
+        assert ext.upper_bound - bound > 0.5
 
 
 class TestHigherDegreeBound:
@@ -559,7 +568,7 @@ def _stopped_solve(f: Polynomial, asked: list | None = None):
     alpha = suggested_scaling(f, two_d)
     fs = scale_homogeneous(f.to_float(), alpha, two_d)
     gs = build_gram_sdp(fs)
-    certify = _certified_stop(gs.vector, fs, alpha)
+    certify = _certified_stop(gs.vector, fs)
 
     def stop(X_blocks, S_blocks):
         if asked is not None:
@@ -598,7 +607,7 @@ class TestCertifiedStop:
         # minimize reports lambda_c, which lies below f at the refined minimizer
         res = minimize(f)
         assert res.bound == lam * res.alpha**two_d and type(res.bound) is float
-        assert res.refined
+        assert res.extraction.found
         f_at_point = f.to_fraction().evaluate([Fraction(x) for x in res.extraction.point])
         assert Fraction(res.bound) <= f_at_point
 
@@ -635,21 +644,24 @@ class TestCertifiedStop:
         assert minimize(f).bound <= minimize_by_eigenvalues(f).fstar
 
 
-def _symmetrized(f: Polynomial) -> Polynomial:
+def _symmetrized(f: Polynomial, summed: bool = False) -> Polynomial:
     """The mean of f over the coordinate permutations, as the benchmark builds
-    its tied instances: the global minimizers come in permutation orbits."""
+    its tied instances (their sum with ``summed``): the global minimizers come
+    in permutation orbits."""
     perms = list(itertools.permutations(range(f.n)))
+    weight = Fraction(1 if summed else len(perms))
     terms: dict = {}
     for perm in perms:
         for m, c in f.terms.items():
             key = tuple(m[p] for p in perm)
-            terms[key] = terms.get(key, 0) + Fraction(c, len(perms))
+            terms[key] = terms.get(key, 0) + Fraction(c) / weight
     return Polynomial(f.n, terms)
 
 
 class TestTieBreakingSolve:
-    """When the moment matrix is not rank one, minimize solves f plus a tiny
-    linear form through the bound's own pipeline, certified stop included."""
+    """When the moment matrix is not rank one and its polished point misses the
+    bound, minimize solves f plus a tiny linear form through the bound's own
+    pipeline, certified stop included."""
 
     def test_every_solve_gets_the_certified_stop(self, monkeypatch):
         stops, solve = [], polymin.sdp.solve
@@ -666,21 +678,26 @@ class TestTieBreakingSolve:
 
     # (3,6) 4300001, 4300007 and 4300011 lost their point when the re-solve
     # ended at a certified iterate whose moment matrix was not yet a moment
-    # point (the ratio 1.8e-4 to 3e-4, or degree-two moments off)
-    @pytest.mark.parametrize("two_d, seed", [
-        (4, 4300000), (4, 4300002), (4, 4300014), (6, 4300001), (6, 4300007), (6, 4300011)])
-    def test_tied_instance_yields_a_point(self, two_d, seed):
-        f = _symmetrized(random_family_instance(FamilyParams(3, two_d // 2, 100, seed=seed)))
+    # point (the ratio 1.8e-4 to 3e-4).  The sum over the permutations is the
+    # mean at a six times larger scale, which must not cost the point
+    @pytest.mark.parametrize("two_d, seed, summed", [
+        pytest.param(two_d, seed, summed, id=f"{two_d}-{seed}" + ("-summed" if summed else ""))
+        for summed in (False, True) for two_d, seed in [
+            (4, 4300000), (4, 4300002), (4, 4300014), (6, 4300001), (6, 4300007), (6, 4300011)]])
+    def test_tied_instance_yields_a_point(self, two_d, seed, summed):
+        f = _symmetrized(random_family_instance(FamilyParams(3, two_d // 2, 100, seed=seed)),
+                         summed)
         first = sos_lower_bound(f)
         assert extract_minimizer(first.moment_matrix, first.vector, f,
                                  first.value).rank_ratio > 1e-4
         res = minimize(f)
         assert res.extraction.found
         f_at_point = f.to_fraction().evaluate([Fraction(x) for x in res.extraction.point])
-        # no certified stop ends a solve whose moment matrix lists no point, so
-        # the bound is the converged objective, within the solver's 1e-8
-        # relative gap of the SOS value: the (3,6) bounds here lie 0.6e-9 to
-        # 1.6e-9 relative above f at the point
+        # the first moment matrix mixes the orbit, f at its point misses the
+        # bound and the certified stop never fires, so the bound is the
+        # converged objective, within the solver's 1e-8 relative gap of the SOS
+        # value: the averaged (3,6) bounds here lie 0.6e-9 to 1.6e-9 relative
+        # above f at the point
         assert Fraction(res.bound) <= f_at_point + Fraction(1e-8) * (1 + abs(f_at_point))
 
     def test_bound_leaves_the_proved_gram_on_the_record(self):
