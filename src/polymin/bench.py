@@ -173,23 +173,16 @@ def _run_instance(n: int, two_d: int, K: int, seed: int, methods, mu_cap: int) -
 
 def run_benchmark(plan: BenchmarkPlan) -> BenchmarkReport:
     """Execute the plan; per-instance failures are recorded, never raised."""
-    rows = [r for ci, (n, two_d) in enumerate(plan.cells)
-            for ki, K in enumerate(plan.K_values)
-            for inst in range(plan.instances)
-            for r in _run_instance(n, two_d, K, plan.instance_seed(ci, ki, inst),
-                                   plan.methods, plan.mu_cap)]
-
-    cells = []
+    rows, cells = [], []
     for ci, (n, two_d) in enumerate(plan.cells):
         for ki, K in enumerate(plan.K_values):
-            sub = [r for r in rows if r["n"] == n and r["two_d"] == two_d
-                   and r["K"] == K]
             agreement = disagreement = skipped = extract_ok = 0
             failures = []
             per_method: dict = {m: [] for m in plan.methods}
-            seeds = sorted({r["seed"] for r in sub})
-            for seed in seeds:
-                inst_rows = [r for r in sub if r["seed"] == seed]
+            for inst in range(plan.instances):
+                seed = plan.instance_seed(ci, ki, inst)
+                inst_rows = _run_instance(n, two_d, K, seed, plan.methods, plan.mu_cap)
+                rows += inst_rows
                 agr = inst_rows[0]["agree"]
                 if agr is True:
                     agreement += 1
@@ -210,7 +203,7 @@ def run_benchmark(plan: BenchmarkPlan) -> BenchmarkReport:
             median_ms = {m: (sorted(v)[len(v) // 2] if v else None)
                          for m, v in per_method.items()}
             cells.append(CellReport(
-                n=n, two_d=two_d, K=K, instances=len(seeds),
+                n=n, two_d=two_d, K=K, instances=plan.instances,
                 agreement=agreement, disagreement=disagreement, skipped=skipped,
                 extraction_successes=extract_ok, failures=failures,
                 mean_wall_ms=mean_ms, median_wall_ms=median_ms,

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .linalg import psd_factor
 from .poly import Polynomial, monomials_up_to_degree, parse
 from .sdp import SdpFailure, SdpStatus, solve
-from .sos import MINUS_INFINITY, MonomialVector, SosProgram, sos_lower_bound
+from .sos import CERT_PSD_TOL, MINUS_INFINITY, MonomialVector, SosProgram, sos_lower_bound
 
 WITNESS_FLOAT_TOL = 1e-6
 RATIONALIZE_DENOMINATOR_CAP = 10**6
@@ -177,9 +177,8 @@ def find_witness(sys: SemialgebraicSystem, D: int):
         raise PsatzSolverError(sol.status, D)
 
     def squares_of(term: int) -> SquareList:
-        Q = sol.X_blocks[term]
         vec = prog.sos_terms[term][1]
-        fact = psd_factor((Q + Q.T) / 2.0, tol=1e-8)
+        fact = psd_factor(sol.X_blocks[term], tol=CERT_PSD_TOL)
         if not fact.success or fact.B is None:
             return []
         return [(1.0, vec.polynomial(rowv)) for rowv in fact.B]

@@ -11,8 +11,10 @@ nonnegative block at vector cost.
 The algorithm is path-following with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector, run on the homogeneous self-dual embedding so that
 primal or dual infeasibility is detected through the collapse of the
-embedding's tau/kappa ratio instead of by divergence heuristics.  Scaling,
-step lengths and complementarity act block by block.  Each PSD block's
+embedding's tau/kappa ratio, certified by a ray where one exists; a weakly
+infeasible problem, which has no ray, is still inferred after the collapse
+from the objective's steady divergence.  Scaling, step lengths and
+complementarity act block by block.  Each PSD block's
 Nesterov-Todd frame is one factor G, built from two eigendecompositions, that
 takes X and S to the same diagonal point; it gives the scaling W = G G^T, the
 corrector's diagonal solve and the step lengths, so no block is factored

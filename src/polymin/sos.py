@@ -248,15 +248,6 @@ class GramSdp:
     vector: MonomialVector
     program: SosProgram
 
-    def optimal_shifted_gram(self, sol: SdpSolution) -> np.ndarray:
-        """The Gram matrix X of f - lambda without the eigendirections where
-        the moment matrix S dominates: by complementarity X carries only the
-        interior point's O(mu) remainder there."""
-        X, S = sol.X_blocks[0], sol.S_blocks[0]
-        w, V = np.linalg.eigh(X)
-        keep = w > np.einsum("ij,ij->j", V, S @ V)
-        return (V[:, keep] * w[keep]) @ V[:, keep].T
-
 
 def _even_degree(f: Polynomial) -> int:
     two_d = f.degree()
@@ -298,7 +289,9 @@ class SosCertificate:
     lam: float
     gram: np.ndarray                 # Gram matrix of f itself (lambda slot included)
     squares: list[Polynomial]
-    residual: float                  # coefficient-wise, in absolute terms
+    # the squares' absolute coefficient error against the polynomial of gram
+    # minus lam: it does not measure how far that polynomial lies from f - lam
+    residual: float
     cert_tol: float
     target_scale: float = 1.0        # 1 + largest coefficient magnitude of f - lam
 
@@ -470,7 +463,7 @@ def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
     moment = sol.S_blocks[0] * np.outer(d, d)
     cert = None
     if with_certificate:
-        gram_s = stopped["gram"].copy() if stopped else gs.optimal_shifted_gram(sol)
+        gram_s = (stopped["gram"] if stopped else sol.X_blocks[0]).copy()
         gram_s[0, 0] += lam_s                   # was of f_s - lam_s, now of f_s
         cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha), lam, gs.vector)
     return SosResult(lam, sol.status, cert, moment, gs.vector, alpha, sol, tols)

@@ -141,6 +141,19 @@ class TestRunBenchmark:
         assert rep.cells[0].extraction_successes == 2
 
 
+    def test_repeated_cell_counts_its_own_instances(self):
+        # each (cell, K) entry of the plan reports the instances it ran, also
+        # when another entry names the same cell
+        plan = BenchmarkPlan(cells=[(2, 4), (2, 4)], instances=1, K_values=[10],
+                             methods=["sos"], seed_base=11)
+        rep = run_benchmark(plan)
+        assert len(rep.rows) == 2 and rep.rows[0]["seed"] != rep.rows[1]["seed"]
+        for cell, row in zip(rep.cells, rep.rows):
+            assert cell.instances == 1 and cell.skipped == 1
+            assert cell.extraction_successes == int(row["extract_ok"])
+            assert cell.median_wall_ms == {"sos": row["wall_ms"]}
+
+
 class TestCli:
     def test_minimize_complete_square(self, capsys):
         code = main(["minimize", "--poly", "x1^2-2*x1+3", "--extract", "--json"])

@@ -658,6 +658,29 @@ def _symmetrized(f: Polynomial, summed: bool = False) -> Polynomial:
     return Polynomial(f.n, terms)
 
 
+class TestUnstoppedCertificate:
+    """A solve that the certified stop does not end is certified by the factor
+    of the Gram matrix it returned, so its squares re-expand to f - lambda."""
+
+    # with the moment matrix's dominant eigendirections cut out of X first,
+    # the (2,8) and (3,4) squares missed f - lambda by 1.0e-4 and 2.6e-7
+    # relative, though each certificate was ok against its own cut matrix
+    @pytest.mark.parametrize("n, two_d, seed, tied", [
+        (2, 8, 4000000, False), (3, 4, 4300028, True), (3, 6, 4300004, True)],
+        ids=["2-8-4000000", "3-4-4300028-tied", "3-6-4300004-tied"])
+    def test_squares_reexpand_to_f_minus_bound(self, n, two_d, seed, tied):
+        f = random_family_instance(FamilyParams(n, two_d // 2, 100, seed=seed))
+        if tied:
+            f = _symmetrized(f)
+        res = sos_lower_bound(f)
+        assert res.solution.trace[-1].stop is None
+        cert = res.certificate
+        assert cert.ok
+        resum = sum((b * b for b in cert.squares), Polynomial.zero(n))
+        miss = (resum - (f.to_float() - res.value)).max_abs_coefficient()
+        assert miss <= 1e-7 * cert.target_scale
+
+
 class TestTieBreakingSolve:
     """When the moment matrix is not rank one and its polished point misses the
     bound, minimize solves f plus a tiny linear form through the bound's own
