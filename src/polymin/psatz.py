@@ -26,13 +26,23 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+
+import numpy as np
 
 from .linalg import psd_factor
 from .poly import Polynomial, monomials_up_to_degree, parse
-from .sdp import SdpFailure, SdpStatus, solve
-from .sos import CERT_PSD_TOL, MINUS_INFINITY, MonomialVector, SosProgram, sos_lower_bound
+from .sdp import FEAS_TOL, SdpFailure, SdpStatus, _Projection, solve
+from .sos import (
+    CERT_PSD_TOL,
+    MINUS_INFINITY,
+    STOP_TOL,
+    MonomialVector,
+    SosProgram,
+    _back_off,
+    sos_lower_bound,
+)
 
 WITNESS_FLOAT_TOL = 1e-6
 RATIONALIZE_DENOMINATOR_CAP = 10**6
@@ -145,7 +155,9 @@ def _even_budget(total: int) -> int:
 def _multiplier_program(sys: SemialgebraicSystem, D: int):
     """The terms s0 + sum s_i f_i + sum t_j g_j of degree D: the program and,
     per inequality/equality, the term carrying its multiplier (None when the
-    constraint's degree exceeds D)."""
+    constraint's degree exceeds D).  s0's Gram classes are every monomial of
+    degree <= D, so each row has an entry of its own in s0 and the rows are
+    independent: the program has a projection (``sdp._Projection``)."""
     n = sys.n
     prog = SosProgram(n)
     prog.add_sos(MonomialVector.build(n, D // 2), Polynomial.constant(n, 1.0))
@@ -158,23 +170,55 @@ def _multiplier_program(sys: SemialgebraicSystem, D: int):
     return prog, ineq_terms, eq_terms
 
 
+def _positive_definite(blocks: list) -> bool:
+    """Whether every PSD block (a matrix; the LP block is a vector) passes
+    Cholesky."""
+    try:
+        for Q in blocks:
+            if Q.ndim == 2:
+                np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _witness_stop(problem):
+    """``sdp.solve``'s stop for the witness search: it fires at the first
+    iterate whose projection onto the identity's affine space is positive
+    definite in every PSD block, which makes the projected blocks a witness
+    (the LP block holds the free multipliers as u - v, so it needs no sign).
+    The record holds them as "blocks"."""
+    project = _Projection(problem)
+
+    def stop(X_blocks, S_blocks, record):
+        blocks = project(X_blocks)
+        return {"blocks": blocks} if _positive_definite(blocks) else None
+
+    return stop
+
+
 def find_witness(sys: SemialgebraicSystem, D: int):
     """Search for a degree-D infeasibility witness; D must be even, >= 2.
 
     Returns a float-verified Witness on success and NotFoundAtDegree when the
     search SDP is infeasible.  Multiplier degrees are the largest even values
     keeping every product within D; constraints whose degree already exceeds
-    D get a zero multiplier.
+    D get a zero multiplier.  The witness comes from the first iterate whose
+    projection onto the identity's affine space is positive definite (see
+    ``_witness_stop``), else from the converged solve.
     """
     if D < 2 or D % 2 != 0:
         raise ValueError("witness degree must be an even integer >= 2")
     n = sys.n
     prog, ineq_terms, eq_terms = _multiplier_program(sys, D)
-    sol = solve(prog.match_coefficients(Polynomial.constant(n, -1.0)))
+    problem = prog.match_coefficients(Polynomial.constant(n, -1.0))
+    sol = solve(problem, stop=_witness_stop(problem))
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return NotFoundAtDegree(D)
     if sol.status is not SdpStatus.OPTIMAL:
         raise PsatzSolverError(sol.status, D)
+    if sol.trace[-1].stop is not None:
+        sol = replace(sol, X_blocks=sol.trace[-1].stop["blocks"])
 
     def squares_of(term: int) -> SquareList:
         vec = prog.sos_terms[term][1]
@@ -294,13 +338,43 @@ def real_feasibility_bound(gs: list[Polynomial]) -> RealFeasibilityResult:
 # Bounded-degree minimization over a system
 # ---------------------------------------------------------------------------
 
+def _bound_stop(prog: SosProgram, problem):
+    """``sdp.solve``'s stop for ``bounded_minimization``'s program: X~, X
+    projected onto the identity's affine space, with s0's constant slot
+    backed off by ``sos._back_off``'s eps, proves lambda_c = offset - F . X~
+    when every other PSD block of X~ passes Cholesky (the LP block's u - v
+    are free).  Tried at iterates whose dual residual is <= FEAS_TOL, it
+    fires when the dual objective's lambda, offset - b . y, exceeds lambda_c
+    by at most STOP_TOL (1 + |lambda_c|).  The record holds lambda_c as
+    "lam", eps and the blocks of X~ + eps E11 as "blocks"."""
+    project = _Projection(problem)
+
+    def stop(X_blocks, S_blocks, record):
+        if not record.rel_dual <= FEAS_TOL:
+            return None
+        blocks = project(X_blocks)
+        eps = _back_off(blocks[0])
+        if eps is None or not _positive_definite(blocks[1:]):
+            return None
+        blocks[0][0, 0] += eps
+        lam = prog.offset - project.objective(blocks)
+        if not (prog.offset - record.dual_obj) - lam <= STOP_TOL * (1.0 + abs(lam)):
+            return None
+        return {"lam": lam, "eps": eps, "blocks": blocks}
+
+    return stop
+
+
 def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int) -> float:
     """Largest lambda certified by a degree-D multiplier identity
     f - lambda = s0 + sum_i s_i f_i + sum_j t_j g_j with the s's SOS.
 
     Lambda enters the search linearly and is eliminated through the
     constant coefficient, so it is the SDP objective directly: no bisection
-    is needed.  The value never decreases when D grows, and rescaling the
+    is needed.  The value is the lambda_c proved by the first iterate that
+    ``_bound_stop`` accepts, which lies within 1e-8 (1 + |lambda_c|) of the
+    dual's lambda, else the converged objective's lambda.  The value never
+    decreases (beyond that tolerance) when D grows, and rescaling the
     identity turns it into a refutation witness for any strictly smaller
     lambda appended as f <= λ'.  Returns -inf when no lambda is certifiable
     at this degree and +inf when the system itself is refuted so strongly
@@ -311,9 +385,11 @@ def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int) -> flo
     if f.degree() > D:
         raise ValueError("degree budget is below deg(f)")
     prog, _, _ = _multiplier_program(sys, D)
-    sol = solve(prog.match_coefficients(f, lam=Polynomial.constant(sys.n, 1.0)))
+    problem = prog.match_coefficients(f, lam=Polynomial.constant(sys.n, 1.0))
+    sol = solve(problem, stop=_bound_stop(prog, problem))
     if sol.status is SdpStatus.OPTIMAL:
-        return prog.bound(sol)
+        stopped = sol.trace[-1].stop
+        return stopped["lam"] if stopped else prog.bound(sol)
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return MINUS_INFINITY
     if sol.status is SdpStatus.DUAL_INFEASIBLE:

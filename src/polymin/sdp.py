@@ -73,7 +73,6 @@ SIGMA_FLOOR = 0.05      # minimum centering weight, keeps iterates near-central
 INFEAS_RATIO = 1e-8     # tau/kappa collapse threshold of the embedding
 SLACK_GOAL = 1e-8       # target for ||X S|| / (1 + ||X|| + ||S||) in polish
 POLISH_ITERS = 8        # extra centering steps allowed after convergence
-STOP_GAP = 1e-4         # relative gap and residuals at which a caller's stop is asked
 
 
 def _tolerances() -> dict:
@@ -271,6 +270,32 @@ def _rows_dot(coords: tuple, weights: np.ndarray, V: np.ndarray, M: int) -> np.n
     """A @ (weights * V), i.e. <G_k, V> for the M rows, as one scatter-add."""
     rows, cols, vals = coords
     return np.bincount(rows, weights=vals * weights[cols] * V[cols], minlength=M)
+
+
+class _Projection:
+    """The least-norm projection of a block-diagonal X onto the constraints'
+    affine space, X~ = X + A^T (A Omega A^T)^-1 (b - A(X)), with Omega the
+    layout's weights, so the norm is Frobenius.  A Omega A^T is the rows'
+    Gram matrix <G_k, G_l>, formed once from the coordinate table and
+    factored by ``spd_cholesky``, which raises NotPositiveDefiniteError when
+    the rows are dependent.  ``objective`` is F . X, the primal objective."""
+
+    def __init__(self, prob: SdpProblem):
+        self.lay = lay = _Layout(prob)
+        self.b = prob.b
+        rows, cols, vals = lay.A
+        A = np.zeros((len(prob.b), lay.size))
+        A[rows, cols] = vals                    # one entry per (row, position)
+        self.chol = spd_cholesky((A * lay.weights) @ A.T)
+
+    def __call__(self, X_blocks: list) -> list:
+        lay = self.lay
+        x = lay.vec(X_blocks)
+        r = self.b - _rows_dot(lay.A, lay.weights, x, len(self.b))
+        return lay.mat(x + _combine_rows(lay.A, self.chol.solve(r), lay.size))
+
+    def objective(self, X_blocks: list) -> float:
+        return self.lay.dot(self.lay.F, self.lay.vec(X_blocks))
 
 
 class _NtFrame:
@@ -520,11 +545,12 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     barrier degree, y = 0, tau = kappa = 1, and no randomized pivoting
     anywhere.  Each iteration assembles one Schur matrix and factors it in
     place; iteration 0's factor also decides the rank.
-    ``stop(X_blocks, S_blocks)`` is asked at each iterate (tau divided out)
-    whose relative gap, primal and dual residuals are all <= STOP_GAP, up to
-    the first converged one; the first record it returns (not None) goes on
-    that iterate's ``IterateRecord``, which is returned as OPTIMAL, without
-    the centering polish.
+    ``stop(X_blocks, S_blocks, record)`` is asked at every iterate (tau
+    divided out) up to the first converged one, ``record`` being that
+    iterate's ``IterateRecord``; a stop gates itself on the record's gap and
+    residuals.  The first value it returns that is not None goes on the
+    record's ``stop``, and that iterate is returned as OPTIMAL, without the
+    centering polish.
     """
     warnings_out: list[str] = []
     lay = _Layout(prob)
@@ -629,8 +655,8 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
             rel_primal=rel_p, rel_dual=rel_d, primal_obj=pobj, dual_obj=dobj,
             embedding_gap=XS + tau * kappa,
         ))
-        if stop is not None and best is None and max(rel_gap, rel_p, rel_d) <= STOP_GAP:
-            trace[-1].stop = stop(lay.mat(X / tau), lay.mat(S / tau))
+        if stop is not None and best is None:
+            trace[-1].stop = stop(lay.mat(X / tau), lay.mat(S / tau), trace[-1])
             if trace[-1].stop is not None:
                 return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)
 

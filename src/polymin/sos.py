@@ -54,6 +54,7 @@ RANK_TOL = 1e-4           # second-to-first eigenvalue ratio past which a reject
 EXTRACT_TOL = 1e-5        # f(point) - bound allowed, relative to 1 + |bound|
 CERT_PSD_TOL = 1e-8       # pivot threshold of the certificate's square factor
 STOP_TOL = 1e-8           # f(moment point) - certified bound that stops a solve, relative to |f|
+STOP_GAP = 1e-4           # relative gap and residuals at which the certified stop is tried
 
 
 class OddDegreeError(ValueError):
@@ -416,23 +417,42 @@ def _bound(f: Polynomial, k: int, with_certificate: bool) -> SosResult:
     return res
 
 
+def _back_off(G: np.ndarray) -> float | None:
+    """The eps making the Gram matrix G + eps E11 positive definite:
+    eps = b^T A^-1 b - G[0, 0] (A, b: the rest of G and its constant column),
+    or 0 when G is already; None when A fails Cholesky."""
+    try:
+        L = np.linalg.cholesky(G[1:, 1:])
+    except np.linalg.LinAlgError:
+        return None
+    z = np.linalg.solve(L, G[1:, 0])
+    # at eps = z^T z - G[0, 0] exactly G + eps E11 is singular: 16 N ulps more
+    return max(0.0, float(z @ z) * (1.0 + 16 * len(G) * np.finfo(float).eps) - G[0, 0])
+
+
+def _within_stop_gap(record) -> bool:
+    """Whether an iterate's relative gap, primal and dual residuals are all
+    <= STOP_GAP, read off its ``sdp.IterateRecord``."""
+    p, d = record.primal_obj, record.dual_obj
+    return max(abs(p - d) / (1.0 + abs(p) + abs(d)), record.rel_primal,
+               record.rel_dual) <= STOP_GAP
+
+
 def _certified_stop(vec: MonomialVector, fs: Polynomial):
-    """``sdp.solve``'s stop test for the plain SOS program over vec of f_s:
-    X~, X projected onto the Gram matrices of f_s - lambda, backed off by
-    eps = b^T A^-1 b - X~[0, 0] (A, b: the rest of X~ and its constant column)
-    proves lambda_c = t_1 - X~[0, 0] - eps.  It fires when f_s at S's point is
+    """``sdp.solve``'s stop test for the plain SOS program over vec of f_s,
+    tried at the iterates ``_within_stop_gap``: X~, X projected onto the Gram
+    matrices of f_s - lambda and backed off by ``_back_off``'s eps, proves
+    lambda_c = t_1 - X~[0, 0] - eps.  It fires when f_s at S's point is
     within STOP_TOL |f_s(x)| of it; the record holds X~ + eps E11 as "gram"."""
     t = np.array([fs.terms.get(m, 0.0) for m in vec.classes])
 
-    def stop(X_blocks, S_blocks):
-        G = vec.project(X_blocks[0], t)
-        try:
-            L = np.linalg.cholesky(G[1:, 1:])
-        except np.linalg.LinAlgError:
+    def stop(X_blocks, S_blocks, record):
+        if not _within_stop_gap(record):
             return None
-        z = np.linalg.solve(L, G[1:, 0])
-        # at eps = z^T z - X~[0, 0] exactly X~ + eps E11 is singular: 16 N ulps more
-        eps = max(0.0, float(z @ z) * (1.0 + 16 * len(G) * np.finfo(float).eps) - G[0, 0])
+        G = vec.project(X_blocks[0], t)
+        eps = _back_off(G)
+        if eps is None:
+            return None
         lam = float(t[0] - G[0, 0] - eps)
         x = _top_moments(S_blocks[0], vec)[1]
         fx = float(fs.evaluate(x)) if x is not None else math.nan

@@ -1,19 +1,24 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import polymin.psatz
 from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
 from polymin.psatz import (
     FeasibilityVerdict,
     NotFoundAtDegree,
     SemialgebraicSystem,
     Witness,
+    _bound_stop,
+    _multiplier_program,
     bounded_minimization,
     find_witness,
     real_feasibility_bound,
     verify_witness,
 )
+from polymin.sdp import SdpStatus, _Projection, solve
 from polymin.sos import MINUS_INFINITY
 
 
@@ -129,7 +134,6 @@ class TestRealFeasibilityBound:
         assert abs(res.bound) <= 1e-6
 
     def test_pair_with_grid_oracle(self):
-        import numpy as np
         gs = [parse("x1^2-2", 1), parse("x1^2+2", 1)]
         res = real_feasibility_bound(gs)
         assert res.verdict is FeasibilityVerdict.NO_REAL_ROOT
@@ -205,3 +209,107 @@ class TestWitnessLadderMonotonicity:
         w4 = find_witness(plane_system, 4)
         assert isinstance(w2, Witness) and isinstance(w4, Witness)
         assert verify_witness(plane_system, w4).ok
+
+
+def _ball_program(seed: int):
+    """The benchmark's ball op for the K=100 (3,4) instance of the seed: f
+    minimized over the radius-2 ball of R^3 at degree 6, posed as
+    ``bounded_minimization`` poses it: (the system, f, the program, its SDP)."""
+    r2 = Polynomial.constant(3, 4)
+    for i in range(3):
+        r2 = r2 - Polynomial.variable(3, i) ** 2
+    sys_ = SemialgebraicSystem(3, inequalities=[r2])
+    f = random_family_instance(FamilyParams(3, 2, 100, seed=seed))
+    prog, _, _ = _multiplier_program(sys_, 6)
+    return sys_, f, prog, prog.match_coefficients(f, lam=Polynomial.constant(3, 1.0))
+
+
+class TestBallStop:
+    """A ball bound ends at the first iterate whose projection, backed off
+    in s0's constant slot, proves a lambda_c within 1e-8 of the dual's
+    lambda; bounded_minimization returns that lambda_c."""
+
+    @pytest.mark.parametrize("seed", range(4000000, 4000012))
+    def test_stopped_value_proves_a_bound_below_the_converged_one(self, seed):
+        sys_, f, prog, problem = _ball_program(seed)
+        sol = solve(problem, stop=_bound_stop(prog, problem))
+        rec = sol.trace[-1].stop
+        assert sol.status is SdpStatus.OPTIMAL and rec is not None
+        assert all(r.stop is None for r in sol.trace[:-1])
+        lam = rec["lam"]
+        assert bounded_minimization(sys_, f, 6) == lam
+        converged = solve(problem)
+        lam_conv = prog.bound(converged)
+        assert lam <= lam_conv and lam_conv - lam <= 1e-8 * (1 + abs(lam_conv))
+        assert sol.iterations < converged.iterations
+        # the projected blocks, s0's backed off, are PD and re-expand to f - lambda_c
+        assert rec["eps"] >= 0
+        total = Polynomial.zero(3)
+        for Q, (_, basis, factor) in zip(rec["blocks"], prog.sos_terms):
+            np.linalg.cholesky(Q)
+            total = total + Polynomial(3, dict(zip(basis.classes, basis.coefficients(Q)))) * factor
+        want = f.to_float() - lam
+        assert (total - want).max_abs_coefficient() <= 1e-12 * want.max_abs_coefficient()
+
+    def test_a_stop_that_never_fires_changes_nothing(self):
+        _, _, _, problem = _ball_program(4000000)
+        asked = []
+        plain = solve(problem)
+        probed = solve(problem, stop=lambda X, S, record: asked.append(record))
+        assert asked and plain.iterations == probed.iterations
+        for a, b in [(plain.X, probed.X), (plain.y, probed.y), (plain.S, probed.S)]:
+            assert np.array_equal(a, b)
+        assert all(a is r for a, r in zip(asked, probed.trace))
+
+
+# the benchmark's witness systems of seed 1 (two rounds of two), as (a, b) in
+# {x1 - x2^2 + a >= 0, x2 + x1^2 + b = 0}
+BENCH_WITNESS_SYSTEMS = [(Fraction(3, 4), Fraction(5, 2)), (Fraction(5, 4), Fraction(3, 2)),
+                         (Fraction(3, 2), Fraction(7, 4)), (Fraction(1, 2), Fraction(3, 2))]
+
+
+def _witness_system(a, b):
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return SemialgebraicSystem(2, inequalities=[x1 - x2 * x2 + a],
+                               equalities=[x2 + x1 * x1 + b])
+
+
+class TestWitnessStop:
+    """A witness comes from the first iterate whose projection onto the
+    identity's affine space is PD in every block: on most of the benchmark's
+    systems that is the solver's start, X = rho I."""
+
+    def test_bench_systems(self, monkeypatch):
+        solves = []
+
+        def recording(problem, stop=None):
+            sol = solve(problem, stop=stop)
+            solves.append((problem, sol))
+            return sol
+
+        monkeypatch.setattr(polymin.psatz, "solve", recording)
+        from_start = fallbacks = 0
+        for a, b in BENCH_WITNESS_SYSTEMS:
+            sys_ = _witness_system(a, b)
+            for D in (2, 4, 6):
+                w = find_witness(sys_, D)
+                assert isinstance(w, Witness)
+                report = verify_witness(sys_, w, exact=False)
+                assert report.ok and report.max_residual == w.float_residual
+                problem, sol = solves[-1]
+                assert sol.status is SdpStatus.OPTIMAL
+                # the solver's start: rho I with rho = 1 + max|b| + max|F|, and
+                # max|F| = 1 for the trace objective
+                rho = 1.0 + np.max(np.abs(problem.b)) + 1.0
+                start = _Projection(problem)([rho * np.eye(s) if s > 0 else np.full(-s, rho)
+                                              for s in problem.blocks])
+                start_pd = all(np.all(np.linalg.eigvalsh(Q) > 0) for Q in start if Q.ndim == 2)
+                assert (sol.iterations == 0) == start_pd
+                if sol.trace[-1].stop is not None:
+                    from_start += start_pd
+                    assert w.float_residual <= 1e-12
+                else:
+                    # no iterate projects PD: the converged solve's witness
+                    fallbacks += 1
+                    assert sol.iterations > 0
+        assert (from_start, fallbacks) == (10, 2)

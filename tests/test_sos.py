@@ -33,6 +33,7 @@ from polymin.sos import (
     OddDegreeError,
     SosProgram,
     _certified_stop,
+    _within_stop_gap,
     build_gram_sdp,
     extract_certificate,
     extract_minimizer,
@@ -562,18 +563,18 @@ class TestBoundAtExtractedPoint:
 def _stopped_solve(f: Polynomial, asked: list | None = None):
     """The plain SOS solve of f as sos_lower_bound poses it at the suggested
     scale, with the certified stop: (f_s, the Gram SDP, the solution, the
-    Grams the stop's records hold).  ``asked`` collects the iterates' X it was
-    asked at."""
+    Grams the stop's records hold).  ``asked`` collects the X of the iterates
+    it was tried at, those within its STOP_GAP gate."""
     two_d = f.degree()
     alpha = suggested_scaling(f, two_d)
     fs = scale_homogeneous(f.to_float(), alpha, two_d)
     gs = build_gram_sdp(fs)
     certify = _certified_stop(gs.vector, fs)
 
-    def stop(X_blocks, S_blocks):
-        if asked is not None:
+    def stop(X_blocks, S_blocks, record):
+        if asked is not None and _within_stop_gap(record):
             asked.append(X_blocks[0])
-        return certify(X_blocks, S_blocks)
+        return certify(X_blocks, S_blocks, record)
 
     sol = polymin.sdp.solve(gs.problem, stop=stop)
     return fs, gs, sol, [r.stop["gram"] for r in sol.trace if r.stop is not None]
@@ -626,16 +627,24 @@ class TestCertifiedStop:
         _, gs, _, _ = _stopped_solve(random_family_instance(FamilyParams(6, 2, 100, seed=4000000)))
         problem, asked = gs.problem, []
         plain = polymin.sdp.solve(problem)
-        probed = polymin.sdp.solve(problem, stop=lambda X, S: asked.append(X))
+        probed = polymin.sdp.solve(problem, stop=lambda X, S, record: asked.append(record))
         assert asked and plain.iterations == probed.iterations
         for a, b in [(plain.X, probed.X), (plain.y, probed.y), (plain.S, probed.S)]:
             assert np.array_equal(a, b)
-        # asked from the first iterate whose relative gap, primal and dual
-        # residuals are all <= 1e-4 to the first converged one, and never after it
+        # asked with each iterate's own record from iterate 0 to the first
+        # converged one, so at every iterate the certified stop's gate passes
+        # (relative gap, primal and dual residuals all <= 1e-4), and never
+        # during the polish after it
+        assert all(a is r for a, r in zip(asked, probed.trace))
+        assert len(asked) < len(probed.trace)
+        last = asked[-1]
+        assert max(last.rel_primal, last.rel_dual) <= polymin.sdp.FEAS_TOL
+        assert abs(last.primal_obj - last.dual_obj) <= polymin.sdp.GAP_TOL * (
+            1 + abs(last.primal_obj) + abs(last.dual_obj))
         worst = [max(abs(r.primal_obj - r.dual_obj) / (1 + abs(r.primal_obj) + abs(r.dual_obj)),
                      r.rel_primal, r.rel_dual) for r in probed.trace]
         first = next(i for i, g in enumerate(worst) if g <= 1e-4)
-        assert len(asked) <= len(probed.trace) - first
+        assert first < len(asked)
 
     def test_bound_not_above_the_oracle_minimum(self):
         # oracle-crosscheck's (2,8) op 31 at seed 1 (lambda_s = -5.05e-3):
@@ -778,7 +787,7 @@ def _posed_blocks(monkeypatch, module) -> list:
     answered as infeasible, so nothing is solved."""
     seen = []
 
-    def capture(problem):
+    def capture(problem, stop=None):
         seen.append(problem.blocks)
         return SdpSolution(SdpStatus.PRIMAL_INFEASIBLE, None, None, None,
                            None, None, None, 0)
