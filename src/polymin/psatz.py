@@ -33,7 +33,7 @@ import numpy as np
 
 from .linalg import psd_factor
 from .poly import Polynomial, monomials_up_to_degree, parse
-from .sdp import FEAS_TOL, SdpFailure, SdpStatus, _Projection, solve
+from .sdp import FEAS_TOL, SdpFailure, SdpStatus, _block_diag, solve
 from .sos import (
     CERT_PSD_TOL,
     MINUS_INFINITY,
@@ -157,7 +157,8 @@ def _multiplier_program(sys: SemialgebraicSystem, D: int):
     per inequality/equality, the term carrying its multiplier (None when the
     constraint's degree exceeds D).  s0's Gram classes are every monomial of
     degree <= D, so each row has an entry of its own in s0 and the rows are
-    independent: the program has a projection (``sdp._Projection``)."""
+    independent: every iterate has the projection onto the identity's
+    affine space that ``sdp.solve`` hands the stop tests below."""
     n = sys.n
     prog = SosProgram(n)
     prog.add_sos(MonomialVector.build(n, D // 2), Polynomial.constant(n, 1.0))
@@ -182,19 +183,13 @@ def _positive_definite(blocks: list) -> bool:
     return True
 
 
-def _witness_stop(problem):
+def _witness_stop(X_blocks, S_blocks, record):
     """``sdp.solve``'s stop for the witness search: it fires at the first
-    iterate whose projection onto the identity's affine space is positive
-    definite in every PSD block, which makes the projected blocks a witness
-    (the LP block holds the free multipliers as u - v, so it needs no sign).
-    The record holds them as "blocks"."""
-    project = _Projection(problem)
-
-    def stop(X_blocks, S_blocks, record):
-        blocks = project(X_blocks)
-        return {"blocks": blocks} if _positive_definite(blocks) else None
-
-    return stop
+    iterate whose projection onto the identity's affine space (the X_blocks
+    the solver hands a stop) is positive definite in every PSD block, which
+    makes those blocks a witness (the LP block holds the free multipliers as
+    u - v, so it needs no sign).  The record holds them as "blocks"."""
+    return {"blocks": X_blocks} if _positive_definite(X_blocks) else None
 
 
 def find_witness(sys: SemialgebraicSystem, D: int):
@@ -212,7 +207,7 @@ def find_witness(sys: SemialgebraicSystem, D: int):
     n = sys.n
     prog, ineq_terms, eq_terms = _multiplier_program(sys, D)
     problem = prog.match_coefficients(Polynomial.constant(n, -1.0))
-    sol = solve(problem, stop=_witness_stop(problem))
+    sol = solve(problem, stop=_witness_stop)
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return NotFoundAtDegree(D)
     if sol.status is not SdpStatus.OPTIMAL:
@@ -338,29 +333,29 @@ def real_feasibility_bound(gs: list[Polynomial]) -> RealFeasibilityResult:
 # Bounded-degree minimization over a system
 # ---------------------------------------------------------------------------
 
-def _bound_stop(prog: SosProgram, problem):
-    """``sdp.solve``'s stop for ``bounded_minimization``'s program: X~, X
-    projected onto the identity's affine space, with s0's constant slot
-    backed off by ``sos._back_off``'s eps, proves lambda_c = offset - F . X~
-    when every other PSD block of X~ passes Cholesky (the LP block's u - v
-    are free).  Tried at iterates whose dual residual is <= FEAS_TOL, it
-    fires when the dual objective's lambda, offset - b . y, exceeds lambda_c
-    by at most STOP_TOL (1 + |lambda_c|).  The record holds lambda_c as
-    "lam", eps and the blocks of X~ + eps E11 as "blocks"."""
-    project = _Projection(problem)
+def _bound_stop(prog: SosProgram, cost: tuple):
+    """``sdp.solve``'s stop for ``bounded_minimization``'s program, of cost
+    table (i, j, v) ``cost``: X~, the iterate projected onto the identity's
+    affine space, with s0's constant slot backed off by ``sos._back_off``'s
+    eps, proves lambda_c = offset - F . X~ when every other PSD block of X~
+    passes Cholesky (the LP block's u - v are free).  Tried at iterates whose
+    dual residual is <= FEAS_TOL, it fires when the dual objective's lambda,
+    offset - b . y, exceeds lambda_c by at most STOP_TOL (1 + |lambda_c|).
+    The record holds lambda_c as "lam", eps and X~ + eps E11 as "blocks"."""
+    i, j, v = cost
+    v = v * np.where(i == j, 1.0, 2.0)          # F . X counts (i, j) and (j, i)
 
     def stop(X_blocks, S_blocks, record):
         if not record.rel_dual <= FEAS_TOL:
             return None
-        blocks = project(X_blocks)
-        eps = _back_off(blocks[0])
-        if eps is None or not _positive_definite(blocks[1:]):
+        eps = _back_off(X_blocks[0])
+        if eps is None or not _positive_definite(X_blocks[1:]):
             return None
-        blocks[0][0, 0] += eps
-        lam = prog.offset - project.objective(blocks)
+        X_blocks[0][0, 0] += eps
+        lam = prog.offset - float(v @ _block_diag(X_blocks)[i, j])
         if not (prog.offset - record.dual_obj) - lam <= STOP_TOL * (1.0 + abs(lam)):
             return None
-        return {"lam": lam, "eps": eps, "blocks": blocks}
+        return {"lam": lam, "eps": eps, "blocks": X_blocks}
 
     return stop
 
@@ -386,7 +381,7 @@ def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int) -> flo
         raise ValueError("degree budget is below deg(f)")
     prog, _, _ = _multiplier_program(sys, D)
     problem = prog.match_coefficients(f, lam=Polynomial.constant(sys.n, 1.0))
-    sol = solve(problem, stop=_bound_stop(prog, problem))
+    sol = solve(problem, stop=_bound_stop(prog, problem.cost))
     if sol.status is SdpStatus.OPTIMAL:
         stopped = sol.trace[-1].stop
         return stopped["lam"] if stopped else prog.bound(sol)

@@ -32,6 +32,11 @@ row per constraint, flattened by ``_Layout``), so A is held only as
 coordinates.  The Schur kernel is built from them, and y @ A and A @ v are
 each one scatter-add over them.
 
+A caller's stop test sees each iterate projected onto A(X) = b (least-norm,
+Frobenius; Peyrl-Parrilo), by the diagonal of A Omega A^T where every
+position lies in one row, as in a plain SOS program, else by iteration 0's
+Schur factor, a multiple of A Omega A^T.
+
 A solve call is single-threaded, deterministic and reentrant; independent
 problem instances may be solved concurrently.
 """
@@ -270,32 +275,6 @@ def _rows_dot(coords: tuple, weights: np.ndarray, V: np.ndarray, M: int) -> np.n
     """A @ (weights * V), i.e. <G_k, V> for the M rows, as one scatter-add."""
     rows, cols, vals = coords
     return np.bincount(rows, weights=vals * weights[cols] * V[cols], minlength=M)
-
-
-class _Projection:
-    """The least-norm projection of a block-diagonal X onto the constraints'
-    affine space, X~ = X + A^T (A Omega A^T)^-1 (b - A(X)), with Omega the
-    layout's weights, so the norm is Frobenius.  A Omega A^T is the rows'
-    Gram matrix <G_k, G_l>, formed once from the coordinate table and
-    factored by ``spd_cholesky``, which raises NotPositiveDefiniteError when
-    the rows are dependent.  ``objective`` is F . X, the primal objective."""
-
-    def __init__(self, prob: SdpProblem):
-        self.lay = lay = _Layout(prob)
-        self.b = prob.b
-        rows, cols, vals = lay.A
-        A = np.zeros((len(prob.b), lay.size))
-        A[rows, cols] = vals                    # one entry per (row, position)
-        self.chol = spd_cholesky((A * lay.weights) @ A.T)
-
-    def __call__(self, X_blocks: list) -> list:
-        lay = self.lay
-        x = lay.vec(X_blocks)
-        r = self.b - _rows_dot(lay.A, lay.weights, x, len(self.b))
-        return lay.mat(x + _combine_rows(lay.A, self.chol.solve(r), lay.size))
-
-    def objective(self, X_blocks: list) -> float:
-        return self.lay.dot(self.lay.F, self.lay.vec(X_blocks))
 
 
 class _NtFrame:
@@ -548,9 +527,11 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     ``stop(X_blocks, S_blocks, record)`` is asked at every iterate (tau
     divided out) up to the first converged one, ``record`` being that
     iterate's ``IterateRecord``; a stop gates itself on the record's gap and
-    residuals.  The first value it returns that is not None goes on the
-    record's ``stop``, and that iterate is returned as OPTIMAL, without the
-    centering polish.
+    residuals.  X_blocks hold X~ = X + A^T (A Omega A^T)^-1 (b - A(X)) on
+    the kept rows, the stop's to keep or change; a solve off the diagonal
+    path keeps iteration 0's factor for it.  The first value the stop
+    returns that is not None goes on the record's ``stop``, and that
+    iterate (X, not X~) is returned as OPTIMAL, without the centering polish.
     """
     warnings_out: list[str] = []
     lay = _Layout(prob)
@@ -583,15 +564,16 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
 
     b, coords = prob.b, lay.A
     for restarted in (False, True):
-        # X = rho I and S = eta I, eta = max(1 + max|F|, nu) at least the
+        # X = rho I and S = eta0 I, eta0 = max(1 + max|F|, nu) at least the
         # barrier degree: every NT scaling is then a multiple of I, so
-        # iteration 0's Schur matrix is rho / eta times the rows' Gram matrix
+        # iteration 0's Schur matrix is rho / eta0 times the rows' Gram matrix
         bmax = float(np.max(np.abs(b), initial=0.0))
         rho = 1.0 + bmax + fmax
         if not np.isfinite(rho):
             warnings_out.append("non-finite problem data")
             return finish(SdpStatus.NUMERICAL_TROUBLE)
-        X, S = lay.identity() * rho, lay.identity() * max(1.0 + fmax, nu)
+        eta0 = max(1.0 + fmax, nu)
+        X, S = lay.identity() * rho, lay.identity() * eta0
         frames = frames_at(X, S)
         schur = _SchurKernel(lay, len(b), coords)
         if restarted:
@@ -614,6 +596,25 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     def rows_combine(v: np.ndarray) -> np.ndarray:
         """sum_k v_k G_k, flattened: v @ A."""
         return _combine_rows(coords, v, lay.size)
+
+    if chol is None:        # after a restart, iteration 0 is factored here
+        chol = _factor_schur(schur_matrix)
+        if chol is None:
+            warnings_out.append("Schur complement lost positive definiteness")
+            return finish(SdpStatus.NUMERICAL_TROUBLE)
+    if stop is not None:
+        # A Omega A^T is diagonal where every position lies in one row;
+        # otherwise iteration 0's factor solves with it
+        rows, cols, vals = coords
+        diagonal = np.bincount(cols, minlength=lay.size).max(initial=0) <= 1
+        gram = np.bincount(rows, weights=lay.weights[cols] * vals**2, minlength=M)
+        chol0 = None if diagonal else chol
+
+        def projected(X: np.ndarray) -> list:
+            """The blocks of X~ = X + A^T (A Omega A^T)^-1 (b - A(X))."""
+            r = b - rows_dot(X)
+            return lay.mat(X + rows_combine(r / gram if diagonal
+                                            else rho / eta0 * chol0.solve(r)))
 
     y = np.zeros(M)
     tau, kappa = 1.0, 1.0
@@ -656,7 +657,7 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
             embedding_gap=XS + tau * kappa,
         ))
         if stop is not None and best is None:
-            trace[-1].stop = stop(lay.mat(X / tau), lay.mat(S / tau), trace[-1])
+            trace[-1].stop = stop(projected(X / tau), lay.mat(S / tau), trace[-1])
             if trace[-1].stop is not None:
                 return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)
 

@@ -10,13 +10,13 @@ the Gram matrix of ``f - lambda`` (the certificate) and its dual slack S is
 the moment matrix, whose top eigenvector lists a candidate minimizer: once
 polished by Newton steps, it is a global minimizer if f there meets the
 bound.  Late iterates prove bounds: X projected onto the Gram matrices of
-f - lambda and backed off in its constant slot is PSD (Peyrl-Parrilo,
-Lofberg), and f at S's point is an upper bound, so the solve stops once the
-two agree.
+f - lambda (the solver hands its stop test that projection) and backed off
+in its constant slot is PSD (Peyrl-Parrilo, Lofberg), and f at S's point is
+an upper bound, so the solve stops once the two agree.
 
 ``MonomialVector`` owns the map from Gram entries to monomial coefficients:
-it groups the Gram index pairs by product monomial once, and the program
-rows, the certificate's scale and its residual all read that one grouping.
+it groups the Gram index pairs by product monomial once per shape (n, d),
+and the program rows and the certificate's residual read that one grouping.
 Each group is one defining equation of the affine space of Gram matrices.
 
 The same builder poses every multiplier form used in the package: bounds of
@@ -29,6 +29,7 @@ worker pool with no shared state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -70,6 +71,7 @@ class MonomialVector:
     i <= j by product monomial once, as the ``classes`` dict and as the flat
     arrays ``rows``, ``cols`` and ``slots`` (the class number of each pair,
     in ``classes`` order); ``coefficients`` applies the map to a matrix.
+    One vector is built per shape and shared, so its arrays are read-only.
     """
 
     n: int
@@ -82,6 +84,7 @@ class MonomialVector:
     slots: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def build(cls, n: int, d: int) -> "MonomialVector":
         entries = tuple(monomials_up_to_degree(n, d))
         assert entries[0] == (0,) * n, "constant monomial must come first"
@@ -91,6 +94,8 @@ class MonomialVector:
                 classes.setdefault(monomial_mul(mi, entries[j]), []).append((i, j))
         rows, cols, slots = (np.array(a, dtype=np.intp) for a in zip(
             *[(i, j, c) for c, pairs in enumerate(classes.values()) for i, j in pairs]))
+        for a in (rows, cols, slots):
+            a.setflags(write=False)
         return cls(n=n, d=d, entries=entries,
                    index={m: i for i, m in enumerate(entries)}, classes=classes,
                    rows=rows, cols=cols, slots=slots)
@@ -108,16 +113,6 @@ class MonomialVector:
         A = np.asarray(A, dtype=float)
         weights = A[self.rows, self.cols] * np.where(self.rows == self.cols, 1.0, 2.0)
         return np.bincount(self.slots, weights=weights, minlength=len(self.classes))
-
-    def project(self, A: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """The matrix nearest to symmetric A (Frobenius) with coefficients ``target``
-        in every class but the constant's: the classes are disjoint, so class m's
-        entries move by (target_m - c_m) / w_m, c and w the coefficients of A and 1."""
-        shift = (target - self.coefficients(A)) / self.coefficients(np.ones((self.N, self.N)))
-        shift[0] = 0.0
-        D = np.zeros((self.N, self.N))
-        D[self.rows, self.cols] = D[self.cols, self.rows] = shift[self.slots]
-        return np.asarray(A, dtype=float) + D
 
 
 class SosProgram:
@@ -290,9 +285,7 @@ class SosCertificate:
     lam: float
     gram: np.ndarray                 # Gram matrix of f itself (lambda slot included)
     squares: list[Polynomial]
-    # the squares' absolute coefficient error against the polynomial of gram
-    # minus lam: it does not measure how far that polynomial lies from f - lam
-    residual: float
+    residual: float                  # largest coefficient of sum q^2 - (f - lam)
     cert_tol: float
     target_scale: float = 1.0        # 1 + largest coefficient magnitude of f - lam
 
@@ -306,25 +299,28 @@ class SosCertificate:
         return self.residual / self.target_scale
 
 
-def extract_certificate(A: np.ndarray, lam: float, vec: MonomialVector) -> SosCertificate:
-    """Square decomposition of the polynomial represented by A minus lam.
+def extract_certificate(A: np.ndarray, lam: float, vec: MonomialVector,
+                        f: Polynomial) -> SosCertificate:
+    """Square decomposition of f - lam from A, a Gram matrix of f over vec.
 
-    A is a Gram matrix over vec; the squares are the rows of the semidefinite
-    factor B of A - lam*E11 applied to the monomial vector, and the residual is
-    the largest coefficient of ``sum b_j^2 - (v^T A v - lam)``, read off
-    B^T B - (A - lam*E11) through the vector's Gram-to-monomial map.
+    The squares are the rows of the semidefinite factor B of A - lam*E11
+    applied to the monomial vector, and the residual is the largest
+    coefficient of ``sum b_j^2 - (f - lam)``, read off B^T B through the
+    vector's Gram-to-monomial map.
     """
     A = np.asarray(A, dtype=float)
     shifted = A.copy()
     shifted[0, 0] -= lam
     fact = psd_factor(shifted, tol=CERT_PSD_TOL)
-    scale = 1.0 + float(np.max(np.abs(vec.coefficients(shifted))))
+    target = np.array([float(f.terms.get(m, 0)) for m in vec.classes])
+    target[0] -= lam
+    scale = 1.0 + float(np.max(np.abs(target)))
     cert_tol = 1e-5 * scale
     if not fact.success:
         return SosCertificate(lam=lam, gram=A, squares=[], residual=float("inf"),
                               cert_tol=cert_tol, target_scale=scale)
     squares = [vec.polynomial(row) for row in fact.B]
-    residual = float(np.max(np.abs(vec.coefficients(fact.B.T @ fact.B - shifted))))
+    residual = float(np.max(np.abs(vec.coefficients(fact.B.T @ fact.B) - target)))
     return SosCertificate(lam=lam, gram=A, squares=squares, residual=residual,
                           cert_tol=cert_tol, target_scale=scale)
 
@@ -440,20 +436,21 @@ def _within_stop_gap(record) -> bool:
 
 def _certified_stop(vec: MonomialVector, fs: Polynomial):
     """``sdp.solve``'s stop test for the plain SOS program over vec of f_s,
-    tried at the iterates ``_within_stop_gap``: X~, X projected onto the Gram
-    matrices of f_s - lambda and backed off by ``_back_off``'s eps, proves
-    lambda_c = t_1 - X~[0, 0] - eps.  It fires when f_s at S's point is
-    within STOP_TOL |f_s(x)| of it; the record holds X~ + eps E11 as "gram"."""
-    t = np.array([fs.terms.get(m, 0.0) for m in vec.classes])
+    tried at the iterates ``_within_stop_gap``: X~, the iterate projected onto
+    the Gram matrices of f_s - lambda, backed off by ``_back_off``'s eps,
+    proves lambda_c = t_1 - X~[0, 0] - eps (t_1: f_s's constant).  It fires
+    when f_s at S's point is within STOP_TOL |f_s(x)| of it; the record
+    holds X~ + eps E11 as "gram"."""
+    t1 = float(fs.constant_coefficient())
 
     def stop(X_blocks, S_blocks, record):
         if not _within_stop_gap(record):
             return None
-        G = vec.project(X_blocks[0], t)
+        G = X_blocks[0]
         eps = _back_off(G)
         if eps is None:
             return None
-        lam = float(t[0] - G[0, 0] - eps)
+        lam = float(t1 - G[0, 0] - eps)
         x = _top_moments(S_blocks[0], vec)[1]
         fx = float(fs.evaluate(x)) if x is not None else math.nan
         if not fx - lam <= STOP_TOL * abs(fx):
@@ -485,7 +482,7 @@ def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
     if with_certificate:
         gram_s = (stopped["gram"] if stopped else sol.X_blocks[0]).copy()
         gram_s[0, 0] += lam_s                   # was of f_s - lam_s, now of f_s
-        cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha), lam, gs.vector)
+        cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha), lam, gs.vector, f)
     return SosResult(lam, sol.status, cert, moment, gs.vector, alpha, sol, tols)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from polymin.linalg import _BLOCK
 from polymin.poly import parse
-from polymin.sdp import SdpProblem
+from polymin.sdp import SdpProblem, _block_diag
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
 
@@ -49,6 +49,32 @@ def dict_problem(blocks, F, constraints) -> SdpProblem:
     rows = [(k, i, j, v) for k, (g, _) in enumerate(constraints) for (i, j), v in g.items()]
     return SdpProblem(blocks, tuple(zip(*cost)) or ([],) * 3,
                       tuple(zip(*rows)) or ([],) * 4, [bk for _, bk in constraints])
+
+
+def dense_constraints(problem: SdpProblem) -> np.ndarray:
+    """The rows G_k as dense symmetric dim x dim matrices, flattened, so that
+    <G_k, X> is row k times the flattened block-diagonal X."""
+    k, i, j, v = problem.constraints
+    G = np.zeros((problem.num_constraints, problem.dim, problem.dim))
+    G[k, i, j] = v
+    G[k, j, i] = v
+    return G.reshape(problem.num_constraints, -1)
+
+
+def dense_projection(problem: SdpProblem, X_blocks: list) -> list:
+    """The least-norm (Frobenius) projection of a block-diagonal X onto
+    <G_k, X> = b_k, as blocks: ``np.linalg.lstsq``'s minimum-norm correction
+    on the dense rows lies in their span, so it is symmetric and
+    block-diagonal like the G_k."""
+    A = dense_constraints(problem)
+    X = _block_diag(X_blocks)
+    dX = np.linalg.lstsq(A, problem.b - A @ X.ravel(), rcond=None)[0].reshape(X.shape)
+    out, at = [], 0
+    for Q in X_blocks:
+        D = dX[at : at + len(Q), at : at + len(Q)]
+        out.append(Q + D if Q.ndim == 2 else Q + np.diagonal(D))
+        at += len(Q)
+    return out
 
 
 def assert_same_table(p: SdpProblem, q: SdpProblem):

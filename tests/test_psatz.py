@@ -18,8 +18,10 @@ from polymin.psatz import (
     real_feasibility_bound,
     verify_witness,
 )
-from polymin.sdp import SdpStatus, _Projection, solve
+from polymin.sdp import SdpStatus, solve
 from polymin.sos import MINUS_INFINITY
+
+from conftest import dense_projection
 
 
 @pytest.fixture
@@ -232,7 +234,7 @@ class TestBallStop:
     @pytest.mark.parametrize("seed", range(4000000, 4000012))
     def test_stopped_value_proves_a_bound_below_the_converged_one(self, seed):
         sys_, f, prog, problem = _ball_program(seed)
-        sol = solve(problem, stop=_bound_stop(prog, problem))
+        sol = solve(problem, stop=_bound_stop(prog, problem.cost))
         rec = sol.trace[-1].stop
         assert sol.status is SdpStatus.OPTIMAL and rec is not None
         assert all(r.stop is None for r in sol.trace[:-1])
@@ -301,8 +303,9 @@ class TestWitnessStop:
                 # the solver's start: rho I with rho = 1 + max|b| + max|F|, and
                 # max|F| = 1 for the trace objective
                 rho = 1.0 + np.max(np.abs(problem.b)) + 1.0
-                start = _Projection(problem)([rho * np.eye(s) if s > 0 else np.full(-s, rho)
-                                              for s in problem.blocks])
+                start = dense_projection(problem, [rho * np.eye(s) if s > 0
+                                                   else np.full(-s, rho)
+                                                   for s in problem.blocks])
                 start_pd = all(np.all(np.linalg.eigvalsh(Q) > 0) for Q in start if Q.ndim == 2)
                 assert (sol.iterations == 0) == start_pd
                 if sol.trace[-1].stop is not None:

@@ -18,9 +18,15 @@ from polymin.sdp import (
     solve,
     solve_lp,
 )
-from polymin.sos import build_gram_sdp, sos_lower_bound
+from polymin.sos import _certified_stop, build_gram_sdp, sos_lower_bound
 
-from conftest import assert_same_table, blockwise_solve, dict_problem
+from conftest import (
+    assert_same_table,
+    blockwise_solve,
+    dense_constraints,
+    dense_projection,
+    dict_problem,
+)
 
 
 def dense_to_constraints(Gs, b):
@@ -799,22 +805,72 @@ class TestFactorSchurRetries:
 
 class TestSolveMemory:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_peak_is_under_2_8_schur_matrices(self):
+    @pytest.mark.parametrize("certified", [False, True], ids=["no-stop", "certified-stop"])
+    def test_peak_is_under_2_8_schur_matrices(self, certified):
         # (8,4), M = 494: the Schur matrix, factored in its own buffer, and
         # the class kernel's arrays, but no M x size constraint matrix, no
-        # copy of the Schur matrix and no per-iteration copies.  Posed
-        # unscaled, this program loses definiteness near the end, so the
-        # Schur factor's retries run too
-        prob = build_gram_sdp(random_family_instance(
-            FamilyParams(8, 2, 100, seed=4000000)), 0).problem
+        # copy of the Schur matrix and no per-iteration copies; with the
+        # certified stop, whose projection is diagonal here, no kept factor
+        # either.  Posed unscaled, this program loses definiteness near the
+        # end, so the Schur factor's retries run too
+        f = random_family_instance(FamilyParams(8, 2, 100, seed=4000000))
+        gs = build_gram_sdp(f, 0)
+        prob = gs.problem
+        stop = _certified_stop(gs.vector, f.to_float()) if certified else None
         M = prob.num_constraints
         tracemalloc.start()
         try:
-            solve(prob)
+            solve(prob, stop=stop)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2.8 * M * M * 8
+
+
+def _ball_problem(seed: int):
+    """f of the (3,4) family over the radius-2 ball of R^3 at degree 6, as
+    ``psatz.bounded_minimization`` poses it."""
+    r2 = Polynomial.constant(3, 4)
+    for i in range(3):
+        r2 = r2 - Polynomial.variable(3, i) ** 2
+    prog, _, _ = _multiplier_program(SemialgebraicSystem(3, inequalities=[r2]), 6)
+    f = random_family_instance(FamilyParams(3, 2, 100, seed=seed))
+    return prog.match_coefficients(f, lam=Polynomial.constant(3, 1.0))
+
+
+class TestStopSeesProjection:
+    """A stop is handed X~, the iterate's least-norm projection onto
+    A(X) = b: on a plain SOS program every position lies in one row, so
+    A Omega A^T is diagonal; on a ball program positions are shared by the
+    multipliers' rows and iteration 0's Schur factor solves with it.  The
+    solve returns the unprojected iterate, so the reference projects that."""
+
+    @pytest.mark.parametrize("at", [0, 3])
+    @pytest.mark.parametrize("program", ["plain-sos", "ball"])
+    def test_matches_dense_least_norm_projection(self, program, at):
+        if program == "plain-sos":
+            problem = build_gram_sdp(random_family_instance(
+                FamilyParams(6, 2, 100, seed=4000000))).problem
+        else:
+            problem = _ball_problem(4000000)
+        _, i, j, _ = problem.constraints
+        shared = len(set(zip(i.tolist(), j.tolist()))) < len(i)
+        assert shared == (program == "ball")
+        seen = []
+
+        def stop(X_blocks, S_blocks, record):
+            if record.iteration == at:
+                seen.append(X_blocks)
+                return {}
+            return None
+
+        sol = solve(problem, stop=stop)
+        assert sol.status is SdpStatus.OPTIMAL and sol.iterations == at and len(seen) == 1
+        want = dense_projection(problem, sol.X_blocks)
+        for got, ref in zip(seen[0], want):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        AX = dense_constraints(problem) @ sdp._block_diag(seen[0]).ravel()
+        assert np.max(np.abs(AX - problem.b)) <= 1e-12 * (1.0 + np.max(np.abs(problem.b)))
 
 
 def _random_spd(rng, N):

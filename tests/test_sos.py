@@ -178,9 +178,11 @@ class TestExtractCertificate:
     def test_single_square(self):
         vec = MonomialVector.build(1, 1)
         A = np.array([[1.0, 1.0], [1.0, 1.0]])  # Gram of (x + 1)^2
-        cert = extract_certificate(A, 0.0, vec)
+        cert = extract_certificate(A, 0.0, vec, parse("x1^2+2*x1+1", 1))
         assert cert.ok
         assert len(cert.squares) == 1
+        # the residual is the squares' miss against f - lam, not against A
+        assert extract_certificate(A, 0.0, vec, parse("x1^2+2*x1+3", 1)).residual == 2.0
 
     def test_two_square_example(self):
         # a PSD quartic with a short decomposition; verify by re-expansion
@@ -202,7 +204,7 @@ class TestExtractCertificate:
     def test_indefinite_input_flagged(self):
         vec = MonomialVector.build(1, 1)
         A = np.diag([1.0, -1.0])
-        cert = extract_certificate(A, 0.0, vec)
+        cert = extract_certificate(A, 0.0, vec, parse("1-x1^2", 1))
         assert not cert.ok and cert.squares == []
 
 
@@ -213,12 +215,10 @@ class TestExtractCertificate:
         res = sos_lower_bound(f)
         cert = res.certificate
         assert cert.squares
-        shifted = cert.gram.copy()
-        shifted[0, 0] -= cert.lam
         resum = Polynomial.zero(n)
         for b in cert.squares:
             resum = resum + b * b
-        reexpanded = (resum - expand_gram(shifted, res.vector)).max_abs_coefficient()
+        reexpanded = (resum - (f.to_float() - cert.lam)).max_abs_coefficient()
         assert abs(cert.residual - reexpanded) <= 1e-9 * cert.target_scale
 
 
