@@ -842,20 +842,29 @@ class TestStopSeesProjection:
     """A stop is handed X~, the iterate's least-norm projection onto
     A(X) = b: on a plain SOS program every position lies in one row, so
     A Omega A^T is diagonal; on a ball program positions are shared by the
-    multipliers' rows and iteration 0's Schur factor solves with it.  The
-    solve returns the unprojected iterate, so the reference projects that."""
+    multipliers' rows and iteration 0's Schur factor solves with it; with a
+    dependent row appended, the solve restarts on the kept rows and factors
+    iteration 0 before the first ask.  The solve returns the unprojected
+    iterate, so the reference projects that."""
 
     @pytest.mark.parametrize("at", [0, 3])
-    @pytest.mark.parametrize("program", ["plain-sos", "ball"])
+    @pytest.mark.parametrize("program", ["plain-sos", "ball", "dependent-row"])
     def test_matches_dense_least_norm_projection(self, program, at):
-        if program == "plain-sos":
+        if program == "ball":
+            problem = _ball_problem(4000000)
+        else:
             problem = build_gram_sdp(random_family_instance(
                 FamilyParams(6, 2, 100, seed=4000000))).problem
-        else:
-            problem = _ball_problem(4000000)
+        if program == "dependent-row":     # twice row 0, a row the solve drops
+            k, i, j, v = problem.constraints
+            M, first = problem.num_constraints, k == 0
+            problem = SdpProblem(problem.blocks, problem.cost,
+                                 (np.append(k, np.full(np.sum(first), M)), np.append(i, i[first]),
+                                  np.append(j, j[first]), np.append(v, 2.0 * v[first])),
+                                 np.append(problem.b, 2.0 * problem.b[0]))
         _, i, j, _ = problem.constraints
         shared = len(set(zip(i.tolist(), j.tolist()))) < len(i)
-        assert shared == (program == "ball")
+        assert shared == (program != "plain-sos")
         seen = []
 
         def stop(X_blocks, S_blocks, record):
@@ -866,6 +875,7 @@ class TestStopSeesProjection:
 
         sol = solve(problem, stop=stop)
         assert sol.status is SdpStatus.OPTIMAL and sol.iterations == at and len(seen) == 1
+        assert bool(sol.warnings) == (program == "dependent-row")
         want = dense_projection(problem, sol.X_blocks)
         for got, ref in zip(seen[0], want):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -58,6 +58,13 @@ class TestMonomialVector:
         assert vec.entries[0] == (0, 0, 0)
         assert vec.index[(0, 0, 0)] == 0
 
+    def test_one_shared_vector_per_shape(self):
+        vec = MonomialVector.build(3, 2)
+        assert MonomialVector.build(3, 2) is vec
+        for a in (vec.rows, vec.cols, vec.slots):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
 
     @pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (3, 2)])
     def test_coefficients_match_expansion(self, n, d):
