@@ -20,11 +20,15 @@ takes X and S to the same diagonal point; it gives the scaling W = G G^T, the
 corrector's diagonal solve and the step lengths, so no block is factored
 again in an iteration.  The (dense, SPD) Schur complement of the Newton
 system is formed per Gram index by BLAS products over the constraints'
-classes of positions and factored over itself by ``linalg.spd_cholesky``, a
-blocked Cholesky built of BLAS products that keeps the inverses of its
-diagonal blocks, so each solve with the factor is matrix products too.  At
-the start every W is a multiple of I, so that matrix, a multiple of the rows'
-Gram matrix, also decides by its factor which rows are linearly dependent.
+classes of positions, its lower triangle only, and factored over itself by
+``linalg.spd_cholesky``, a blocked Cholesky built of BLAS products that reads
+that triangle and keeps the inverses of its diagonal blocks, so each solve
+with the factor is matrix products too.  At the start every W is a multiple
+of I, so that matrix, a multiple of the rows' Gram matrix, also decides by
+its factor which rows are linearly dependent.  Where every position lies in
+one row, as in a plain SOS program, the Gram matrix is diagonal: its entries
+are its pivots, and iteration 0 divides by it instead of forming and
+factoring it.
 
 A problem is one coordinate table (``SdpProblem``), sorted as the solver
 reads it, and one index expression maps it onto the constraint matrix A (one
@@ -381,13 +385,15 @@ class _SchurKernel:
         schur[l]  += (P_a W R_a)[l]
 
     since (W R_a)[j, k] = (W G_k W)[j, a] and both trace factors are
-    symmetric.  The R_a are the rows of one product W E, with
-    E[b, (a', k)] = T[k, cls(a', b)] on the cells (a', k) that occur, and
-    the P_a W are slices of one product with the stacked P_a.  The rows l of
-    one a are distinct, so repeats (the shifts of a multiplier, a class met
-    twice along a Gram row) add up inside the products.  A diagonal block,
-    whose W is the vector x / s, adds (A W) A^T.  The kernel is built from
-    A's coordinates (``_Layout.A``) for M rows.
+    symmetric.  Only the lower triangle k <= l is wanted, so a's product
+    stops at the column of its last row l.  The R_a are the rows of one
+    product W E, with E[b, (a', k)] = T[k, cls(a', b)] on the cells (a', k)
+    that occur, and the P_a W are slices of one product with the stacked
+    P_a.  The rows l of one a are distinct, so repeats (the shifts of a
+    multiplier, a class met twice along a Gram row) add up inside the
+    products.  A diagonal block, whose W is the vector x / s, adds
+    (A W) A^T.  The kernel is built from A's coordinates (``_Layout.A``) for
+    M rows.
     """
 
     def __init__(self, lay: _Layout, M: int, coords: tuple):
@@ -416,13 +422,19 @@ class _SchurKernel:
             targets, at = np.unique(I * M + ks, return_inverse=True)
             P = np.zeros((len(targets), N))
             P[at, J] = np.where(off, 2.0 * V, V)
+            # Gram index a's rows l, ascending: targets[s:e] for (a, s, e, c),
+            # c one past the last row, the columns the lower triangle needs
             bounds = np.searchsorted(targets // M, np.arange(N + 1)).tolist()
-            self.parts.append((cells, E, P, targets % M, bounds))
+            spans = [(a, s, e, int(targets[e - 1] % M) + 1)
+                     for a, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])) if s < e]
+            self.parts.append((cells, E, P, targets % M, spans))
 
     def assemble(self, scalings: list) -> np.ndarray:
         """The Schur matrix for one scaling W per block: a matrix for a PSD
-        block, the vector x / s for a diagonal block.  It is symmetric up to
-        rounding and left so: the Cholesky factorization reads one triangle."""
+        block, the vector x / s for a diagonal block.  Only the lower
+        triangle, the one ``spd_cholesky`` reads, is formed: Gram index a
+        adds its rows up to the column of its last row, so the upper triangle
+        holds partial sums no reader may use."""
         M = self.M
         schur = np.zeros((M, M))
         for part, w in zip(self.parts, scalings):
@@ -431,18 +443,16 @@ class _SchurKernel:
             if w.ndim == 1:
                 schur += (part * w) @ part.T
                 continue
-            cells, E, P, rows, bounds = part
+            cells, E, P, rows, spans = part
             WE, PW = w @ E, P @ w
             # every R_a fills the same cells, so R is cleared once
             R = np.zeros((len(w), M))
             R_cells = R.reshape(-1)
-            for a in range(len(w)):
-                s, e = bounds[a], bounds[a + 1]
-                if s < e:
-                    R_cells[cells] = WE[a]
-                    add = PW[s:e] @ R
-                    add += schur[rows[s:e]]
-                    schur[rows[s:e]] = add
+            for a, s, e, c in spans:
+                R_cells[cells] = WE[a]
+                add = PW[s:e] @ R[:, :c]
+                add += schur[rows[s:e], :c]
+                schur[rows[s:e], :c] = add
         return schur
 
 
@@ -467,32 +477,46 @@ def _factor_schur(assemble):
 # Rank filter
 # ---------------------------------------------------------------------------
 
+def _diagonal_gram(coords: tuple, weights: np.ndarray, M: int):
+    """The rows' Gram matrix A Omega A^T as its diagonal, bincount(rows,
+    weights * vals**2), where every position lies in one row (every plain
+    SOS program): there it has no other entries.  None where a position is
+    shared."""
+    rows, cols, vals = coords
+    if np.bincount(cols).max(initial=0) > 1:
+        return None
+    return np.bincount(rows, weights=weights[cols] * vals**2, minlength=M)
+
+
 def _rank_filter(assemble, b: np.ndarray, warnings_out: list[str]):
     """Drop linearly dependent constraint rows; flag inconsistent duplicates.
 
-    ``assemble()`` gives iteration 0's Schur complement, whose scaling W is
-    a multiple of I, so it is a multiple of the rows' Gram matrix <G_k, G_l>
-    (the rank threshold is relative) and its null vectors z are the
-    dependencies sum_k z_k G_k = 0.  Gauss-Jordan elimination on the null
-    space, pivoting on each column's largest entry, gives one dependency per
-    dropped row k with z_k = 1 and zero on the other dropped rows; it is
-    inconsistent when |z.b| > 1e-8 (1 + |b_k|).
-    Returns (kept_indices, inconsistent: bool, factor), factor the Gram
-    matrix's Cholesky factor when its pivots keep every row, else None.
+    ``assemble()`` gives iteration 0's Schur complement (its lower
+    triangle), whose scaling W is a multiple of I, so it is a multiple of
+    the rows' Gram matrix <G_k, G_l> (the rank threshold is relative) and
+    its null vectors z are the dependencies sum_k z_k G_k = 0.  Gauss-Jordan
+    elimination on the null space, pivoting on each column's largest entry,
+    gives one dependency per dropped row k with z_k = 1 and zero on the
+    other dropped rows; it is inconsistent when |z.b| > 1e-8 (1 + |b_k|).
+    Returns (kept_indices, inconsistent: bool, solve), solve the solve with
+    the Gram matrix's Cholesky factor when its pivots keep every row, else
+    None.
     """
     gram = assemble()
     M = len(gram)
     # Independent rows, the builders' case, pass one Cholesky factor whose
-    # pivots all clear the rank threshold 1e-13 max|gram|; anything else goes
-    # to psd_factor, whose null space names the rows to drop.
-    threshold = 1e-13 * max(gram.max(initial=0.0), -gram.min(initial=0.0))
+    # pivots all clear the rank threshold 1e-13 max|gram|, read off the
+    # diagonal since the matrix is PSD; anything else goes to psd_factor,
+    # whose null space names the rows to drop.
+    threshold = 1e-13 * np.diagonal(gram).max(initial=0.0)
     try:
         chol = spd_cholesky(gram)
         if np.all(np.diagonal(chol.L) ** 2 > threshold):
-            return list(range(M)), False, chol
+            return list(range(M)), False, chol.solve
     except NotPositiveDefiniteError:
         pass
-    Z = psd_factor(_sym(assemble()), tol=1e-13).null
+    gram = np.tril(assemble())
+    Z = psd_factor(gram + np.tril(gram, -1).T, tol=1e-13).null
     if not Z.size:
         return list(range(M)), False, None
     dropped = []
@@ -523,7 +547,11 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     X = I * (1 + max|b| + max|F|), S = I * max(1 + max|F|, nu) with nu the
     barrier degree, y = 0, tau = kappa = 1, and no randomized pivoting
     anywhere.  Each iteration assembles one Schur matrix and factors it in
-    place; iteration 0's factor also decides the rank.
+    place; iteration 0's factor also decides the rank.  Where every position
+    lies in one row, iteration 0's matrix is rho / eta0 times the diagonal
+    Gram matrix, so when its entries pass the rank filter's rule that
+    iteration divides by it and forms no matrix: a full-rank plain SOS solve
+    factors iterations - 1 matrices.
     ``stop(X_blocks, S_blocks, record)`` is asked at every iterate (tau
     divided out) up to the first converged one, ``record`` being that
     iterate's ``IterateRecord``; a stop gates itself on the record's gap and
@@ -562,7 +590,12 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     def schur_matrix():
         return schur.assemble([fr.W for fr in frames])
 
-    b, coords = prob.b, lay.A
+    def factor_schur():
+        """The solve with this iteration's Schur factor; None if it fails."""
+        chol = _factor_schur(schur_matrix)
+        return None if chol is None else chol.solve
+
+    b, coords, kept = prob.b, lay.A, list(range(prob.num_constraints))
     for restarted in (False, True):
         # X = rho I and S = eta0 I, eta0 = max(1 + max|F|, nu) at least the
         # barrier degree: every NT scaling is then a multiple of I, so
@@ -576,9 +609,18 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
         X, S = lay.identity() * rho, lay.identity() * eta0
         frames = frames_at(X, S)
         schur = _SchurKernel(lay, len(b), coords)
+        gram = _diagonal_gram(coords, lay.weights, len(b))
+        if gram is not None and np.all(gram > 1e-13 * gram.max(initial=0.0)):
+            # _rank_filter's rule on a diagonal Gram matrix: its pivots are
+            # its entries, so every row is kept, and iteration 0's Schur
+            # matrix rho / eta0 * diag(gram) is neither formed nor factored
+            def schur_solve(r: np.ndarray) -> np.ndarray:
+                return (r.T / (rho / eta0 * gram)).T
+            break
+        schur_solve = None
         if restarted:
             break
-        kept, inconsistent, chol = _rank_filter(schur_matrix, b, warnings_out)
+        kept, inconsistent, schur_solve = _rank_filter(schur_matrix, b, warnings_out)
         if inconsistent:
             warnings_out.append("inconsistent dependent constraint rows")
             return finish(SdpStatus.PRIMAL_INFEASIBLE)
@@ -597,24 +639,21 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
         """sum_k v_k G_k, flattened: v @ A."""
         return _combine_rows(coords, v, lay.size)
 
-    if chol is None:        # after a restart, iteration 0 is factored here
-        chol = _factor_schur(schur_matrix)
-        if chol is None:
+    if schur_solve is None:     # after a restart, iteration 0 is factored here
+        schur_solve = factor_schur()
+        if schur_solve is None:
             warnings_out.append("Schur complement lost positive definiteness")
             return finish(SdpStatus.NUMERICAL_TROUBLE)
     if stop is not None:
         # A Omega A^T is diagonal where every position lies in one row;
-        # otherwise iteration 0's factor solves with it
-        rows, cols, vals = coords
-        diagonal = np.bincount(cols, minlength=lay.size).max(initial=0) <= 1
-        gram = np.bincount(rows, weights=lay.weights[cols] * vals**2, minlength=M)
-        chol0 = None if diagonal else chol
+        # otherwise iteration 0's factor, kept to the end, solves with it
+        solve0 = schur_solve
 
         def projected(X: np.ndarray) -> list:
             """The blocks of X~ = X + A^T (A Omega A^T)^-1 (b - A(X))."""
             r = b - rows_dot(X)
-            return lay.mat(X + rows_combine(r / gram if diagonal
-                                            else rho / eta0 * chol0.solve(r)))
+            return lay.mat(X + rows_combine(r / gram if gram is not None
+                                            else rho / eta0 * solve0(r)))
 
     y = np.zeros(M)
     tau, kappa = 1.0, 1.0
@@ -732,8 +771,8 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
         if it == MAX_ITER:
             return best_or(SdpStatus.ITERATION_LIMIT)
 
-        if it:      # iteration 0 has the start's frames and the rank filter's factor
-            chol = None     # the last factor is dead: free it before the next matrix
+        if it:      # iteration 0 has the start's frames and Schur solve
+            schur_solve = None      # the last factor is dead: free it before the next matrix
             try:
                 frames = frames_at(X, S)
             except np.linalg.LinAlgError:
@@ -743,9 +782,9 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
         def scaled(U: np.ndarray) -> np.ndarray:
             return lay.vec([fr.scale(u) for fr, u in zip(frames, lay.mat(U))])
 
-        if chol is None:
-            chol = _factor_schur(schur_matrix)
-        if chol is None:
+        if schur_solve is None:
+            schur_solve = factor_schur()
+        if schur_solve is None:
             warnings_out.append("Schur complement lost positive definiteness")
             return best_or(SdpStatus.NUMERICAL_TROUBLE)
         WFW = scaled(F)
@@ -779,7 +818,7 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
             eta, Rc, rtk = 1.0, -X, -tau * kappa      # predictor
             ARc = -AX                                 # rows_dot(-X), exactly
         # v2 and the first direction's right-hand side share one solve
-        v2, v1 = chol.solve(np.column_stack([u, schur_rhs(eta, ARc)])).T
+        v2, v1 = schur_solve(np.column_stack([u, schur_rhs(eta, ARc)])).T
         dX, dy, dS, dtau, dkappa = direction(eta, Rc, rtk, v1)
 
         def step_bound(dX, dS, dtau, dkappa):
@@ -811,7 +850,7 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
                           for fr, a, s in zip(frames, lay.mat(dXa), lay.mat(dSa))])
             rtk = sigma * mu - tau * kappa - dtaua * dkappaa
             dX, dy, dS, dtau, dkappa = direction(
-                1.0 - sigma, Rc, rtk, chol.solve(schur_rhs(1.0 - sigma, rows_dot(Rc))))
+                1.0 - sigma, Rc, rtk, schur_solve(schur_rhs(1.0 - sigma, rows_dot(Rc))))
 
         bound = step_bound(dX, dS, dtau, dkappa)
         if bound is None:

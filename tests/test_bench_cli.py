@@ -9,8 +9,8 @@ import polymin.bench
 import polymin.cli
 from polymin.bench import CSV_COLUMNS, BenchmarkPlan, run_benchmark
 from polymin.cli import main
-from polymin.poly import FamilyParams, parse, random_family_instance
-from polymin.refine import local_refine
+from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
+from polymin.refine import _exponent_table, local_refine
 
 from conftest import SYMMETRIC_QUARTIC, permutations_match
 
@@ -54,6 +54,25 @@ class TestLocalRefine:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             local_refine(parse("x1^2", 1), [1.0, 2.0])
+
+    @pytest.mark.parametrize("n, two_d", [(1, 4), (2, 8), (6, 4), (3, 10), (10, 4)])
+    def test_exponent_table_matches_polynomial_derivatives(self, n, two_d):
+        # f, grad f, the Hessian and sum |c_m| |x^m| off the one table
+        # against the term-by-term evaluation of the derivative polynomials
+        f = random_family_instance(FamilyParams(n, two_d // 2, 100, seed=4000000)).to_float()
+        value, derivatives, magnitude = _exponent_table(f)
+        grads = [f.differentiate(i) for i in range(n)]
+        f_abs = Polynomial(n, {m: abs(c) for m, c in f.terms.items()})
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = 1.5 * rng.normal(size=n)
+            g, H = derivatives(x)
+            pairs = [(value(x), f.evaluate(x)), (magnitude(x), f_abs.evaluate(np.abs(x))),
+                     (g, [p.evaluate(x) for p in grads]),
+                     (H, [[p.differentiate(j).evaluate(x) for j in range(n)] for p in grads])]
+            for got, want in pairs:
+                want = np.asarray(want, dtype=float)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestBenchmarkPlan:

@@ -7,7 +7,14 @@ import pytest
 
 from polymin import sdp
 from polymin.linalg import NotPositiveDefiniteError, spd_cholesky
-from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
+from polymin.poly import (
+    FamilyParams,
+    Polynomial,
+    parse,
+    random_family_instance,
+    scale_homogeneous,
+    suggested_scaling,
+)
 from polymin.psatz import SemialgebraicSystem, _multiplier_program
 from polymin.sdp import (
     SdpProblem,
@@ -643,9 +650,10 @@ class TestSchurKernel:
         lay = sdp._Layout(prob)
         kernel = sdp._SchurKernel(lay, prob.num_constraints, lay.A)
         for w in (scalings, lay.mat(lay.identity())):
-            got = kernel.assemble(w)
+            # the kernel forms the lower triangle, the one the factor reads
+            got = np.tril(kernel.assemble(w))
             want = dense_schur(prob, w)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got - np.tril(want))) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestGateSchurSolves:
@@ -671,6 +679,7 @@ class TestGateSchurSolves:
         assert sos_lower_bound(f).status is SdpStatus.OPTIMAL and len(last) == 3
         rng = np.random.default_rng(seed)
         for S in last:
+            S = np.tril(S) + np.tril(S, -1).T     # the lower triangle, which was factored
             rhs = rng.normal(size=len(S))
             x = spd_cholesky(S.copy()).solve(rhs)
             res = np.linalg.norm(S @ x - rhs)
@@ -745,10 +754,14 @@ class TestCoordinates:
 
 
 class TestOneSchurMatrixPerIteration:
-    def test_full_rank_sos_solve(self, monkeypatch):
-        # the rank filter reads iteration 0's factor, so a solve whose Schur
-        # factors never need a retry assembles and factors one matrix per
-        # iteration
+    """A solve whose Schur factors never need a retry assembles and factors
+    one matrix per iteration after iteration 0.  The rank filter reads
+    iteration 0's factor; on a plain SOS program, where every position lies
+    in one row, that matrix is diagonal, so iteration 0 divides by it and
+    forms no matrix at all."""
+
+    @staticmethod
+    def _counted(monkeypatch):
         counts = collections.Counter()
         assemble, factor = sdp._SchurKernel.assemble, sdp.spd_cholesky
 
@@ -762,10 +775,80 @@ class TestOneSchurMatrixPerIteration:
 
         monkeypatch.setattr(sdp._SchurKernel, "assemble", counted_assemble)
         monkeypatch.setattr(sdp, "spd_cholesky", counted_factor)
+        return counts
+
+    def test_full_rank_sos_solve(self, monkeypatch):
+        counts = self._counted(monkeypatch)
         res = sos_lower_bound(random_family_instance(FamilyParams(4, 3, 100, seed=4200004)))
         assert res.status is SdpStatus.OPTIMAL and not res.solution.warnings
         n = res.solution.iterations
+        assert n > 1 and counts == {"assemble": n - 1, "factor": n - 1}
+
+    def test_full_rank_ball_solve(self, monkeypatch):
+        # positions are shared by the multipliers' rows: iteration 0 is
+        # factored, and the rank filter's factor goes on to it
+        counts = self._counted(monkeypatch)
+        sol = solve(_ball_problem(4000000))
+        assert sol.status is SdpStatus.OPTIMAL and not sol.warnings
+        n = sol.iterations
         assert n > 0 and counts == {"assemble": n, "factor": n}
+
+
+def _scaled_gram(n, d):
+    """The plain SOS program of the (n, 2d) family instance 4000000, posed
+    at its suggested scale as the SOS pipeline poses it."""
+    f = random_family_instance(FamilyParams(n, d, 100, seed=4000000)).to_float()
+    return build_gram_sdp(scale_homogeneous(f, suggested_scaling(f, 2 * d), 2 * d)).problem
+
+
+class TestDiagonalIterationZero:
+    """Where every position lies in one row, iteration 0's Schur matrix is
+    rho / eta0 times the diagonal Gram matrix, and the solve divides by it;
+    a row that fails the rank rule sends the solve through the rank filter."""
+
+    @pytest.mark.parametrize("n, d", [(2, 4), (6, 2)], ids=["sos-2-8", "sos-6-4"])
+    def test_direction_matches_dense_path(self, monkeypatch, n, d):
+        prob = _scaled_gram(n, d)
+        lay = sdp._Layout(prob)
+        assert sdp._diagonal_gram(lay.A, lay.weights, prob.num_constraints) is not None
+
+        def after_one_step():
+            # the iterate one step past iteration 0: its y is that step alone
+            sol = solve(prob, stop=lambda X, S, record: {} if record.iteration == 1 else None)
+            assert sol.status is SdpStatus.OPTIMAL and sol.iterations == 1
+            return sol
+
+        divided = after_one_step()
+        monkeypatch.setattr(sdp, "_diagonal_gram", lambda *args: None)
+        factored = after_one_step()
+        for got, want in [(divided.y, factored.y), (divided.X, factored.X),
+                          (divided.S, factored.S)]:
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @staticmethod
+    def _with_empty_row(bk):
+        # row 5 of the (2,8) program has no entries: its Gram entry is 0
+        prob = _scaled_gram(2, 4)
+        k, i, j, v = prob.constraints
+        return prob, SdpProblem(prob.blocks, prob.cost, (k + (k >= 5), i, j, v),
+                                np.insert(prob.b, 5, bk))
+
+    def test_empty_row_with_zero_rhs_is_dropped(self):
+        prob, with_row = self._with_empty_row(0.0)
+        sol = solve(with_row)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert sol.warnings == ["removed 1 linearly dependent constraint row(s): [5]"]
+        # the restart solves the kept rows, the program itself, by division
+        ref = solve(prob)
+        assert ref.status is SdpStatus.OPTIMAL and not ref.warnings
+        assert sol.y[5] == 0.0 and np.array_equal(np.delete(sol.y, 5), ref.y)
+        assert np.array_equal(sol.X, ref.X) and sol.iterations == ref.iterations
+
+    def test_empty_row_with_nonzero_rhs_is_infeasible(self):
+        _, with_row = self._with_empty_row(1.0)
+        sol = solve(with_row)
+        assert sol.status is SdpStatus.PRIMAL_INFEASIBLE
+        assert sol.warnings == ["inconsistent dependent constraint rows"]
 
 
 class TestFactorSchurRetries:
