@@ -440,8 +440,7 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
             "multiplication matrix has no real eigenvalue under the tolerance rule"
         )
     grad_tol = GRAD_TOL * (1.0 + fe.max_abs_coefficient())
-    fl = fe.to_float()
-    grads = [fl.differentiate(i) for i in range(fe.n)]
+    f_value, derivatives, magnitude = fe.exponent_table()
     # Walk the real clusters in ascending order until one yields a validated
     # real critical point.  A complex critical point can carry a real
     # objective value (the eigenvalue is then real with no real point behind
@@ -449,7 +448,7 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
     for value, cluster in zip(eigen.real_values, eigen.real_clusters):
         cols = eigen.vectors[:, cluster]
         u, s, _ = np.linalg.svd(np.hstack([cols.real, cols.imag]), full_matrices=False)
-        points = _critical_points(u[:, s > 1e-9 * s[0]], Tx_dense, grads, grad_tol)
+        points = _critical_points(u[:, s > 1e-9 * s[0]], Tx_dense, derivatives, grad_tol)
         if points:
             return OracleResult(fstar=value, points=points, mu=mu, eigen=eigen,
                                 tf_nnz=tf_nnz)
@@ -458,16 +457,15 @@ def _minimize_as_given(fe: Polynomial, mu_cap: int) -> OracleResult:
     # same reader on the whole space enumerates every validated real critical
     # point instead; the least f wins, a tie measured against the size of f's
     # terms at the point, since the scaled problem's values can all be tiny.
-    points = _critical_points(np.eye(mu), Tx_dense, grads, grad_tol)
+    points = _critical_points(np.eye(mu), Tx_dense, derivatives, grad_tol)
     if not points:
         raise NoRealCriticalPointsError(
             "no candidate eigenvector produced a validated real critical point"
         )
-    values = [fl.evaluate(p) for p in points]
-    best = min(values)
-    f_abs = Polynomial(fe.n, {m: abs(c) for m, c in fl.terms.items()}, _clean=True)
-    points = [p for p, v in zip(points, values)
-              if v <= best + 1e-7 * (abs(best) + f_abs.evaluate([abs(x) for x in p]))]
+    values, sizes = f_value(points), magnitude(points)
+    best = float(values.min())
+    points = [p for p, v, size in zip(points, values, sizes)
+              if v <= best + 1e-7 * (abs(best) + size)]
     return OracleResult(fstar=best, points=points, mu=mu, eigen=eigen, tf_nnz=tf_nnz)
 
 
@@ -491,7 +489,7 @@ def _float_rows(g: Polynomial, G: GroebnerBasis, B: StandardBasis, Tx_dense) -> 
     return T
 
 
-def _critical_points(Q: np.ndarray, Tx_dense, grads, grad_tol) -> list[tuple]:
+def _critical_points(Q: np.ndarray, Tx_dense, derivatives, grad_tol) -> list[tuple]:
     """The validated real critical points read off the span of Q's
     orthonormal columns (a sum of joint eigenspaces of the T_xj), without
     duplicates and sorted.
@@ -517,7 +515,7 @@ def _critical_points(Q: np.ndarray, Tx_dense, grads, grad_tol) -> list[tuple]:
     points: list[tuple] = []
     for k in range(vecs.shape[1]):
         p = _point_from_vector(_realize(Q @ vecs[:, k]), Tx_dense)
-        if p is None or max(abs(g.evaluate(p)) for g in grads) > grad_tol:
+        if p is None or np.max(np.abs(derivatives(p)[0])) > grad_tol:
             continue
         if not any(max(abs(a - b) for a, b in zip(p, q)) <= 1e-6 for q in points):
             points.append(p)

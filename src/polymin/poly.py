@@ -246,11 +246,9 @@ class Polynomial:
             res[dm] = res.get(dm, 0) + c * e
         return Polynomial(self.n, res)
 
-    def gradient(self) -> list["Polynomial"]:
-        return [self.differentiate(i) for i in range(self.n)]
-
     def evaluate(self, point: Sequence):
-        """Direct term-by-term evaluation; exact when coefficients and point are rational."""
+        """The exact path: term-by-term evaluation, exact when coefficients
+        and point are rational.  Float values come from ``exponent_table``."""
         if len(point) != self.n:
             raise ValueError(f"point has length {len(point)}, expected {self.n}")
         total = 0
@@ -263,18 +261,59 @@ class Polynomial:
         return total
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation on an (m, n) array of points."""
+        """Float values on an (m, n) array of points, off ``exponent_table``."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (m, {self.n})")
-        out = np.zeros(pts.shape[0])
-        for m, c in self.terms.items():
-            term = np.full(pts.shape[0], float(c))
-            for i, e in enumerate(m):
-                if e:
-                    term *= pts[:, i] ** e
-            out += term
-        return out
+        return self.exponent_table()[0](pts)
+
+    def exponent_table(self):
+        """The float evaluator: f, its derivatives and its rounding scale off
+        one table of f's T terms (exponents E, coefficients c).
+
+        Each value gathers the powers x_j^e of a point from one power table
+        and sums c times their products.  Returns the functions
+        x -> f(x), for one point or an (m, n) array of points;
+        x -> (grad f, Hessian) at one point, from the nonzero terms of the
+        first and second derivatives, c e_i x^(e - 1_i) and
+        c e_i (e_j - [i = j]) x^(e - 1_i - 1_j), tabulated at its first call;
+        and x -> sum |c_m| |x^m|, the scale of rounding error in f(x).
+        """
+        n = self.n
+        E = np.array(list(self.terms), dtype=np.intp).reshape(-1, n)
+        c = np.array([float(v) for v in self.terms.values()])
+        powers, cols = np.arange(int(E.max(initial=0)) + 1)[:, None], np.arange(n)
+        derived = []  # (exponents, coefficients, slots) of the derivative terms
+
+        def monomials(exponents: np.ndarray, x) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            return np.prod((x[..., None, :] ** powers)[..., exponents, cols], axis=-1)
+
+        def value(x):
+            v = monomials(E, x) @ c
+            return float(v) if v.ndim == 0 else v
+
+        def derivatives(x):
+            if not derived:
+                identity = np.eye(n, dtype=np.intp)
+                E1, c1 = E - identity[:, None], c * E.T                  # [i, t]
+                E2 = E1[:, None] - identity[:, None]                     # [i, j, t]
+                c2 = c1[:, None] * np.swapaxes(E1, 1, 2)
+                at1, at2 = np.nonzero(c1), np.nonzero(c2)
+                # grad f's entry i sums into slot i, the Hessian's (i, j)
+                # into n + i n + j
+                derived.append((np.concatenate([E1[at1], E2[at2]]),
+                                np.concatenate([c1[at1], c2[at2]]),
+                                np.concatenate([at1[0], n + at2[0] * n + at2[1]])))
+            table, coef, slot = derived[0]
+            d = np.bincount(slot, weights=coef * monomials(table, x), minlength=n + n * n)
+            return d[:n], d[n:].reshape(n, n)
+
+        def magnitude(x):
+            v = monomials(E, np.abs(x)) @ np.abs(c)
+            return float(v) if v.ndim == 0 else v
+
+        return value, derivatives, magnitude
 
     # -- domain conversion ----------------------------------------------
 

@@ -22,47 +22,6 @@ class RefineResult:
     grad_norm: float
 
 
-def _exponent_table(f: Polynomial):
-    """f, its derivatives and its rounding scale in floats, off one table.
-
-    The table holds f's T terms (exponents E, coefficients c) and the
-    nonzero terms of its first and second derivatives, c e_i x^(e - 1_i)
-    and c e_i (e_j - [i = j]) x^(e - 1_i - 1_j), so each value is one
-    product of powers per term and one sum, and no derivative polynomial is
-    built.  Returns the functions x -> f(x), x -> (grad f, Hessian) and
-    x -> sum |c_m| |x^m|.
-    """
-    fl = f.to_float()
-    n = fl.n
-    E = np.array(list(fl.terms), dtype=np.intp).reshape(-1, n)
-    c = np.array(list(fl.terms.values()), dtype=float)
-    identity = np.eye(n, dtype=np.intp)
-    E1, c1 = E - identity[:, None], c * E.T                  # [i, t]
-    E2 = E1[:, None] - identity[:, None]                     # [i, j, t]
-    c2 = c1[:, None] * np.swapaxes(E1, 1, 2)
-    at1, at2 = np.nonzero(c1), np.nonzero(c2)
-    table = np.concatenate([E1[at1], E2[at2]])
-    coef = np.concatenate([c1[at1], c2[at2]])
-    # grad f's entry i sums into slot i, the Hessian's (i, j) into n + i n + j
-    slot = np.concatenate([at1[0], n + at2[0] * n + at2[1]])
-    powers, cols = np.arange(int(E.max(initial=0)) + 1)[:, None], np.arange(n)
-
-    def monomials(exponents: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.prod((x ** powers)[exponents, cols], axis=1)
-
-    def value(x: np.ndarray) -> float:
-        return float(monomials(E, x) @ c)
-
-    def derivatives(x: np.ndarray):
-        d = np.bincount(slot, weights=coef * monomials(table, x), minlength=n + n * n)
-        return d[:n], d[n:].reshape(n, n)
-
-    def magnitude(x: np.ndarray) -> float:
-        return float(np.abs(c) @ monomials(E, np.abs(x)))
-
-    return value, derivatives, magnitude
-
-
 def local_refine(f: Polynomial, x0) -> RefineResult:
     """Damped Newton descent toward a stationary point of f from x0.
 
@@ -75,9 +34,9 @@ def local_refine(f: Polynomial, x0) -> RefineResult:
     longer tell the step's gain from roundoff, so the step is taken whole and
     the result reported as converged.  Converges to a stationary point of the
     starting basin; no global optimality is implied.  f, grad f and the
-    Hessian come from one exponent table (``_exponent_table``).
+    Hessian come from f's exponent table (``Polynomial.exponent_table``).
     """
-    value, derivatives, magnitude = _exponent_table(f)
+    value, derivatives, magnitude = f.exponent_table()
     n = f.n
     x = np.array(x0, dtype=float)
     if x.shape != (n,):

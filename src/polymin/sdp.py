@@ -82,6 +82,7 @@ SIGMA_FLOOR = 0.05      # minimum centering weight, keeps iterates near-central
 INFEAS_RATIO = 1e-8     # tau/kappa collapse threshold of the embedding
 SLACK_GOAL = 1e-8       # target for ||X S|| / (1 + ||X|| + ||S||) in polish
 POLISH_ITERS = 8        # extra centering steps allowed after convergence
+RANK_CUT = 1e-13        # rank test: rows' Gram pivots/eigenvalues kept above this share of its max
 
 
 def _tolerances() -> dict:
@@ -505,10 +506,10 @@ def _rank_filter(assemble, b: np.ndarray, warnings_out: list[str]):
     gram = assemble()
     M = len(gram)
     # Independent rows, the builders' case, pass one Cholesky factor whose
-    # pivots all clear the rank threshold 1e-13 max|gram|, read off the
+    # pivots all clear the rank threshold RANK_CUT max|gram|, read off the
     # diagonal since the matrix is PSD; anything else goes to psd_factor,
     # whose null space names the rows to drop.
-    threshold = 1e-13 * np.diagonal(gram).max(initial=0.0)
+    threshold = RANK_CUT * np.diagonal(gram).max(initial=0.0)
     try:
         chol = spd_cholesky(gram)
         if np.all(np.diagonal(chol.L) ** 2 > threshold):
@@ -516,7 +517,7 @@ def _rank_filter(assemble, b: np.ndarray, warnings_out: list[str]):
     except NotPositiveDefiniteError:
         pass
     gram = np.tril(assemble())
-    Z = psd_factor(gram + np.tril(gram, -1).T, tol=1e-13).null
+    Z = psd_factor(gram + np.tril(gram, -1).T, tol=RANK_CUT).null
     if not Z.size:
         return list(range(M)), False, None
     dropped = []
@@ -610,7 +611,7 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
         frames = frames_at(X, S)
         schur = _SchurKernel(lay, len(b), coords)
         gram = _diagonal_gram(coords, lay.weights, len(b))
-        if gram is not None and np.all(gram > 1e-13 * gram.max(initial=0.0)):
+        if gram is not None and np.all(gram > RANK_CUT * gram.max(initial=0.0)):
             # _rank_filter's rule on a diagonal Gram matrix: its pivots are
             # its entries, so every row is kept, and iteration 0's Schur
             # matrix rho / eta0 * diag(gram) is neither formed nor factored

@@ -442,6 +442,7 @@ def _certified_stop(vec: MonomialVector, fs: Polynomial):
     when f_s at S's point is within STOP_TOL |f_s(x)| of it; the record
     holds X~ + eps E11 as "gram"."""
     t1 = float(fs.constant_coefficient())
+    value = fs.exponent_table()[0]
 
     def stop(X_blocks, S_blocks, record):
         if not _within_stop_gap(record):
@@ -452,7 +453,7 @@ def _certified_stop(vec: MonomialVector, fs: Polynomial):
             return None
         lam = float(t1 - G[0, 0] - eps)
         x = _top_moments(S_blocks[0], vec)[1]
-        fx = float(fs.evaluate(x)) if x is not None else math.nan
+        fx = value(x) if x is not None else math.nan
         if not fx - lam <= STOP_TOL * abs(fx):
             return None
         G[0, 0] += eps

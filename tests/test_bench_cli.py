@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import polymin.cli
 from polymin.bench import CSV_COLUMNS, BenchmarkPlan, run_benchmark
 from polymin.cli import main
 from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
-from polymin.refine import _exponent_table, local_refine
+from polymin.refine import local_refine
 
 from conftest import SYMMETRIC_QUARTIC, permutations_match
 
@@ -58,9 +59,10 @@ class TestLocalRefine:
     @pytest.mark.parametrize("n, two_d", [(1, 4), (2, 8), (6, 4), (3, 10), (10, 4)])
     def test_exponent_table_matches_polynomial_derivatives(self, n, two_d):
         # f, grad f, the Hessian and sum |c_m| |x^m| off the one table
-        # against the term-by-term evaluation of the derivative polynomials
+        # against the exact term-by-term evaluation of the derivative
+        # polynomials, at single points and at an (m, n) array of them
         f = random_family_instance(FamilyParams(n, two_d // 2, 100, seed=4000000)).to_float()
-        value, derivatives, magnitude = _exponent_table(f)
+        value, derivatives, magnitude = f.exponent_table()
         grads = [f.differentiate(i) for i in range(n)]
         f_abs = Polynomial(n, {m: abs(c) for m, c in f.terms.items()})
         rng = np.random.default_rng(n)
@@ -73,6 +75,14 @@ class TestLocalRefine:
             for got, want in pairs:
                 want = np.asarray(want, dtype=float)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        pts = 1.5 * rng.normal(size=(7, n))
+        exact = f.to_fraction()
+        for got in (value(pts), f.evaluate_many(pts)):
+            assert got.shape == (7,)
+            for v, x in zip(got, pts):
+                want = float(exact.evaluate([Fraction(t) for t in x]))
+                assert abs(v - want) <= 1e-13 * f_abs.evaluate(np.abs(x))
+        assert np.allclose(magnitude(pts), [magnitude(x) for x in pts], rtol=1e-13, atol=0)
 
 
 class TestBenchmarkPlan:

@@ -160,6 +160,18 @@ class TestSosLowerBound:
             v = sos_lower_bound(fs).value
             assert abs(v - base * alpha ** (-4)) <= 1e-6 * (1 + abs(v))
 
+    def test_small_bound_resolved_at_its_own_scale(self, motzkin):
+        # at suggested_scaling's alpha = 51.96 the gap instance's scaled bound
+        # is -1.6e-9, below the solver's 1e-8 accuracy, and unscaling gives
+        # -86674 with a failing certificate; the re-solve at alpha =
+        # |bound|^(1/8) gives -0.7701083851 (-0.7701083965 on Haswell kernels)
+        f = parse("x1^8+x2^8", 2) + (motzkin + 1) * 2700
+        res = sos_lower_bound(f)
+        assert abs(res.value - (-0.770108)) <= 1e-6
+        assert suggested_scaling(f) == pytest.approx(51.96, abs=0.01)
+        assert res.alpha == pytest.approx(4.1422, abs=1e-4)
+        assert res.certificate.ok
+
     def test_soundness_sampling(self):
         rng = random.Random(101)
         npr = np.random.default_rng(7)
