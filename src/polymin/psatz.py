@@ -158,7 +158,7 @@ def _multiplier_program(sys: SemialgebraicSystem, D: int):
     constraint's degree exceeds D).  s0's Gram classes are every monomial of
     degree <= D, so each row has an entry of its own in s0 and the rows are
     independent: every iterate has the projection onto the identity's
-    affine space that ``sdp.solve`` hands the stop tests below."""
+    affine space that ``sdp.solve`` builds for the stop tests below."""
     n = sys.n
     prog = SosProgram(n)
     prog.add_sos(MonomialVector.build(n, D // 2), Polynomial.constant(n, 1.0))
@@ -183,12 +183,14 @@ def _positive_definite(blocks: list) -> bool:
     return True
 
 
-def _witness_stop(X_blocks, S_blocks, record):
+def _witness_stop(record, iterate):
     """``sdp.solve``'s stop for the witness search: it fires at the first
     iterate whose projection onto the identity's affine space (the X_blocks
-    the solver hands a stop) is positive definite in every PSD block, which
-    makes those blocks a witness (the LP block holds the free multipliers as
-    u - v, so it needs no sign).  The record holds them as "blocks"."""
+    the solver's ``iterate()`` builds) is positive definite in every PSD
+    block, which makes those blocks a witness (the LP block holds the free
+    multipliers as u - v, so it needs no sign).  The record holds them as
+    "blocks"."""
+    X_blocks, _ = iterate()
     return {"blocks": X_blocks} if _positive_definite(X_blocks) else None
 
 
@@ -345,9 +347,10 @@ def _bound_stop(prog: SosProgram, cost: tuple):
     i, j, v = cost
     v = v * np.where(i == j, 1.0, 2.0)          # F . X counts (i, j) and (j, i)
 
-    def stop(X_blocks, S_blocks, record):
+    def stop(record, iterate):
         if not record.rel_dual <= FEAS_TOL:
             return None
+        X_blocks, _ = iterate()
         eps = _back_off(X_blocks[0])
         if eps is None or not _positive_definite(X_blocks[1:]):
             return None

@@ -14,13 +14,16 @@ primal or dual infeasibility is detected through the collapse of the
 embedding's tau/kappa ratio, certified by a ray where one exists; a weakly
 infeasible problem, which has no ray, is still inferred after the collapse
 from the objective's steady divergence.  Scaling, step lengths and
-complementarity act block by block.  Each PSD block's
-Nesterov-Todd frame is one factor G, built from two eigendecompositions, that
-takes X and S to the same diagonal point; it gives the scaling W = G G^T, the
-corrector's diagonal solve and the step lengths, so no block is factored
-again in an iteration.  The (dense, SPD) Schur complement of the Newton
-system is formed per Gram index by BLAS products over the constraints'
-classes of positions, its lower triangle only, and factored over itself by
+complementarity act block by block.  Each PSD block's Nesterov-Todd frame
+is one factor G, built from a Cholesky factor of S and one
+eigendecomposition, that takes X and S to the same diagonal point; it gives
+the scaling W = G G^T, the corrector's diagonal solve and the step lengths.
+The predictor's bounds on X and on S come off one eigensolve per block,
+since the frame ties its two directions; the corrector solves for the side
+that bound the last step and checks every other side by one Cholesky at the
+running bound.  The (dense, SPD) Schur complement of the Newton system is
+formed per Gram index by BLAS products over the constraints' classes of
+positions, its lower triangle only, and factored over itself by
 ``linalg.spd_cholesky``, a blocked Cholesky built of BLAS products that reads
 that triangle and keeps the inverses of its diagonal blocks, so each solve
 with the factor is matrix products too.  At the start every W is a multiple
@@ -36,10 +39,10 @@ row per constraint, flattened by ``_Layout``), so A is held only as
 coordinates.  The Schur kernel is built from them, and y @ A and A @ v are
 each one scatter-add over them.
 
-A caller's stop test sees each iterate projected onto A(X) = b (least-norm,
-Frobenius; Peyrl-Parrilo), by the diagonal of A Omega A^T where every
-position lies in one row, as in a plain SOS program, else by iteration 0's
-Schur factor, a multiple of A Omega A^T.
+A caller's stop test may ask for each iterate projected onto A(X) = b
+(least-norm, Frobenius; Peyrl-Parrilo), by the diagonal of A Omega A^T where
+every position lies in one row, as in a plain SOS program, else by
+iteration 0's Schur factor, a multiple of A Omega A^T.
 
 A solve call is single-threaded, deterministic and reentrant; independent
 problem instances may be solved concurrently.
@@ -282,29 +285,43 @@ def _rows_dot(coords: tuple, weights: np.ndarray, V: np.ndarray, M: int) -> np.n
     return np.bincount(rows, weights=vals * weights[cols] * V[cols], minlength=M)
 
 
+def _eigenvalues(V: np.ndarray) -> np.ndarray:
+    """The eigenvalues of sym(V), ascending; NaN where they do not converge."""
+    try:
+        return np.linalg.eigvalsh(_sym(V))
+    except np.linalg.LinAlgError:
+        return np.array([np.nan])
+
+
+def _step_to(lam_min: float) -> float:
+    """Largest alpha keeping I + alpha*V PSD, V of least eigenvalue lam_min;
+    0 for a non-finite lam_min."""
+    if not np.isfinite(lam_min):
+        return 0.0
+    return np.inf if lam_min >= -1e-16 else -1.0 / lam_min
+
+
 class _NtFrame:
     """Nesterov-Todd scaling data of one PSD block for one iteration.
 
-    With S^{1/2} X S^{1/2} = U diag(t) U^T, the factor
-    G = S^{-1/2} U diag(t^{1/4}) takes X and S to one diagonal point:
-    G^{-1} X G^{-T} = G^T S G = diag(d), d = t^{1/2}.  So W = G G^T
-    satisfies W S W = X, S^{-1} = G diag(1/d) G^T, the linearized
-    complementarity is diagonal in G's frame, and H_x = G^{-1} / sqrt(d)
-    and H_s = G^T / sqrt(d) take X and S to I, so the frame also sizes the
-    step.  Two eigendecompositions, of S and of S^{1/2} X S^{1/2}, give all
-    of it, and X and S are factored nowhere else.
+    With S = L L^T (Cholesky) and L^T X L = U diag(t) U^T, the factor
+    G = L^{-T} U diag(t^{1/4}) takes X and S to one diagonal point:
+    G^{-1} X G^{-T} = G^T S G = diag(d), d = t^{1/2} (Todd-Toh-Tutuncu,
+    SIAM J. Optim. 8, 1998).  So W = G G^T satisfies W S W = X,
+    S^{-1} = G diag(1/d) G^T, the linearized complementarity is diagonal in
+    G's frame, and H_x = G^{-1} / sqrt(d) and H_s = G^T / sqrt(d) take X and
+    S to I, so the frame also sizes the step.  One Cholesky of S and one
+    eigendecomposition give all of it; an S that fails Cholesky raises
+    LinAlgError.
     """
 
     def __init__(self, X: np.ndarray, S: np.ndarray):
-        es, Us = np.linalg.eigh(S)
-        rs = np.sqrt(np.maximum(es, 1e-300))
-        S_half = (Us * rs) @ Us.T
-        t, Ut = np.linalg.eigh(_sym(S_half @ X @ S_half))
+        L = np.linalg.cholesky(S)
+        t, U = np.linalg.eigh(_sym(L.T @ X @ L))
         self.d = np.sqrt(np.maximum(t, 1e-300))
         q = np.sqrt(self.d)[:, None]
-        V = Us.T @ Ut
-        self.G = (Us @ (V / rs[:, None])) * q.T
-        self.G_inv = (Ut.T @ S_half) / q
+        self.G = (np.linalg.inv(L).T @ U) * q.T
+        self.G_inv = (U.T @ L.T) / q
         self.W = _sym(self.G @ self.G.T)
         self.H = {"x": self.G_inv / q, "s": self.G.T / q}
 
@@ -315,19 +332,31 @@ class _NtFrame:
     def scale(self, U: np.ndarray) -> np.ndarray:
         return _sym(self.W @ U @ self.W)
 
-    def max_step(self, dU: np.ndarray, side: str) -> float:
+    def max_step(self, dU: np.ndarray, side: str, cap: float = np.inf) -> float:
         """Largest alpha keeping X + alpha*dU (side "x") or S + alpha*dU
-        (side "s") PSD: -1/lambda_min of H dU H^T; 0 on breakdown."""
-        if not np.all(np.isfinite(dU)):
-            return 0.0
+        (side "s") PSD: -1/lambda_min of V = H dU H^T; 0 on breakdown.
+        Below a finite cap, a Cholesky of I + cap V (its lower triangle)
+        that passes proves the step larger than cap, and inf is returned
+        without an eigensolve."""
         H = self.H[side]
-        try:
-            lam_min = float(np.linalg.eigvalsh(_sym(H @ dU @ H.T))[0])
-        except np.linalg.LinAlgError:
+        V = H @ dU @ H.T
+        if not np.all(np.isfinite(V)):
             return 0.0
-        if not np.isfinite(lam_min):
-            return 0.0
-        return np.inf if lam_min >= -1e-16 else -1.0 / lam_min
+        if cap < np.inf:
+            try:
+                np.linalg.cholesky(np.eye(len(V)) + cap * V)
+                return np.inf
+            except np.linalg.LinAlgError:
+                pass
+        return _step_to(_eigenvalues(V)[0])
+
+    def predictor_steps(self, dX: np.ndarray, dS: np.ndarray) -> tuple:
+        """(x, s) step bounds of a predictor direction, dX = -X - W dS W:
+        in G's frame H_s dS H_s^T = -I - H_x dX H_x^T, so one eigensolve
+        gives both sides, lambda_min for x and lambda_max for s."""
+        H = self.H["x"]
+        lam = _eigenvalues(H @ dX @ H.T)
+        return _step_to(lam[0]), _step_to(-1.0 - lam[-1])
 
     def second_order_residual(self, sigma_mu: float, dXa: np.ndarray,
                               dSa: np.ndarray) -> np.ndarray:
@@ -353,15 +382,40 @@ class _LpFrame:
     def scale(self, u: np.ndarray) -> np.ndarray:
         return self.W * u
 
-    def max_step(self, du: np.ndarray, side: str) -> float:
-        """The ratio test on x (side "x") or s (side "s")."""
+    def max_step(self, du: np.ndarray, side: str, cap: float = np.inf) -> float:
+        """The ratio test on x (side "x") or s (side "s"), whatever the cap."""
         v = self.x if side == "x" else self.s
         neg = du < 0
         return float(np.min(-v[neg] / du[neg])) if np.any(neg) else np.inf
 
+    def predictor_steps(self, dx: np.ndarray, ds: np.ndarray) -> tuple:
+        return self.max_step(dx, "x"), self.max_step(ds, "s")
+
     def second_order_residual(self, sigma_mu: float, dxa: np.ndarray,
                               dsa: np.ndarray) -> np.ndarray:
         return (sigma_mu - self.x * self.s - dxa * dsa) / self.s
+
+
+def _step_bound(frames: list, dX: list, dS: list, bound: float, first=None,
+                predictor: bool = False) -> tuple:
+    """The largest step, at most ``bound``, keeping X + alpha dX and
+    S + alpha dS in every block's cone, and the (block, side) that binds
+    (None without blocks).  A predictor, dX = -X - W dS W, reads both
+    sides of a block off one eigensolve.  Otherwise the side ``first`` is
+    solved first, the LP sides next, and every other side is tested at the
+    running bound, so a PSD side that cannot bind costs one Cholesky."""
+    steps = {}
+    if predictor:
+        for j, fr in enumerate(frames):
+            steps[j, "x"], steps[j, "s"] = fr.predictor_steps(dX[j], dS[j])
+    else:
+        parts = {"x": dX, "s": dS}
+        for j, side in sorted(((j, side) for j in range(len(frames)) for side in "xs"),
+                              key=lambda at: (at != first,
+                                              not isinstance(frames[at[0]], _LpFrame))):
+            cap = np.inf if (j, side) == first else min([bound, *steps.values()])
+            steps[j, side] = frames[j].max_step(parts[side][j], side, cap)
+    return min([bound, *steps.values()]), min(steps, key=steps.get, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +607,11 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     Gram matrix, so when its entries pass the rank filter's rule that
     iteration divides by it and forms no matrix: a full-rank plain SOS solve
     factors iterations - 1 matrices.
-    ``stop(X_blocks, S_blocks, record)`` is asked at every iterate (tau
-    divided out) up to the first converged one, ``record`` being that
-    iterate's ``IterateRecord``; a stop gates itself on the record's gap and
-    residuals.  X_blocks hold X~ = X + A^T (A Omega A^T)^-1 (b - A(X)) on
+    ``stop(record, iterate)`` is asked at every iterate up to the first
+    converged one, ``record`` being that iterate's ``IterateRecord``; a stop
+    gates itself on the record's gap and residuals and only then calls
+    ``iterate()``, which builds (X_blocks, S_blocks) of the iterate (tau
+    divided out).  X_blocks hold X~ = X + A^T (A Omega A^T)^-1 (b - A(X)) on
     the kept rows, the stop's to keep or change; a solve off the diagonal
     path keeps iteration 0's factor for it.  The first value the stop
     returns that is not None goes on the record's ``stop``, and that
@@ -661,6 +716,7 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
 
     stall_strikes = 0
     last_alpha = 1.0
+    binding = None       # the (block, side) whose step bound bound the last step
     best = None          # best converged iterate by slack-product residual
     relaxed = None       # latest iterate within the relaxed tolerances
     polish_used = 0
@@ -697,7 +753,7 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
             embedding_gap=XS + tau * kappa,
         ))
         if stop is not None and best is None:
-            trace[-1].stop = stop(projected(X / tau), lay.mat(S / tau), trace[-1])
+            trace[-1].stop = stop(trace[-1], lambda: (projected(X / tau), lay.mat(S / tau)))
             if trace[-1].stop is not None:
                 return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)
 
@@ -777,7 +833,7 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
             try:
                 frames = frames_at(X, S)
             except np.linalg.LinAlgError:
-                warnings_out.append("NT scaling eigendecomposition failed")
+                warnings_out.append("NT scaling failed: Cholesky of S or eigh of L^T X L")
                 return best_or(SdpStatus.NUMERICAL_TROUBLE)
 
         def scaled(U: np.ndarray) -> np.ndarray:
@@ -822,21 +878,25 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
         v2, v1 = schur_solve(np.column_stack([u, schur_rhs(eta, ARc)])).T
         dX, dy, dS, dtau, dkappa = direction(eta, Rc, rtk, v1)
 
-        def step_bound(dX, dS, dtau, dkappa):
-            """Largest step keeping X, S, tau and kappa in their cones; None
-            (with a warning) for a non-finite direction."""
+        def step_bound(dX, dS, dtau, dkappa, predictor=False):
+            """Largest step keeping X, S, tau and kappa in their cones
+            (``_step_bound``, which solves first for the side in
+            ``binding`` and keeps there the side that binds); None (with a
+            warning) for a non-finite direction."""
+            nonlocal binding
             if not (np.all(np.isfinite(dX)) and np.all(np.isfinite(dS))
                     and np.isfinite(dtau) and np.isfinite(dkappa)):
                 warnings_out.append("non-finite search direction")
                 return None
-            return min([fr.max_step(dx, "x") for fr, dx in zip(frames, lay.mat(dX))]
-                       + [fr.max_step(ds, "s") for fr, ds in zip(frames, lay.mat(dS))]
-                       + [(tau / -dtau) if dtau < 0 else np.inf,
-                          (kappa / -dkappa) if dkappa < 0 else np.inf])
+            bound, binding = _step_bound(
+                frames, lay.mat(dX), lay.mat(dS),
+                min((tau / -dtau) if dtau < 0 else np.inf,
+                    (kappa / -dkappa) if dkappa < 0 else np.inf), binding, predictor)
+            return bound
 
         if not converged_now:
             dXa, dSa, dtaua, dkappaa = dX, dS, dtau, dkappa
-            bound = step_bound(dXa, dSa, dtaua, dkappaa)
+            bound = step_bound(dXa, dSa, dtaua, dkappaa, predictor=True)
             if bound is None:
                 return best_or(SdpStatus.NUMERICAL_TROUBLE)
             alpha_a = min(1.0, bound)

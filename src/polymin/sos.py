@@ -10,9 +10,9 @@ the Gram matrix of ``f - lambda`` (the certificate) and its dual slack S is
 the moment matrix, whose top eigenvector lists a candidate minimizer: once
 polished by Newton steps, it is a global minimizer if f there meets the
 bound.  Late iterates prove bounds: X projected onto the Gram matrices of
-f - lambda (the solver hands its stop test that projection) and backed off
-in its constant slot is PSD (Peyrl-Parrilo, Lofberg), and f at S's point is
-an upper bound, so the solve stops once the two agree.
+f - lambda (the solver builds that projection for its stop test) and
+backed off in its constant slot is PSD (Peyrl-Parrilo, Lofberg), and f at
+S's point is an upper bound, so the solve stops once the two agree.
 
 ``MonomialVector`` owns the map from Gram entries to monomial coefficients:
 it groups the Gram index pairs by product monomial once per shape (n, d),
@@ -444,9 +444,10 @@ def _certified_stop(vec: MonomialVector, fs: Polynomial):
     t1 = float(fs.constant_coefficient())
     value = fs.exponent_table()[0]
 
-    def stop(X_blocks, S_blocks, record):
+    def stop(record, iterate):
         if not _within_stop_gap(record):
             return None
+        X_blocks, S_blocks = iterate()
         G = X_blocks[0]
         eps = _back_off(G)
         if eps is None:

@@ -257,7 +257,7 @@ class TestBallStop:
         _, _, _, problem = _ball_program(4000000)
         asked = []
         plain = solve(problem)
-        probed = solve(problem, stop=lambda X, S, record: asked.append(record))
+        probed = solve(problem, stop=lambda record, iterate: asked.append(record))
         assert asked and plain.iterations == probed.iterations
         for a, b in [(plain.X, probed.X), (plain.y, probed.y), (plain.S, probed.S)]:
             assert np.array_equal(a, b)

@@ -814,7 +814,7 @@ class TestDiagonalIterationZero:
 
         def after_one_step():
             # the iterate one step past iteration 0: its y is that step alone
-            sol = solve(prob, stop=lambda X, S, record: {} if record.iteration == 1 else None)
+            sol = solve(prob, stop=lambda record, iterate: {} if record.iteration == 1 else None)
             assert sol.status is SdpStatus.OPTIMAL and sol.iterations == 1
             return sol
 
@@ -950,9 +950,9 @@ class TestStopSeesProjection:
         assert shared == (program != "plain-sos")
         seen = []
 
-        def stop(X_blocks, S_blocks, record):
+        def stop(record, iterate):
             if record.iteration == at:
-                seen.append(X_blocks)
+                seen.append(iterate()[0])
                 return {}
             return None
 
@@ -987,6 +987,8 @@ class TestStepLength:
 
     @pytest.mark.parametrize("N", [3, 28, 66])
     def test_matches_dense_reference(self, N):
+        # below a cap under the step, one Cholesky proves the step larger
+        # and inf is reported; a cap above it leaves the eigensolve's value
         rng = np.random.default_rng(N)
         X, S = _random_spd(rng, N), _random_spd(rng, N)
         frame = sdp._NtFrame(X, S)
@@ -994,16 +996,19 @@ class TestStepLength:
             for _ in range(3):
                 B = rng.normal(size=(N, N))
                 dV = B + B.T
-                assert frame.max_step(dV, side) == pytest.approx(dense_step(V, dV),
-                                                                 rel=1e-9)
+                want = dense_step(V, dV)
+                assert frame.max_step(dV, side) == pytest.approx(want, rel=1e-9)
+                assert frame.max_step(dV, side, 2.0 * want) == pytest.approx(want, rel=1e-9)
+                assert frame.max_step(dV, side, 0.5 * want) == np.inf
 
     def test_psd_direction_is_unbounded(self):
         rng = np.random.default_rng(7)
         frame = sdp._NtFrame(_random_spd(rng, 5), _random_spd(rng, 5))
         dV = _random_spd(rng, 5)
         for side in ("x", "s"):
-            assert frame.max_step(dV, side) == np.inf
-            assert frame.max_step(np.zeros((5, 5)), side) == np.inf
+            for cap in (np.inf, 1.0):
+                assert frame.max_step(dV, side, cap) == np.inf
+                assert frame.max_step(np.zeros((5, 5)), side, cap) == np.inf
 
     def test_non_finite_direction_gives_zero(self):
         rng = np.random.default_rng(8)
@@ -1011,6 +1016,7 @@ class TestStepLength:
         dV = np.eye(4)
         dV[1, 2] = dV[2, 1] = np.nan
         assert frame.max_step(dV, "x") == 0.0
+        assert frame.max_step(dV, "x", 1.0) == 0.0
 
     def test_lp_ratio_test(self):
         x, s = np.array([1.0, 2.0, 3.0, 4.0]), np.array([4.0, 1.0, 0.5, 2.0])
@@ -1018,7 +1024,50 @@ class TestStepLength:
         du = np.array([-2.0, 1.0, -1.0, 0.0])
         assert frame.max_step(du, "x") == 0.5            # x[0] = 1 hits 0
         assert frame.max_step(du, "s") == 0.5            # s[2] = 0.5 hits 0
+        assert frame.max_step(du, "x", 0.1) == 0.5       # the ratio test ignores the cap
         assert frame.max_step(np.abs(du), "x") == np.inf
+
+    @pytest.mark.parametrize("lo", [0, -4, -6], ids=["2-decades", "6-decades", "8-decades"])
+    def test_predictor_identity_gives_both_sides(self, lo):
+        # a predictor's dX = -X - W dS W: the s-side step read off the
+        # eigenvalues of H_x dX H_x^T matches S's own whitening
+        rel = {0: 1e-9, -4: 1e-6, -6: 1e-2}[lo]
+        rng = np.random.default_rng(500 - lo)
+        for _ in range(30):
+            X, S = _spectrum_pair(rng, 8, lo, 2)
+            fr = sdp._NtFrame(X, S)
+            B = rng.normal(size=(8, 8))
+            dS = B + B.T
+            dX = -X - fr.scale(dS)
+            x_step, s_step = fr.predictor_steps(dX, dS)
+            assert x_step == pytest.approx(dense_step(X, dX), rel=rel)
+            assert s_step == pytest.approx(dense_step(S, dS), rel=rel)
+
+    def test_checked_bound_is_least_side(self):
+        # two PSD blocks and an LP block: whichever side is solved first,
+        # the sides tested by Cholesky at the running bound give the least
+        # step over all six sides, and the side that binds is named
+        rng = np.random.default_rng(600)
+        other_side_bound = 0
+        for _ in range(20):
+            Xs = [_random_spd(rng, 6), _random_spd(rng, 4), rng.uniform(0.5, 2.0, 5)]
+            Ss = [_random_spd(rng, 6), _random_spd(rng, 4), rng.uniform(0.5, 2.0, 5)]
+            frames = [sdp._NtFrame(Xs[0], Ss[0]), sdp._NtFrame(Xs[1], Ss[1]),
+                      sdp._LpFrame(Xs[2], Ss[2])]
+            sym = [rng.normal(size=(n, n)) for n in (6, 4, 6, 4)]
+            dX = [sym[0] + sym[0].T, sym[1] + sym[1].T, rng.normal(size=5)]
+            dS = [sym[2] + sym[2].T, sym[3] + sym[3].T, rng.normal(size=5)]
+            want = {(j, side): dense_step(*(np.diag(v) if v.ndim == 1 else v for v in pair))
+                    for side, V, dV in (("x", Xs, dX), ("s", Ss, dS))
+                    for j, pair in enumerate(zip(V, dV))}
+            least = min(want, key=want.get)
+            for first in [None, *want]:
+                got, binding = sdp._step_bound(frames, dX, dS, np.inf, first)
+                assert got == pytest.approx(want[least], rel=1e-12) and binding == least
+                other_side_bound += first not in (None, least)
+            # a cap below every side's step is the bound itself
+            assert sdp._step_bound(frames, dX, dS, 0.5 * want[least])[0] == 0.5 * want[least]
+        assert other_side_bound
 
 
 def _spectrum_pair(rng, N, lo, hi):
@@ -1087,14 +1136,67 @@ class TestNtFrame:
             for side in ("x", "s"):
                 step = fr.max_step(B + B.T, side)
                 assert np.isfinite(step) and step > 0
+            dS = B + B.T
+            steps = fr.predictor_steps(-X - fr.scale(dS), dS)
+            assert all(np.isfinite(step) and step > 0 for step in steps)
 
     def test_steps_match_dense_reference_at_eight_decades(self):
+        # the bound a corrector step gets: the side that bound the last step
+        # solved, the other one checked by Cholesky at the running bound
         rng = np.random.default_rng(400)
         for _ in range(50):
             X, S = _spectrum_pair(rng, 8, -6, 2)
             fr = sdp._NtFrame(X, S)
-            B = rng.normal(size=(8, 8))
-            dV = B + B.T
-            for side, V in (("x", X), ("s", S)):
-                assert fr.max_step(dV, side) == pytest.approx(dense_step(V, dV),
-                                                              rel=1e-2)
+            B, C = rng.normal(size=(2, 8, 8))
+            dX, dS = B + B.T, C + C.T
+            want = min(dense_step(X, dX), dense_step(S, dS))
+            for first in [(0, "x"), (0, "s")]:
+                got, _ = sdp._step_bound([fr], [dX], [dS], np.inf, first)
+                assert got == pytest.approx(want, rel=1e-2)
+
+    def test_cholesky_failure_of_s_ends_through_best_or(self, monkeypatch):
+        # a frame whose S fails Cholesky ends the solve with the frame's
+        # warning: early on with no usable iterate, later with the latest
+        # iterate within the relaxed tolerances
+        prob = _scaled_gram(2, 4)
+        plain = solve(prob)
+        relaxed = next(r.iteration for r in plain.trace
+                       if max(r.rel_primal, r.rel_dual) <= 1e-6
+                       and abs(r.primal_obj - r.dual_obj)
+                       <= 1e-6 * (1 + abs(r.primal_obj) + abs(r.dual_obj)))
+        real = sdp._NtFrame
+        for at, status in [(3, SdpStatus.NUMERICAL_TROUBLE), (relaxed, SdpStatus.OPTIMAL)]:
+            built = []
+
+            def frame(X, S):
+                built.append(X)
+                return real(X, -S if len(built) == at + 1 else S)
+
+            monkeypatch.setattr(sdp, "_NtFrame", frame)
+            sol = solve(prob)
+            assert sol.status is status and sol.iterations == at
+            assert sol.warnings == ["NT scaling failed: Cholesky of S or eigh of L^T X L"] + (
+                ["converged at reduced accuracy before numerical breakdown"]
+                if status is SdpStatus.OPTIMAL else [])
+
+
+class TestSpectralWorkPerStep:
+    """One eigh per PSD block per Newton step: the frame's, of L^T X L."""
+
+    @pytest.mark.parametrize("program", ["sos-6-4", "ball-3-4-6"])
+    def test_one_eigh_per_psd_block_per_step(self, monkeypatch, program):
+        prob = _scaled_gram(6, 2) if program == "sos-6-4" else _ball_problem(4000000)
+        counts = collections.Counter()
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        sol = solve(prob)
+        assert sol.status is SdpStatus.OPTIMAL and not sol.warnings
+        psd_blocks = sum(size > 0 for size in prob.blocks)
+        assert psd_blocks == (1 if program == "sos-6-4" else 2)
+        assert counts["eigh"] == psd_blocks * sol.iterations
+        # one eigvalsh per block for the predictor, then one for each side
+        # whose Cholesky test fails (the two-eigh frame took four)
+        assert counts["eigvalsh"] <= 3 * psd_blocks * sol.iterations

@@ -590,10 +590,10 @@ def _stopped_solve(f: Polynomial, asked: list | None = None):
     gs = build_gram_sdp(fs)
     certify = _certified_stop(gs.vector, fs)
 
-    def stop(X_blocks, S_blocks, record):
+    def stop(record, iterate):
         if asked is not None and _within_stop_gap(record):
-            asked.append(X_blocks[0])
-        return certify(X_blocks, S_blocks, record)
+            asked.append(iterate()[0][0])
+        return certify(record, iterate)
 
     sol = polymin.sdp.solve(gs.problem, stop=stop)
     return fs, gs, sol, [r.stop["gram"] for r in sol.trace if r.stop is not None]
@@ -646,7 +646,7 @@ class TestCertifiedStop:
         _, gs, _, _ = _stopped_solve(random_family_instance(FamilyParams(6, 2, 100, seed=4000000)))
         problem, asked = gs.problem, []
         plain = polymin.sdp.solve(problem)
-        probed = polymin.sdp.solve(problem, stop=lambda X, S, record: asked.append(record))
+        probed = polymin.sdp.solve(problem, stop=lambda record, iterate: asked.append(record))
         assert asked and plain.iterations == probed.iterations
         for a, b in [(plain.X, probed.X), (plain.y, probed.y), (plain.S, probed.S)]:
             assert np.array_equal(a, b)
