@@ -19,28 +19,27 @@ over the rationals.
 The same machinery minimizes a polynomial over the system: the largest
 lambda certified by a degree-D multiplier identity f - lambda =
 s0 + sum s_i f_i + sum t_j g_j is an SDP objective (lambda enters linearly)
-and rises monotonically with D.
+and rises monotonically with D; its solve stops by ``sos._certified_stop``.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .linalg import psd_factor
 from .poly import Polynomial, monomials_up_to_degree, parse
-from .sdp import FEAS_TOL, SdpFailure, SdpStatus, _block_diag, solve
+from .sdp import FEAS_TOL, SdpFailure, SdpStatus, solve
 from .sos import (
     CERT_PSD_TOL,
     MINUS_INFINITY,
-    STOP_TOL,
     MonomialVector,
     SosProgram,
-    _back_off,
+    _certified_stop,
+    _positive_definite,
     sos_lower_bound,
 )
 
@@ -158,7 +157,7 @@ def _multiplier_program(sys: SemialgebraicSystem, D: int):
     constraint's degree exceeds D).  s0's Gram classes are every monomial of
     degree <= D, so each row has an entry of its own in s0 and the rows are
     independent: every iterate has the projection onto the identity's
-    affine space that ``sdp.solve`` builds for the stop tests below."""
+    affine space that ``sdp.solve`` builds for the stop tests."""
     n = sys.n
     prog = SosProgram(n)
     prog.add_sos(MonomialVector.build(n, D // 2), Polynomial.constant(n, 1.0))
@@ -169,18 +168,6 @@ def _multiplier_program(sys: SemialgebraicSystem, D: int):
                 prog.add_free(monomials_up_to_degree(n, D - g.degree()), g)
                 for g in sys.equalities]
     return prog, ineq_terms, eq_terms
-
-
-def _positive_definite(blocks: list) -> bool:
-    """Whether every PSD block (a matrix; the LP block is a vector) passes
-    Cholesky."""
-    try:
-        for Q in blocks:
-            if Q.ndim == 2:
-                np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _witness_stop(record, iterate):
@@ -335,32 +322,11 @@ def real_feasibility_bound(gs: list[Polynomial]) -> RealFeasibilityResult:
 # Bounded-degree minimization over a system
 # ---------------------------------------------------------------------------
 
-def _bound_stop(prog: SosProgram, cost: tuple):
-    """``sdp.solve``'s stop for ``bounded_minimization``'s program, of cost
-    table (i, j, v) ``cost``: X~, the iterate projected onto the identity's
-    affine space, with s0's constant slot backed off by ``sos._back_off``'s
-    eps, proves lambda_c = offset - F . X~ when every other PSD block of X~
-    passes Cholesky (the LP block's u - v are free).  Tried at iterates whose
-    dual residual is <= FEAS_TOL, it fires when the dual objective's lambda,
-    offset - b . y, exceeds lambda_c by at most STOP_TOL (1 + |lambda_c|).
-    The record holds lambda_c as "lam", eps and X~ + eps E11 as "blocks"."""
-    i, j, v = cost
-    v = v * np.where(i == j, 1.0, 2.0)          # F . X counts (i, j) and (j, i)
-
-    def stop(record, iterate):
-        if not record.rel_dual <= FEAS_TOL:
-            return None
-        X_blocks, _ = iterate()
-        eps = _back_off(X_blocks[0])
-        if eps is None or not _positive_definite(X_blocks[1:]):
-            return None
-        X_blocks[0][0, 0] += eps
-        lam = prog.offset - float(v @ _block_diag(X_blocks)[i, j])
-        if not (prog.offset - record.dual_obj) - lam <= STOP_TOL * (1.0 + abs(lam)):
-            return None
-        return {"lam": lam, "eps": eps, "blocks": X_blocks}
-
-    return stop
+def _dual_upper(prog: SosProgram):
+    """The certified stop's upper value for ``bounded_minimization``: the
+    dual's lambda, offset - b . y, once rel_dual <= FEAS_TOL (else NaN)."""
+    return lambda record, S_blocks: (prog.offset - record.dual_obj
+                                     if record.rel_dual <= FEAS_TOL else math.nan)
 
 
 def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int) -> float:
@@ -370,8 +336,8 @@ def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int) -> flo
     Lambda enters the search linearly and is eliminated through the
     constant coefficient, so it is the SDP objective directly: no bisection
     is needed.  The value is the lambda_c proved by the first iterate that
-    ``_bound_stop`` accepts, which lies within 1e-8 (1 + |lambda_c|) of the
-    dual's lambda, else the converged objective's lambda.  The value never
+    ``sos._certified_stop`` accepts, within 1e-8 |lambda| of the dual's
+    lambda, else the converged objective's lambda.  The value never
     decreases (beyond that tolerance) when D grows, and rescaling the
     identity turns it into a refutation witness for any strictly smaller
     lambda appended as f <= λ'.  Returns -inf when no lambda is certifiable
@@ -384,10 +350,9 @@ def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int) -> flo
         raise ValueError("degree budget is below deg(f)")
     prog, _, _ = _multiplier_program(sys, D)
     problem = prog.match_coefficients(f, lam=Polynomial.constant(sys.n, 1.0))
-    sol = solve(problem, stop=_bound_stop(prog, problem.cost))
+    sol = solve(problem, stop=_certified_stop(prog, problem.cost, _dual_upper(prog)))
     if sol.status is SdpStatus.OPTIMAL:
-        stopped = sol.trace[-1].stop
-        return stopped["lam"] if stopped else prog.bound(sol)
+        return prog.bound(sol)
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return MINUS_INFINITY
     if sol.status is SdpStatus.DUAL_INFEASIBLE:

@@ -21,7 +21,8 @@ Each group is one defining equation of the affine space of Gram matrices.
 
 The same builder poses every multiplier form used in the package: bounds of
 the form "largest lambda with g*(f - lambda) SOS" for a fixed positive
-multiplier g, and the Positivstellensatz identities of ``psatz``.
+multiplier g, and the Positivstellensatz identities of ``psatz``; every
+such lambda-program stops by ``_certified_stop``.
 
 All pipeline stages are pure; batches of polynomials can be minimized on a
 worker pool with no shared state.
@@ -45,7 +46,7 @@ from .poly import (
     suggested_scaling,
 )
 from .refine import local_refine
-from .sdp import SdpFailure, SdpProblem, SdpSolution, SdpStatus, solve
+from .sdp import SdpFailure, SdpProblem, SdpSolution, SdpStatus, _block_diag, solve
 
 MINUS_INFINITY = float("-inf")
 
@@ -54,7 +55,7 @@ MINUS_INFINITY = float("-inf")
 RANK_TOL = 1e-4           # second-to-first eigenvalue ratio past which a rejected point re-solves
 EXTRACT_TOL = 1e-5        # f(point) - bound allowed, relative to 1 + |bound|
 CERT_PSD_TOL = 1e-8       # pivot threshold of the certificate's square factor
-STOP_TOL = 1e-8           # f(moment point) - certified bound that stops a solve, relative to |f|
+STOP_TOL = 1e-8           # upper value - certified bound that stops a solve, relative to |upper|
 STOP_GAP = 1e-4           # relative gap and residuals at which the certified stop is tried
 
 
@@ -222,8 +223,10 @@ class SosProgram:
                           cost, (renumber[k], i, j, v), rhs[keep])
 
     def bound(self, sol: SdpSolution) -> float:
-        """The maximized lambda at an optimal solution."""
-        return self.offset - sol.primal_obj
+        """The maximized lambda of an optimal solution: the certified stop's
+        lambda_c where it ended the solve, else offset - primal objective."""
+        stopped = sol.trace[-1].stop
+        return stopped["lam"] if stopped else self.offset - sol.primal_obj
 
     def free(self, sol: SdpSolution, term: int) -> Polynomial:
         off, monos, _ = self.free_terms[term]
@@ -434,55 +437,80 @@ def _within_stop_gap(record) -> bool:
                record.rel_dual) <= STOP_GAP
 
 
-def _certified_stop(vec: MonomialVector, fs: Polynomial):
-    """``sdp.solve``'s stop test for the plain SOS program over vec of f_s,
-    tried at the iterates ``_within_stop_gap``: X~, the iterate projected onto
-    the Gram matrices of f_s - lambda, backed off by ``_back_off``'s eps,
-    proves lambda_c = t_1 - X~[0, 0] - eps (t_1: f_s's constant).  It fires
-    when f_s at S's point is within STOP_TOL |f_s(x)| of it; the record
-    holds X~ + eps E11 as "gram"."""
-    t1 = float(fs.constant_coefficient())
-    value = fs.exponent_table()[0]
+def _positive_definite(blocks: list) -> bool:
+    """Whether every PSD block (a matrix; the LP block is a vector) passes
+    Cholesky."""
+    try:
+        for Q in blocks:
+            if Q.ndim == 2:
+                np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _certified_stop(prog: SosProgram, cost: tuple, upper):
+    """``sdp.solve``'s stop for ``prog`` posed by ``match_coefficients(target,
+    lam=g)``, g >= g(0) = 1, of cost table (i, j, v) ``cost``, tried at the
+    iterates ``_within_stop_gap``.  X~, the iterate projected onto the
+    identity's affine space, block 0's constant slot backed off by
+    ``_back_off``'s eps and every other PSD block passing Cholesky (the LP
+    block's u - v are free), proves lambda_c = offset - F . X~ (since g >= 1).
+    It fires when u - lambda_c <= STOP_TOL |u|, u = ``upper(record,
+    S_blocks)`` an upper value (NaN where there is none).  The record holds
+    lambda_c as "lam", eps, u as "upper" and X~ as "blocks"."""
+    i, j, v = cost
+    v = v * np.where(i == j, 1.0, 2.0)          # F . X counts (i, j) and (j, i)
 
     def stop(record, iterate):
         if not _within_stop_gap(record):
             return None
         X_blocks, S_blocks = iterate()
-        G = X_blocks[0]
-        eps = _back_off(G)
-        if eps is None:
+        u = upper(record, S_blocks)
+        eps = None if math.isnan(u) else _back_off(X_blocks[0])    # no upper value: no test
+        if eps is None or not _positive_definite(X_blocks[1:]):
             return None
-        lam = float(t1 - G[0, 0] - eps)
-        x = _top_moments(S_blocks[0], vec)[1]
-        fx = value(x) if x is not None else math.nan
-        if not fx - lam <= STOP_TOL * abs(fx):
+        X_blocks[0][0, 0] += eps
+        lam = prog.offset - float(v @ _block_diag(X_blocks)[i, j])
+        if not u - lam <= STOP_TOL * abs(u):
             return None
-        G[0, 0] += eps
-        return {"lam": lam, "eps": eps, "f_x": fx, "gram": G}
+        return {"lam": lam, "eps": eps, "upper": u, "blocks": X_blocks}
 
     return stop
+
+
+def _moment_upper(vec: MonomialVector, fs: Polynomial):
+    """The certified stop's upper value for a program of f_s with block 0 over
+    vec: f_s at the point of S's block 0 (NaN at a point at infinity)."""
+    value = fs.exponent_table()[0]
+
+    def upper(record, S_blocks):
+        x = _top_moments(S_blocks[0], vec)[1]
+        return value(x) if x is not None else math.nan
+
+    return upper
 
 
 def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
                         with_certificate: bool) -> SosResult:
     fs = scale_homogeneous(f.to_float(), alpha, two_d)
     gs = build_gram_sdp(fs, k)
-    sol = solve(gs.problem, stop=_certified_stop(gs.vector, fs)
-                if k == 0 and gs.vector.d >= 1 else None)
+    stop = _certified_stop(gs.program, gs.problem.cost, _moment_upper(gs.vector, fs))
+    sol = solve(gs.problem, stop=stop if gs.vector.d >= 1 else None)
     tols = {**sol.tolerances, "rank_tol": RANK_TOL, "extract_tol": EXTRACT_TOL,
             "alpha": alpha}
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return SosResult(MINUS_INFINITY, sol.status, None, None, gs.vector, alpha, sol, tols)
     if sol.status is not SdpStatus.OPTIMAL:
         raise SdpFailure(sol.status, f"(SOS bound, multiplier power {k})")
-    stopped = sol.trace[-1].stop            # the certified stop's record, if it fired
-    lam_s = stopped["lam"] if stopped else gs.program.bound(sol)
+    lam_s = gs.program.bound(sol)
     lam = lam_s * alpha**two_d
     d = np.array([alpha ** sum(m) for m in gs.vector.entries])
     moment = sol.S_blocks[0] * np.outer(d, d)
     cert = None
     if with_certificate:
-        gram_s = (stopped["gram"] if stopped else sol.X_blocks[0]).copy()
+        stopped = sol.trace[-1].stop
+        gram_s = (stopped["blocks"] if stopped else sol.X_blocks)[0].copy()
         gram_s[0, 0] += lam_s                   # was of f_s - lam_s, now of f_s
         cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha), lam, gs.vector, f)
     return SosResult(lam, sol.status, cert, moment, gs.vector, alpha, sol, tols)
@@ -496,10 +524,10 @@ def _unscale_gram(A: np.ndarray, vec: MonomialVector, alpha: float) -> np.ndarra
 def higher_degree_bound(f: Polynomial, k: int) -> float:
     """Largest lambda with (1 + sum x_i^(2k)) * (f - lambda) a sum of squares.
 
-    The multiplier is strictly positive everywhere (the constant term keeps
-    it nonzero at the origin), so any such lambda is a valid lower bound on
-    the minimum; the result is never below the plain SOS bound when both are
-    finite.
+    The multiplier is at least 1 everywhere, so any such lambda is a valid
+    lower bound on the minimum, and so is the lambda_c at which the solve
+    stops as the plain bound's does; the result is never below the plain
+    SOS bound when both are finite.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -11,7 +11,7 @@ from polymin.psatz import (
     NotFoundAtDegree,
     SemialgebraicSystem,
     Witness,
-    _bound_stop,
+    _dual_upper,
     _multiplier_program,
     bounded_minimization,
     find_witness,
@@ -19,7 +19,7 @@ from polymin.psatz import (
     verify_witness,
 )
 from polymin.sdp import SdpStatus, solve
-from polymin.sos import MINUS_INFINITY
+from polymin.sos import MINUS_INFINITY, _certified_stop, sos_lower_bound
 
 from conftest import dense_projection
 
@@ -152,6 +152,18 @@ class TestBoundedMinimization:
         v = bounded_minimization(SemialgebraicSystem(3), symmetric_quartic, 4)
         assert abs(v - (-2.112913882)) <= 1e-5
 
+    # with no constraints the multiplier program is the plain SOS program,
+    # posed unscaled and stopped on the dual's lambda: the two values agree
+    # to 3.0e-9 relative here
+    @pytest.mark.parametrize("n, two_d, seed", [
+        (n, two_d, seed) for n, two_d in [(2, 4), (3, 4), (6, 4)]
+        for seed in range(4000000, 4000003)])
+    def test_unconstrained_matches_the_plain_program(self, n, two_d, seed):
+        f = random_family_instance(FamilyParams(n, two_d // 2, 1, seed=seed))
+        plain = sos_lower_bound(f).value
+        v = bounded_minimization(SemialgebraicSystem(n), f, two_d)
+        assert abs(v - plain) <= 1e-8 * abs(plain)
+
     def test_interval_minimum(self):
         sys_ = SemialgebraicSystem(1, inequalities=[parse("x1", 1),
                                                     parse("1-x1", 1)])
@@ -228,18 +240,22 @@ def _ball_program(seed: int):
 
 class TestBallStop:
     """A ball bound ends at the first iterate whose projection, backed off
-    in s0's constant slot, proves a lambda_c within 1e-8 of the dual's
-    lambda; bounded_minimization returns that lambda_c."""
+    in s0's constant slot, proves a lambda_c within 1e-8 |lambda| of the
+    dual's lambda (the certified stop with the dual upper value);
+    bounded_minimization returns that lambda_c."""
 
     @pytest.mark.parametrize("seed", range(4000000, 4000012))
     def test_stopped_value_proves_a_bound_below_the_converged_one(self, seed):
         sys_, f, prog, problem = _ball_program(seed)
-        sol = solve(problem, stop=_bound_stop(prog, problem.cost))
+        sol = solve(problem, stop=_certified_stop(prog, problem.cost, _dual_upper(prog)))
         rec = sol.trace[-1].stop
         assert sol.status is SdpStatus.OPTIMAL and rec is not None
         assert all(r.stop is None for r in sol.trace[:-1])
-        lam = rec["lam"]
-        assert bounded_minimization(sys_, f, 6) == lam
+        lam, upper = rec["lam"], rec["upper"]
+        assert bounded_minimization(sys_, f, 6) == lam == prog.bound(sol)
+        # the upper value is the dual objective's lambda at that iterate
+        assert upper == prog.offset - sol.trace[-1].dual_obj
+        assert upper - lam <= 1e-8 * abs(upper)
         converged = solve(problem)
         lam_conv = prog.bound(converged)
         assert lam <= lam_conv and lam_conv - lam <= 1e-8 * (1 + abs(lam_conv))

@@ -25,7 +25,7 @@ from polymin.sdp import (
     solve,
     solve_lp,
 )
-from polymin.sos import _certified_stop, build_gram_sdp, sos_lower_bound
+from polymin.sos import _certified_stop, _moment_upper, build_gram_sdp, sos_lower_bound
 
 from conftest import (
     assert_same_table,
@@ -899,7 +899,8 @@ class TestSolveMemory:
         f = random_family_instance(FamilyParams(8, 2, 100, seed=4000000))
         gs = build_gram_sdp(f, 0)
         prob = gs.problem
-        stop = _certified_stop(gs.vector, f.to_float()) if certified else None
+        stop = (_certified_stop(gs.program, prob.cost, _moment_upper(gs.vector, f.to_float()))
+                if certified else None)
         M = prob.num_constraints
         tracemalloc.start()
         try:

@@ -24,6 +24,7 @@ from polymin.psatz import (
     NotFoundAtDegree,
     SemialgebraicSystem,
     _multiplier_program,
+    bounded_minimization,
     find_witness,
 )
 from polymin.sdp import SdpSolution, SdpStatus
@@ -33,6 +34,7 @@ from polymin.sos import (
     OddDegreeError,
     SosProgram,
     _certified_stop,
+    _moment_upper,
     _within_stop_gap,
     build_gram_sdp,
     extract_certificate,
@@ -486,6 +488,35 @@ class TestHigherDegreeBound:
             v = higher_degree_bound(f, 1)
             assert v >= plain - 1e-6 * (1 + abs(plain))
 
+    # the certified stop serves k >= 1 too: g = 1 + sum x_i^2 >= 1, so the
+    # backed-off projection proves lambda_c.  Without the stop these solves
+    # run one to three Newton steps longer
+    @pytest.mark.parametrize("n, two_d, seed", [(2, 4, None)] + [
+        (n, 4, seed) for n in (2, 3) for seed in range(4000000, 4000004)])
+    def test_stops_at_a_proved_bound(self, monkeypatch, n, two_d, seed):
+        f = (parse("x1^4+x2^4-3*x1*x2+x1", 2) if seed is None else
+             random_family_instance(FamilyParams(n, two_d // 2, 100, seed=seed)))
+        solves, solve = [], polymin.sdp.solve
+
+        def recording(problem, stop=None):
+            solves.append(solve(problem, stop=stop))
+            return solves[-1]
+
+        monkeypatch.setattr(polymin.sos, "solve", recording)
+        lam = higher_degree_bound(f, 1)
+        sol = solves[-1]
+        assert len(solves) == 1 and sol.trace[-1].stop is not None
+        # the same program at the same scale, run to convergence
+        alpha = suggested_scaling(f, two_d)
+        gs = build_gram_sdp(scale_homogeneous(f.to_float(), alpha, two_d), 1)
+        converged = solve(gs.problem)
+        lam_conv = gs.program.bound(converged) * alpha**two_d
+        assert lam == sol.trace[-1].stop["lam"] * alpha**two_d
+        assert abs(lam - lam_conv) <= 1e-8 * (1 + abs(lam_conv))
+        assert sol.iterations < converged.iterations
+        plain = sos_lower_bound(f, with_certificate=False).value
+        assert lam >= plain - 1e-8 * (1 + abs(plain))
+
 
 PAPER_MATRIX_SIZES = {
     # degree -> {n: matrix size}
@@ -588,7 +619,7 @@ def _stopped_solve(f: Polynomial, asked: list | None = None):
     alpha = suggested_scaling(f, two_d)
     fs = scale_homogeneous(f.to_float(), alpha, two_d)
     gs = build_gram_sdp(fs)
-    certify = _certified_stop(gs.vector, fs)
+    certify = _certified_stop(gs.program, gs.problem.cost, _moment_upper(gs.vector, fs))
 
     def stop(record, iterate):
         if asked is not None and _within_stop_gap(record):
@@ -596,7 +627,7 @@ def _stopped_solve(f: Polynomial, asked: list | None = None):
         return certify(record, iterate)
 
     sol = polymin.sdp.solve(gs.problem, stop=stop)
-    return fs, gs, sol, [r.stop["gram"] for r in sol.trace if r.stop is not None]
+    return fs, gs, sol, [r.stop["blocks"][0] for r in sol.trace if r.stop is not None]
 
 
 class TestCertifiedStop:
@@ -614,8 +645,8 @@ class TestCertifiedStop:
         rec = sol.trace[-1]
         assert rec.iteration == sol.iterations
         assert all(r.stop is None for r in sol.trace[:-1])
-        assert set(rec.stop) == {"lam", "eps", "f_x", "gram"}
-        lam, eps, fx = rec.stop["lam"], rec.stop["eps"], rec.stop["f_x"]
+        assert set(rec.stop) == {"lam", "eps", "upper", "blocks"} and len(rec.stop["blocks"]) == 1
+        lam, eps, fx = rec.stop["lam"], rec.stop["eps"], rec.stop["upper"]
         assert type(lam) is float and eps > 0
         assert fx - lam <= 1e-8 * abs(fx)
         # the record's Gram matrix is PD in floats and matches f_s - lambda_c
@@ -714,7 +745,16 @@ class TestTieBreakingSolve:
     bound, minimize solves f plus a tiny linear form through the bound's own
     pipeline, certified stop included."""
 
-    def test_every_solve_gets_the_certified_stop(self, monkeypatch):
+    # wells at -1 and 1, minimum 0: minimize's first moment matrix mixes
+    # them, so it solves again; every lambda-program stops by
+    # sos._certified_stop
+    @pytest.mark.parametrize("entry, solves", [
+        (lambda f: minimize(f).extraction.found, 2),
+        (lambda f: abs(higher_degree_bound(f, 1)) <= 1e-6, 1),
+        (lambda f: abs(bounded_minimization(
+            SemialgebraicSystem(1, inequalities=[parse("4-x1^2", 1)]), f, 4)) <= 1e-6, 1)],
+        ids=["minimize", "higher_degree_bound", "bounded_minimization"])
+    def test_every_solve_gets_the_certified_stop(self, monkeypatch, entry, solves):
         stops, solve = [], polymin.sdp.solve
 
         def recording(problem, stop=None):
@@ -722,10 +762,11 @@ class TestTieBreakingSolve:
             return solve(problem, stop=stop)
 
         monkeypatch.setattr(polymin.sos, "solve", recording)
-        # wells at -1 and 1: the first moment matrix mixes them
-        res = minimize(parse("x1^4-2*x1^2+1", 1))
-        assert res.extraction.found
-        assert len(stops) >= 2 and all(stop is not None for stop in stops)
+        monkeypatch.setattr(polymin.psatz, "solve", recording)
+        assert entry(parse("x1^4-2*x1^2+1", 1))
+        assert len(stops) >= solves
+        assert all(stop is not None and stop.__module__ == "polymin.sos"
+                   and stop.__qualname__ == "_certified_stop.<locals>.stop" for stop in stops)
 
     # (3,6) 4300001, 4300007 and 4300011 lost their point when the re-solve
     # ended at a certified iterate whose moment matrix was not yet a moment
@@ -758,7 +799,7 @@ class TestTieBreakingSolve:
         fs = scale_homogeneous(f.to_float(), res.alpha, 4)
         want = np.array([fs.terms.get(m, 0.0) for m in res.vector.classes])
         want[0] -= rec["lam"]
-        got = res.vector.coefficients(rec["gram"])
+        got = res.vector.coefficients(rec["blocks"][0])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
