@@ -7,38 +7,39 @@ For a system {f_i >= 0, g_j = 0} a witness of degree D is an identity
 with s0 and the s_i sums of squares and the t_j arbitrary polynomials, every
 product staying within degree D.  Such an identity is impossible to satisfy
 at a real solution of the system, so finding one refutes feasibility.  The
-search is posed with ``sos.SosProgram``: one PSD block per SOS multiplier
-(its Gram matrix in the primal X), each free multiplier's coefficients as
-u - v pairs in the nonnegative LP block, one coefficient-matching row per
-monomial, and a trace-regularized objective.
+search is laid out by ``sos._multiplier_program``, the package's one program
+builder: one PSD block per SOS multiplier (its Gram matrix in the primal X),
+each free multiplier's coefficients as u - v pairs in the nonnegative LP
+block, one coefficient-matching row per monomial, and a trace-regularized
+objective.
 
 Sums of squares are carried as weighted square lists (weight, polynomial)
 with nonnegative weights so a witness can be stated and verified exactly
 over the rationals.
 
-The same machinery minimizes a polynomial over the system: the largest
+The same builder minimizes a polynomial over the system: the largest
 lambda certified by a degree-D multiplier identity f - lambda =
 s0 + sum s_i f_i + sum t_j g_j is an SDP objective (lambda enters linearly)
-and rises monotonically with D; its solve stops by ``sos._certified_stop``.
+and rises monotonically with D.  It is a lambda-program like the plain SOS
+bound, which is this one with no constraints, and is solved by the same
+``sos._lambda_solve``.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .linalg import psd_factor
-from .poly import Polynomial, monomials_up_to_degree, parse
-from .sdp import FEAS_TOL, SdpFailure, SdpStatus, solve
+from .poly import Polynomial, parse
+from .sdp import SdpStatus, solve
 from .sos import (
     CERT_PSD_TOL,
-    MINUS_INFINITY,
-    MonomialVector,
-    SosProgram,
-    _certified_stop,
+    _dual_upper,
+    _lambda_solve,
+    _multiplier_program,
     _positive_definite,
     sos_lower_bound,
 )
@@ -147,29 +148,6 @@ class NotFoundAtDegree:
 # Witness search
 # ---------------------------------------------------------------------------
 
-def _even_budget(total: int) -> int:
-    return max(total, 0) // 2
-
-
-def _multiplier_program(sys: SemialgebraicSystem, D: int):
-    """The terms s0 + sum s_i f_i + sum t_j g_j of degree D: the program and,
-    per inequality/equality, the term carrying its multiplier (None when the
-    constraint's degree exceeds D).  s0's Gram classes are every monomial of
-    degree <= D, so each row has an entry of its own in s0 and the rows are
-    independent: every iterate has the projection onto the identity's
-    affine space that ``sdp.solve`` builds for the stop tests."""
-    n = sys.n
-    prog = SosProgram(n)
-    prog.add_sos(MonomialVector.build(n, D // 2), Polynomial.constant(n, 1.0))
-    ineq_terms = [None if f.degree() > D else
-                  prog.add_sos(MonomialVector.build(n, _even_budget(D - f.degree())), f)
-                  for f in sys.inequalities]
-    eq_terms = [None if g.degree() > D else
-                prog.add_free(monomials_up_to_degree(n, D - g.degree()), g)
-                for g in sys.equalities]
-    return prog, ineq_terms, eq_terms
-
-
 def _witness_stop(record, iterate):
     """``sdp.solve``'s stop for the witness search: it fires at the first
     iterate whose projection onto the identity's affine space (the X_blocks
@@ -194,7 +172,8 @@ def find_witness(sys: SemialgebraicSystem, D: int):
     if D < 2 or D % 2 != 0:
         raise ValueError("witness degree must be an even integer >= 2")
     n = sys.n
-    prog, ineq_terms, eq_terms = _multiplier_program(sys, D)
+    prog, ineq_terms, eq_terms = _multiplier_program(n, D, sys.inequalities,
+                                                     sys.equalities)
     problem = prog.match_coefficients(Polynomial.constant(n, -1.0))
     sol = solve(problem, stop=_witness_stop)
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
@@ -232,14 +211,9 @@ class VerificationReport:
     max_residual: float
     offending_monomials: list
     weights_ok: bool
-    rationalized: bool = False
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _rationalize_poly(p: Polynomial) -> Polynomial:
-    return p.to_fraction(max_denominator=RATIONALIZE_DENOMINATOR_CAP)
 
 
 def verify_witness(sys: SemialgebraicSystem, w: Witness,
@@ -250,42 +224,38 @@ def verify_witness(sys: SemialgebraicSystem, w: Witness,
     continued fractions with a capped denominator first) and requires the
     identity to vanish identically; float mode allows a coefficient residual
     up to 1e-6.  Sum-of-squares validity is checked through the provided
-    square lists: the weights must be nonnegative.
+    square lists: the weights must be nonnegative.  The witness must carry
+    one multiplier per constraint of the system (ValueError otherwise).
     """
+    counts = [len(w.ineq_multipliers), len(w.eq_multipliers)]
+    if counts != [len(sys.inequalities), len(sys.equalities)]:
+        raise ValueError(f"witness has {counts} multipliers, not one per constraint")
     n = sys.n
 
     def prep(p: Polynomial) -> Polynomial:
-        return _rationalize_poly(p) if exact else p.to_float()
+        return (p.to_fraction(max_denominator=RATIONALIZE_DENOMINATOR_CAP) if exact
+                else p.to_float())
 
-    weights_ok = all(
-        wgt >= (0 if exact else -1e-12)
-        for sq in [w.s0, *w.ineq_multipliers]
-        for wgt, _ in sq
-    )
+    weights_ok = all(wgt >= (0 if exact else -1e-12)
+                     for sq in [w.s0, *w.ineq_multipliers] for wgt, _ in sq)
     total = Polynomial.constant(n, Fraction(1) if exact else 1.0)
     acc = [(w.s0, None)] + list(zip(w.ineq_multipliers, sys.inequalities))
     for squares, factor in acc:
         part = Polynomial.zero(n)
         for wgt, q in squares:
             qq = prep(q)
-            wgt = Fraction(wgt) if exact and not isinstance(wgt, Fraction) else wgt
-            part = part + (qq * qq) * (wgt if exact else float(wgt))
+            part = part + (qq * qq) * (Fraction(wgt) if exact else float(wgt))
         if factor is not None:
             part = part * prep(factor)
         total = total + part
     for t, g in zip(w.eq_multipliers, sys.equalities):
         total = total + prep(t) * prep(g)
 
-    if exact:
-        ok = total.is_zero() and weights_ok
-        residual = 0.0 if total.is_zero() else total.max_abs_coefficient()
-    else:
-        residual = total.max_abs_coefficient()
-        ok = residual <= WITNESS_FLOAT_TOL and weights_ok
+    residual = total.max_abs_coefficient()
+    ok = weights_ok and (total.is_zero() if exact else residual <= WITNESS_FLOAT_TOL)
     offenders = sorted(total.terms, key=lambda m: -abs(float(total.terms[m])))[:5]
     return VerificationReport(ok=ok, exact=exact, max_residual=float(residual),
-                              offending_monomials=offenders, weights_ok=weights_ok,
-                              rationalized=exact)
+                              offending_monomials=offenders, weights_ok=weights_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -322,39 +292,26 @@ def real_feasibility_bound(gs: list[Polynomial]) -> RealFeasibilityResult:
 # Bounded-degree minimization over a system
 # ---------------------------------------------------------------------------
 
-def _dual_upper(prog: SosProgram):
-    """The certified stop's upper value for ``bounded_minimization``: the
-    dual's lambda, offset - b . y, once rel_dual <= FEAS_TOL (else NaN)."""
-    return lambda record, S_blocks: (prog.offset - record.dual_obj
-                                     if record.rel_dual <= FEAS_TOL else math.nan)
-
-
 def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int) -> float:
     """Largest lambda certified by a degree-D multiplier identity
     f - lambda = s0 + sum_i s_i f_i + sum_j t_j g_j with the s's SOS.
 
     Lambda enters the search linearly and is eliminated through the
     constant coefficient, so it is the SDP objective directly: no bisection
-    is needed.  The value is the lambda_c proved by the first iterate that
-    ``sos._certified_stop`` accepts, within 1e-8 |lambda| of the dual's
-    lambda, else the converged objective's lambda.  The value never
-    decreases (beyond that tolerance) when D grows, and rescaling the
-    identity turns it into a refutation witness for any strictly smaller
-    lambda appended as f <= λ'.  Returns -inf when no lambda is certifiable
-    at this degree and +inf when the system itself is refuted so strongly
-    the moment side (the dual) is empty.
+    is needed.  The solve is ``sos._lambda_solve``'s, and the value the
+    lambda_c proved by the first iterate that ``sos._certified_stop``
+    accepts, within 1e-8 |lambda| of the dual's lambda, else the converged
+    objective's lambda.  The value never decreases (beyond that tolerance)
+    when D grows, and rescaling the identity turns it into a refutation
+    witness for any strictly smaller lambda appended as f <= λ'.  Returns
+    -inf when no lambda is certifiable at this degree and +inf when the
+    system itself is refuted so strongly the moment side (the dual) is empty.
     """
     if D < 2 or D % 2 != 0:
         raise ValueError("degree must be an even integer >= 2")
     if f.degree() > D:
         raise ValueError("degree budget is below deg(f)")
-    prog, _, _ = _multiplier_program(sys, D)
+    prog, _, _ = _multiplier_program(sys.n, D, sys.inequalities, sys.equalities)
     problem = prog.match_coefficients(f, lam=Polynomial.constant(sys.n, 1.0))
-    sol = solve(problem, stop=_certified_stop(prog, problem.cost, _dual_upper(prog)))
-    if sol.status is SdpStatus.OPTIMAL:
-        return prog.bound(sol)
-    if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
-        return MINUS_INFINITY
-    if sol.status is SdpStatus.DUAL_INFEASIBLE:
-        return float("inf")
-    raise SdpFailure(sol.status, f"(bounded minimization at degree {D})")
+    return _lambda_solve(prog, problem, _dual_upper(prog),
+                         f"(bounded minimization at degree {D})")[0]

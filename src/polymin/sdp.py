@@ -51,6 +51,7 @@ problem instances may be solved concurrently.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -183,7 +184,6 @@ class SdpSolution:
     trace: list[IterateRecord] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     tolerances: dict = field(default_factory=dict)
-    certificate: dict | None = None
 
     @property
     def X(self) -> np.ndarray | None:
@@ -611,7 +611,8 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     converged one, ``record`` being that iterate's ``IterateRecord``; a stop
     gates itself on the record's gap and residuals and only then calls
     ``iterate()``, which builds (X_blocks, S_blocks) of the iterate (tau
-    divided out).  X_blocks hold X~ = X + A^T (A Omega A^T)^-1 (b - A(X)) on
+    divided out) at its first call and returns the same lists at every
+    later one.  X_blocks hold X~ = X + A^T (A Omega A^T)^-1 (b - A(X)) on
     the kept rows, the stop's to keep or change; a solve off the diagonal
     path keeps iteration 0's factor for it.  The first value the stop
     returns that is not None goes on the record's ``stop``, and that
@@ -624,7 +625,7 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     fmax = float(np.max(np.abs(F))) if F.size else 0.0
     trace: list[IterateRecord] = []
 
-    def finish(status, Xh=None, yh=None, Sh=None, cert=None, iters=0):
+    def finish(status, Xh=None, yh=None, Sh=None, iters=0):
         pobj = lay.dot(F, Xh) if Xh is not None else None
         dobj = float(b @ yh) if yh is not None else None
         gap = pobj - dobj if (pobj is not None and dobj is not None) else None
@@ -636,7 +637,7 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
             status=status, X_blocks=lay.mat(Xh) if Xh is not None else None, y=y_full,
             S_blocks=lay.mat(Sh) if Sh is not None else None, primal_obj=pobj,
             dual_obj=dobj, gap=gap, iterations=iters, trace=trace,
-            warnings=warnings_out, tolerances=_tolerances(), certificate=cert,
+            warnings=warnings_out, tolerances=_tolerances(),
         )
 
     def frames_at(X, S):
@@ -753,7 +754,8 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
             embedding_gap=XS + tau * kappa,
         ))
         if stop is not None and best is None:
-            trace[-1].stop = stop(trace[-1], lambda: (projected(X / tau), lay.mat(S / tau)))
+            trace[-1].stop = stop(trace[-1], functools.cache(
+                lambda: (projected(X / tau), lay.mat(S / tau))))
             if trace[-1].stop is not None:
                 return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)
 
@@ -796,12 +798,10 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
         if tau <= INFEAS_RATIO * max(1.0, kappa):
             # the embedding's tau/kappa balance collapsed: no optimum exists
             if by > 0 and float(np.max(np.abs(rows_combine(y) + S))) <= 1e-6 * by * (1 + fmax):
-                cert = {"kind": "dual_ray", "y": y / by, "S": lay.mat(S / by)}
-                return finish(SdpStatus.PRIMAL_INFEASIBLE, cert=cert, iters=it)
+                return finish(SdpStatus.PRIMAL_INFEASIBLE, iters=it)
             gXnorm = float(np.max(np.abs(AX))) if M else 0.0
             if FX < 0 and gXnorm <= 1e-6 * (-FX):
-                cert = {"kind": "primal_ray", "X": lay.mat(X / (-FX))}
-                return finish(SdpStatus.DUAL_INFEASIBLE, cert=cert, iters=it)
+                return finish(SdpStatus.DUAL_INFEASIBLE, iters=it)
             # Weakly infeasible regime: tau and kappa vanish together and no
             # Farkas ray exists.  A bounded problem's scaled objective is
             # Cauchy by now, so steady geometric divergence over the recent

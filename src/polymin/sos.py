@@ -19,10 +19,11 @@ it groups the Gram index pairs by product monomial once per shape (n, d),
 and the program rows and the certificate's residual read that one grouping.
 Each group is one defining equation of the affine space of Gram matrices.
 
-The same builder poses every multiplier form used in the package: bounds of
-the form "largest lambda with g*(f - lambda) SOS" for a fixed positive
-multiplier g, and the Positivstellensatz identities of ``psatz``; every
-such lambda-program stops by ``_certified_stop``.
+One builder, ``_multiplier_program``, lays out every program of the package
+(s0 + sum s_i f_i + sum t_j g_j of degree D), and one function,
+``_lambda_solve``, solves every lambda-program, the largest lambda with
+g * (f - lambda) such terms: the plain bound is the builder with no
+constraints, ``psatz.bounded_minimization`` adds a system's.
 
 All pipeline stages are pure; batches of polynomials can be minimized on a
 worker pool with no shared state.
@@ -46,7 +47,7 @@ from .poly import (
     suggested_scaling,
 )
 from .refine import local_refine
-from .sdp import SdpFailure, SdpProblem, SdpSolution, SdpStatus, _block_diag, solve
+from .sdp import FEAS_TOL, SdpFailure, SdpProblem, SdpSolution, SdpStatus, _block_diag, solve
 
 MINUS_INFINITY = float("-inf")
 
@@ -235,6 +236,24 @@ class SosProgram:
                                    if c != 0.0})
 
 
+def _multiplier_program(n: int, D: int, inequalities=(), equalities=()):
+    """The terms s0 + sum s_i f_i + sum t_j g_j of degree D, each multiplier
+    of the largest (for the s's even) degree keeping it within D: the program
+    and, per f_i and g_j, the term carrying its multiplier (None when the
+    constraint's degree exceeds D).  s0's Gram classes are every monomial of
+    degree <= D, so the rows are independent: every iterate has the
+    projection ``sdp.solve`` builds for the stop tests."""
+    prog = SosProgram(n)
+    prog.add_sos(MonomialVector.build(n, D // 2), Polynomial.constant(n, 1.0))
+    ineq_terms = [None if f.degree() > D else
+                  prog.add_sos(MonomialVector.build(n, (D - f.degree()) // 2), f)
+                  for f in inequalities]
+    eq_terms = [None if g.degree() > D else
+                prog.add_free(monomials_up_to_degree(n, D - g.degree()), g)
+                for g in equalities]
+    return prog, ineq_terms, eq_terms
+
+
 @dataclass
 class GramSdp:
     """Image-form SDP for the largest lambda with f - lambda a sum of squares.
@@ -259,24 +278,22 @@ def _even_degree(f: Polynomial) -> int:
 
 def build_gram_sdp(f: Polynomial, k: int = 0) -> GramSdp:
     """SDP computing the largest lambda with g * (f - lambda) a sum of squares,
-    where g = 1 for k = 0 and g = 1 + sum x_i^(2k) otherwise.
+    where g = 1 for k = 0 and g = 1 + sum x_i^(2k) otherwise: the multiplier
+    program with no constraints at degree deg f + 2k.
 
     Requires even degree; an odd-degree polynomial is unbounded below and has
     no SOS shift at all.
     """
     if f.is_zero():
         raise ValueError("f must not be identically zero")
-    two_d = _even_degree(f)
     n = f.n
     g = Polynomial.constant(n, 1.0)
     for i in range(n if k else 0):
         g = g + Polynomial.from_monomial(n, tuple(2 * k if j == i else 0
                                                   for j in range(n)), 1.0)
-    vec = MonomialVector.build(n, two_d // 2 + k)
-    prog = SosProgram(n)
-    prog.add_sos(vec, Polynomial.constant(n, 1.0))
+    prog, _, _ = _multiplier_program(n, _even_degree(f) + 2 * k)
     problem = prog.match_coefficients(g * f, lam=g)
-    return GramSdp(problem=problem, vector=vec, program=prog)
+    return GramSdp(problem=problem, vector=prog.sos_terms[0][1], program=prog)
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +474,20 @@ def _certified_stop(prog: SosProgram, cost: tuple, upper):
     ``_back_off``'s eps and every other PSD block passing Cholesky (the LP
     block's u - v are free), proves lambda_c = offset - F . X~ (since g >= 1).
     It fires when u - lambda_c <= STOP_TOL |u|, u = ``upper(record,
-    S_blocks)`` an upper value (NaN where there is none).  The record holds
-    lambda_c as "lam", eps, u as "upper" and X~ as "blocks"."""
+    iterate)`` an upper value (NaN where there is none, and then the stop
+    builds no projection).  The record holds lambda_c as "lam", eps, u as
+    "upper" and X~ as "blocks"."""
     i, j, v = cost
     v = v * np.where(i == j, 1.0, 2.0)          # F . X counts (i, j) and (j, i)
 
     def stop(record, iterate):
         if not _within_stop_gap(record):
             return None
-        X_blocks, S_blocks = iterate()
-        u = upper(record, S_blocks)
-        eps = None if math.isnan(u) else _back_off(X_blocks[0])    # no upper value: no test
+        u = upper(record, iterate)
+        if math.isnan(u):                       # no upper value: no test
+            return None
+        X_blocks, _ = iterate()
+        eps = _back_off(X_blocks[0])
         if eps is None or not _positive_definite(X_blocks[1:]):
             return None
         X_blocks[0][0, 0] += eps
@@ -484,26 +504,48 @@ def _moment_upper(vec: MonomialVector, fs: Polynomial):
     vec: f_s at the point of S's block 0 (NaN at a point at infinity)."""
     value = fs.exponent_table()[0]
 
-    def upper(record, S_blocks):
-        x = _top_moments(S_blocks[0], vec)[1]
+    def upper(record, iterate):
+        x = _top_moments(iterate()[1][0], vec)[1]
         return value(x) if x is not None else math.nan
 
     return upper
+
+
+def _dual_upper(prog: SosProgram):
+    """The certified stop's upper value for a program with no moment point to
+    read (``psatz.bounded_minimization``): the dual's lambda, offset - b . y,
+    once rel_dual <= FEAS_TOL (else NaN, read off the record alone)."""
+    return lambda record, iterate: (prog.offset - record.dual_obj
+                                    if record.rel_dual <= FEAS_TOL else math.nan)
+
+
+def _lambda_solve(prog: SosProgram, problem: SdpProblem, upper, what: str) -> tuple:
+    """(lambda, solution) of ``prog`` posed by ``match_coefficients(target,
+    lam=g)``, g >= g(0) = 1, ended by ``_certified_stop`` with ``upper``:
+    ``prog.bound`` if optimal, -inf if infeasible, +inf if the dual is; any
+    other status raises ``SdpFailure`` naming ``what``.  A constant's 1 x 1
+    block 0 gets no stop, which would end it up to STOP_TOL below its value."""
+    stop = _certified_stop(prog, problem.cost, upper) if prog.sos_terms[0][1].d else None
+    sol = solve(problem, stop=stop)
+    if sol.status is SdpStatus.OPTIMAL:
+        return prog.bound(sol), sol
+    if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
+        return MINUS_INFINITY, sol
+    if sol.status is SdpStatus.DUAL_INFEASIBLE:
+        return math.inf, sol
+    raise SdpFailure(sol.status, what)
 
 
 def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
                         with_certificate: bool) -> SosResult:
     fs = scale_homogeneous(f.to_float(), alpha, two_d)
     gs = build_gram_sdp(fs, k)
-    stop = _certified_stop(gs.program, gs.problem.cost, _moment_upper(gs.vector, fs))
-    sol = solve(gs.problem, stop=stop if gs.vector.d >= 1 else None)
+    lam_s, sol = _lambda_solve(gs.program, gs.problem, _moment_upper(gs.vector, fs),
+                               f"(SOS bound, multiplier power {k})")
     tols = {**sol.tolerances, "rank_tol": RANK_TOL, "extract_tol": EXTRACT_TOL,
             "alpha": alpha}
-    if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
-        return SosResult(MINUS_INFINITY, sol.status, None, None, gs.vector, alpha, sol, tols)
     if sol.status is not SdpStatus.OPTIMAL:
-        raise SdpFailure(sol.status, f"(SOS bound, multiplier power {k})")
-    lam_s = gs.program.bound(sol)
+        return SosResult(lam_s, sol.status, None, None, gs.vector, alpha, sol, tols)
     lam = lam_s * alpha**two_d
     d = np.array([alpha ** sum(m) for m in gs.vector.entries])
     moment = sol.S_blocks[0] * np.outer(d, d)
@@ -583,7 +625,7 @@ def minimize(f: Polynomial, *, extract: bool = True) -> MinimizeResult:
     """
     res = sos_lower_bound(f)
     extraction = None
-    if extract and not res.is_minus_infinity:
+    if extract and res.moment_matrix is not None:
         extraction = extract_minimizer(res.moment_matrix, res.vector, f, res.value)
         if not extraction.found and extraction.rank_ratio > RANK_TOL:
             perturbed = _perturbed_moment(f, res)

@@ -5,21 +5,27 @@ import numpy as np
 import pytest
 
 import polymin.psatz
+import polymin.sdp
+import polymin.sos
 from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
 from polymin.psatz import (
     FeasibilityVerdict,
     NotFoundAtDegree,
     SemialgebraicSystem,
     Witness,
-    _dual_upper,
-    _multiplier_program,
     bounded_minimization,
     find_witness,
     real_feasibility_bound,
     verify_witness,
 )
-from polymin.sdp import SdpStatus, solve
-from polymin.sos import MINUS_INFINITY, _certified_stop, sos_lower_bound
+from polymin.sdp import FEAS_TOL, SdpStatus, solve
+from polymin.sos import (
+    MINUS_INFINITY,
+    _certified_stop,
+    _dual_upper,
+    _multiplier_program,
+    sos_lower_bound,
+)
 
 from conftest import dense_projection
 
@@ -122,6 +128,21 @@ class TestVerifyWitness:
         w2 = Witness.from_json_dict(w.to_json_dict(), n=2)
         assert verify_witness(plane_system, w2, exact=True).ok
         assert w2.degree == 2
+
+    def test_multipliers_must_match_the_constraints(self):
+        # x1^2 + 1 * (-1 - x1^2) + 1 == 0 refutes {-1 - x1^2 >= 0}; multipliers
+        # for constraints the system lacks, or one too few, are refused rather
+        # than dropped or read as zero
+        x1 = Polynomial.variable(1, 0)
+        sys_ = SemialgebraicSystem(1, inequalities=[parse("-1-x1^2", 1)])
+        one = [(Fraction(1), Polynomial.constant(1, Fraction(1)))]
+        w = Witness(degree=2, s0=[(Fraction(1), x1)], ineq_multipliers=[one],
+                    eq_multipliers=[], n=1)
+        assert verify_witness(sys_, w, exact=True).ok
+        for ineq, eq in [([one, [(Fraction(5), x1)]], [x1 ** 3]), ([], [])]:
+            with pytest.raises(ValueError, match="one per constraint"):
+                verify_witness(sys_, Witness(degree=2, s0=w.s0, ineq_multipliers=ineq,
+                                             eq_multipliers=eq, n=1), exact=True)
 
 
 class TestRealFeasibilityBound:
@@ -234,7 +255,7 @@ def _ball_program(seed: int):
         r2 = r2 - Polynomial.variable(3, i) ** 2
     sys_ = SemialgebraicSystem(3, inequalities=[r2])
     f = random_family_instance(FamilyParams(3, 2, 100, seed=seed))
-    prog, _, _ = _multiplier_program(sys_, 6)
+    prog, _, _ = _multiplier_program(3, 6, sys_.inequalities)
     return sys_, f, prog, prog.match_coefficients(f, lam=Polynomial.constant(3, 1.0))
 
 
@@ -268,6 +289,26 @@ class TestBallStop:
             total = total + Polynomial(3, dict(zip(basis.classes, basis.coefficients(Q)))) * factor
         want = f.to_float() - lam
         assert (total - want).max_abs_coefficient() <= 1e-12 * want.max_abs_coefficient()
+
+    @pytest.mark.parametrize("seed", [4000000, 4000001])
+    def test_no_projection_before_the_dual_upper_value(self, monkeypatch, seed):
+        # the dual upper value is NaN until rel_dual <= FEAS_TOL, and the stop
+        # asks for it first: no iterate before then builds its projection
+        sys_, f, _, _ = _ball_program(seed)
+        built, plain_solve = [], polymin.sdp.solve
+
+        def counting_solve(problem, stop=None):
+            def counting_stop(record, iterate):
+                def build():
+                    built.append(record.rel_dual)
+                    return iterate()
+                return stop(record, build)
+            return plain_solve(problem, stop=counting_stop)
+
+        for module in (polymin.sos, polymin.psatz):
+            monkeypatch.setattr(module, "solve", counting_solve)
+        bounded_minimization(sys_, f, 6)
+        assert built and max(built) <= FEAS_TOL
 
     def test_a_stop_that_never_fires_changes_nothing(self):
         _, _, _, problem = _ball_program(4000000)

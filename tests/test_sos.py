@@ -23,7 +23,6 @@ from polymin.poly import (
 from polymin.psatz import (
     NotFoundAtDegree,
     SemialgebraicSystem,
-    _multiplier_program,
     bounded_minimization,
     find_witness,
 )
@@ -35,6 +34,7 @@ from polymin.sos import (
     SosProgram,
     _certified_stop,
     _moment_upper,
+    _multiplier_program,
     _within_stop_gap,
     build_gram_sdp,
     extract_certificate,
@@ -312,9 +312,7 @@ def _gram_case(n, d, k=0):
 
 def _psatz_case():
     # two SOS multiplier blocks and the free multiplier's LP block
-    system = SemialgebraicSystem(2, inequalities=[parse("x1-x2^2+3", 2)],
-                                 equalities=[parse("x2+x1^2+2", 2)])
-    prog, _, _ = _multiplier_program(system, 4)
+    prog, _, _ = _multiplier_program(2, 4, [parse("x1-x2^2+3", 2)], [parse("x2+x1^2+2", 2)])
     return prog, Polynomial.constant(2, -1.0), None
 
 
