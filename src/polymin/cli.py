@@ -38,7 +38,6 @@ from .handelman import (
 from .poly import PolyParseError, Polynomial, parse
 from .psatz import (
     NotFoundAtDegree,
-    PsatzSolverError,
     SemialgebraicSystem,
     find_witness,
     verify_witness,
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 INPUT_ERRORS = (PolyParseError, OddDegreeError, UnboundedPolytopeError,
                 HandelmanColumnCapError, ValueError, OSError,
                 json.JSONDecodeError, KeyError)
-SOLVER_ERRORS = (SdpFailure, PsatzSolverError, NotGroebnerError,
+SOLVER_ERRORS = (SdpFailure, NotGroebnerError,
                  NoRealCriticalPointsError, HandelmanInfeasibleError)
 
 

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import psd_factor
-from .poly import Polynomial, parse
-from .sdp import SdpStatus, solve
+from .poly import Polynomial, parse, sum_of_squared_residuals
+from .sdp import SdpFailure, SdpStatus, solve
 from .sos import (
     CERT_PSD_TOL,
     _dual_upper,
@@ -47,15 +47,6 @@ from .sos import (
 WITNESS_FLOAT_TOL = 1e-6
 RATIONALIZE_DENOMINATOR_CAP = 10**6
 NO_ROOT_MARGIN = 1e-6       # residual bounds above this prove there is no real root
-
-
-class PsatzSolverError(RuntimeError):
-    def __init__(self, status: SdpStatus, degree: int):
-        super().__init__(
-            f"witness search at degree {degree} failed with status {status.value}"
-        )
-        self.status = status
-        self.degree = degree
 
 
 @dataclass
@@ -153,10 +144,9 @@ def _witness_stop(record, iterate):
     iterate whose projection onto the identity's affine space (the X_blocks
     the solver's ``iterate()`` builds) is positive definite in every PSD
     block, which makes those blocks a witness (the LP block holds the free
-    multipliers as u - v, so it needs no sign).  The record holds them as
-    "blocks"."""
-    X_blocks, _ = iterate()
-    return {"blocks": X_blocks} if _positive_definite(X_blocks) else None
+    multipliers as u - v, so it needs no sign).  The solve returns them as
+    its X; the record holds nothing more."""
+    return {} if _positive_definite(iterate()[0]) else None
 
 
 def find_witness(sys: SemialgebraicSystem, D: int):
@@ -165,9 +155,10 @@ def find_witness(sys: SemialgebraicSystem, D: int):
     Returns a float-verified Witness on success and NotFoundAtDegree when the
     search SDP is infeasible.  Multiplier degrees are the largest even values
     keeping every product within D; constraints whose degree already exceeds
-    D get a zero multiplier.  The witness comes from the first iterate whose
-    projection onto the identity's affine space is positive definite (see
-    ``_witness_stop``), else from the converged solve.
+    D get a zero multiplier.  The witness is the solution's X: the first
+    iterate's projection onto the identity's affine space that is positive
+    definite (see ``_witness_stop``, which ends the solve there), else the
+    converged solve's.  Any other status raises ``SdpFailure``.
     """
     if D < 2 or D % 2 != 0:
         raise ValueError("witness degree must be an even integer >= 2")
@@ -179,9 +170,7 @@ def find_witness(sys: SemialgebraicSystem, D: int):
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return NotFoundAtDegree(D)
     if sol.status is not SdpStatus.OPTIMAL:
-        raise PsatzSolverError(sol.status, D)
-    if sol.trace[-1].stop is not None:
-        sol = replace(sol, X_blocks=sol.trace[-1].stop["blocks"])
+        raise SdpFailure(sol.status, f"(witness search at degree {D})")
 
     def squares_of(term: int) -> SquareList:
         vec = prog.sos_terms[term][1]
@@ -279,8 +268,6 @@ def real_feasibility_bound(gs: list[Polynomial]) -> RealFeasibilityResult:
     A strictly positive bound proves the system has no real solution; a zero
     (or unbounded-below) outcome is inconclusive by design.
     """
-    from .poly import sum_of_squared_residuals
-
     f = sum_of_squared_residuals(gs)
     res = sos_lower_bound(f, with_certificate=False)
     verdict = (FeasibilityVerdict.NO_REAL_ROOT
@@ -306,9 +293,13 @@ def bounded_minimization(sys: SemialgebraicSystem, f: Polynomial, D: int) -> flo
     witness for any strictly smaller lambda appended as f <= λ'.  Returns
     -inf when no lambda is certifiable at this degree and +inf when the
     system itself is refuted so strongly the moment side (the dual) is empty.
+    D odd, below 2 or below deg f, and f in another number of variables than
+    the system's, raise ``ValueError``.
     """
     if D < 2 or D % 2 != 0:
         raise ValueError("degree must be an even integer >= 2")
+    if f.n != sys.n:
+        raise ValueError("variable count mismatch between f and the system")
     if f.degree() > D:
         raise ValueError("degree budget is below deg(f)")
     prog, _, _ = _multiplier_program(sys.n, D, sys.inequalities, sys.equalities)

@@ -42,7 +42,9 @@ each one scatter-add over them.
 A caller's stop test may ask for each iterate projected onto A(X) = b
 (least-norm, Frobenius; Peyrl-Parrilo), by the diagonal of A Omega A^T where
 every position lies in one row, as in a plain SOS program, else by
-iteration 0's Schur factor, a multiple of A Omega A^T.
+iteration 0's Schur factor, a multiple of A Omega A^T.  A solve the stop
+ends returns that projection, as the stop left it: the stop's proof is the
+solution's X, and its objective is read off that X.
 
 A solve call is single-threaded, deterministic and reentrant; independent
 problem instances may be solved concurrently.
@@ -165,7 +167,7 @@ class IterateRecord:
     primal_obj: float
     dual_obj: float
     embedding_gap: float
-    stop: dict | None = None         # what a caller's stop test reported, if it fired
+    stop: dict | None = None         # a fired stop's report (its X~ is the solution's X)
 
 
 @dataclass
@@ -616,7 +618,9 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     the kept rows, the stop's to keep or change; a solve off the diagonal
     path keeps iteration 0's factor for it.  The first value the stop
     returns that is not None goes on the record's ``stop``, and that
-    iterate (X, not X~) is returned as OPTIMAL, without the centering polish.
+    iterate is returned as OPTIMAL, without the centering polish: its X is
+    X~ as the stop left it (built now if the stop never asked), with
+    ``primal_obj`` and ``gap`` read off it, and its y and S as they are.
     """
     warnings_out: list[str] = []
     lay = _Layout(prob)
@@ -754,10 +758,12 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
             embedding_gap=XS + tau * kappa,
         ))
         if stop is not None and best is None:
-            trace[-1].stop = stop(trace[-1], functools.cache(
-                lambda: (projected(X / tau), lay.mat(S / tau))))
+            iterate = functools.cache(lambda: (projected(X / tau), lay.mat(S / tau)))
+            trace[-1].stop = stop(trace[-1], iterate)
             if trace[-1].stop is not None:
-                return finish(SdpStatus.OPTIMAL, X / tau, y / tau, S / tau, iters=it)
+                # X~ as the stop left it, y and S the iterate's
+                return finish(SdpStatus.OPTIMAL, lay.vec(iterate()[0]), y / tau, S / tau,
+                              iters=it)
 
         converged_now = (
             rel_p <= FEAS_TOL and rel_d <= FEAS_TOL

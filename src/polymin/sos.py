@@ -12,7 +12,9 @@ polished by Newton steps, it is a global minimizer if f there meets the
 bound.  Late iterates prove bounds: X projected onto the Gram matrices of
 f - lambda (the solver builds that projection for its stop test) and
 backed off in its constant slot is PSD (Peyrl-Parrilo, Lofberg), and f at
-S's point is an upper bound, so the solve stops once the two agree.
+S's point is an upper bound, so the solve stops once the two agree and
+returns that backed-off projection as its X.  Stopped or converged, the
+bound is read one way: lambda = offset - the solution's primal objective.
 
 ``MonomialVector`` owns the map from Gram entries to monomial coefficients:
 it groups the Gram index pairs by product monomial once per shape (n, d),
@@ -156,9 +158,9 @@ class SosProgram:
 
         With ``lam``, a polynomial with nonzero constant coefficient, the
         program maximizes lambda in ``sum of terms == target - lambda * lam``:
-        lambda is eliminated through the constant coefficient and ``bound``
-        reads it back.  Without it the objective is the trace of X, a
-        regularized feasibility search.
+        lambda is eliminated through the constant coefficient and reads back
+        as ``offset`` - the primal objective.  Without it the objective is the
+        trace of X, a regularized feasibility search.
 
         Rows are monomials in order of first appearance: class-major over the
         terms, then the target's terms, then (with ``lam``) its terms.
@@ -222,12 +224,6 @@ class SosProgram:
         blocks = [basis.N for _, basis, _ in self.sos_terms]
         return SdpProblem(blocks + ([-self.lp_size] if self.lp_size else []),
                           cost, (renumber[k], i, j, v), rhs[keep])
-
-    def bound(self, sol: SdpSolution) -> float:
-        """The maximized lambda of an optimal solution: the certified stop's
-        lambda_c where it ended the solve, else offset - primal objective."""
-        stopped = sol.trace[-1].stop
-        return stopped["lam"] if stopped else self.offset - sol.primal_obj
 
     def free(self, sol: SdpSolution, term: int) -> Polynomial:
         off, monos, _ = self.free_terms[term]
@@ -369,13 +365,13 @@ class ExtractionResult:
     reason: str = ""
 
 
-def extract_minimizer(primal: np.ndarray, vec: MonomialVector, f: Polynomial,
+def extract_minimizer(moment: np.ndarray, vec: MonomialVector, f: Polynomial,
                       bound: float) -> ExtractionResult:
     """Read a candidate global minimizer off a moment matrix: ``_top_moments``'
     point, polished by ``local_refine``, accepted if f there lies within
     EXTRACT_TOL (1 + |bound|) of the bound.  A point where f meets a lower bound
     is a global minimizer whatever the matrix's rank, so that is the only test."""
-    ratio, point = _top_moments(primal, vec)
+    ratio, point = _top_moments(moment, vec)
     if point is None:
         return ExtractionResult(False, None, None, ratio, "point at infinity")
     r = local_refine(f, point)
@@ -475,8 +471,9 @@ def _certified_stop(prog: SosProgram, cost: tuple, upper):
     block's u - v are free), proves lambda_c = offset - F . X~ (since g >= 1).
     It fires when u - lambda_c <= STOP_TOL |u|, u = ``upper(record,
     iterate)`` an upper value (NaN where there is none, and then the stop
-    builds no projection).  The record holds lambda_c as "lam", eps, u as
-    "upper" and X~ as "blocks"."""
+    builds no projection).  The record holds eps as "eps" and u as "upper";
+    the solve returns the backed-off X~, so lambda_c is offset minus the
+    solution's primal objective."""
     i, j, v = cost
     v = v * np.where(i == j, 1.0, 2.0)          # F . X counts (i, j) and (j, i)
 
@@ -494,7 +491,7 @@ def _certified_stop(prog: SosProgram, cost: tuple, upper):
         lam = prog.offset - float(v @ _block_diag(X_blocks)[i, j])
         if not u - lam <= STOP_TOL * abs(u):
             return None
-        return {"lam": lam, "eps": eps, "upper": u, "blocks": X_blocks}
+        return {"eps": eps, "upper": u}
 
     return stop
 
@@ -522,13 +519,14 @@ def _dual_upper(prog: SosProgram):
 def _lambda_solve(prog: SosProgram, problem: SdpProblem, upper, what: str) -> tuple:
     """(lambda, solution) of ``prog`` posed by ``match_coefficients(target,
     lam=g)``, g >= g(0) = 1, ended by ``_certified_stop`` with ``upper``:
-    ``prog.bound`` if optimal, -inf if infeasible, +inf if the dual is; any
+    offset - primal objective if optimal (the lambda_c the stop proved where
+    it ended the solve), -inf if infeasible, +inf if the dual is; any
     other status raises ``SdpFailure`` naming ``what``.  A constant's 1 x 1
     block 0 gets no stop, which would end it up to STOP_TOL below its value."""
     stop = _certified_stop(prog, problem.cost, upper) if prog.sos_terms[0][1].d else None
     sol = solve(problem, stop=stop)
     if sol.status is SdpStatus.OPTIMAL:
-        return prog.bound(sol), sol
+        return prog.offset - sol.primal_obj, sol
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         return MINUS_INFINITY, sol
     if sol.status is SdpStatus.DUAL_INFEASIBLE:
@@ -551,8 +549,7 @@ def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
     moment = sol.S_blocks[0] * np.outer(d, d)
     cert = None
     if with_certificate:
-        stopped = sol.trace[-1].stop
-        gram_s = (stopped["blocks"] if stopped else sol.X_blocks)[0].copy()
+        gram_s = sol.X_blocks[0].copy()
         gram_s[0, 0] += lam_s                   # was of f_s - lam_s, now of f_s
         cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha), lam, gs.vector, f)
     return SosResult(lam, sol.status, cert, moment, gs.vector, alpha, sol, tols)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from polymin.psatz import (
     real_feasibility_bound,
     verify_witness,
 )
-from polymin.sdp import FEAS_TOL, SdpStatus, solve
+from polymin.cli import main
+from polymin.sdp import FEAS_TOL, MAX_ITER, SdpFailure, SdpSolution, SdpStatus, solve
 from polymin.sos import (
     MINUS_INFINITY,
     _certified_stop,
@@ -80,6 +82,20 @@ class TestFindWitness:
     def test_requires_even_degree(self, plane_system):
         with pytest.raises(ValueError):
             find_witness(plane_system, 3)
+
+    def test_solver_failure_raises_and_exits_3(self, monkeypatch, plane_system, tmp_path):
+        # a search that ends neither optimal nor infeasible is a solver failure
+        def capped(problem, stop=None):
+            return SdpSolution(SdpStatus.ITERATION_LIMIT, None, None, None, None, None,
+                               None, MAX_ITER)
+
+        monkeypatch.setattr(polymin.psatz, "solve", capped)
+        with pytest.raises(SdpFailure, match="witness search at degree 2") as err:
+            find_witness(plane_system, 2)
+        assert err.value.status is SdpStatus.ITERATION_LIMIT
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(plane_system.to_json_dict()))
+        assert main(["psatz", "--system", str(path), "--degree", "2"]) == 3
 
     def test_soundness_on_random_feasible_systems(self):
         # systems built around a known point can never acquire a witness
@@ -223,6 +239,11 @@ class TestBoundedMinimization:
     def test_degree_validation(self, symmetric_quartic):
         with pytest.raises(ValueError):
             bounded_minimization(SemialgebraicSystem(3), symmetric_quartic, 2)
+        # f in another number of variables than the system's: no silent -inf
+        ball = _ball_program(4000000)[0]
+        for n in (2, 4):
+            with pytest.raises(ValueError, match="variable count"):
+                bounded_minimization(ball, parse("x1^2+x2^2", n), 4)
 
 
 class TestDegreeBudgets:
@@ -272,19 +293,20 @@ class TestBallStop:
         rec = sol.trace[-1].stop
         assert sol.status is SdpStatus.OPTIMAL and rec is not None
         assert all(r.stop is None for r in sol.trace[:-1])
-        lam, upper = rec["lam"], rec["upper"]
-        assert bounded_minimization(sys_, f, 6) == lam == prog.bound(sol)
+        lam, upper = prog.offset - sol.primal_obj, rec["upper"]
+        assert set(rec) == {"eps", "upper"} and bounded_minimization(sys_, f, 6) == lam
         # the upper value is the dual objective's lambda at that iterate
         assert upper == prog.offset - sol.trace[-1].dual_obj
         assert upper - lam <= 1e-8 * abs(upper)
         converged = solve(problem)
-        lam_conv = prog.bound(converged)
+        lam_conv = prog.offset - converged.primal_obj
         assert lam <= lam_conv and lam_conv - lam <= 1e-8 * (1 + abs(lam_conv))
         assert sol.iterations < converged.iterations
-        # the projected blocks, s0's backed off, are PD and re-expand to f - lambda_c
-        assert rec["eps"] >= 0
+        # the solution's X, the projected blocks with s0's backed off, is PD
+        # and re-expands to f - lambda_c
+        assert rec["eps"] >= 0 and len(sol.X_blocks) == len(prog.sos_terms)
         total = Polynomial.zero(3)
-        for Q, (_, basis, factor) in zip(rec["blocks"], prog.sos_terms):
+        for Q, (_, basis, factor) in zip(sol.X_blocks, prog.sos_terms):
             np.linalg.cholesky(Q)
             total = total + Polynomial(3, dict(zip(basis.classes, basis.coefficients(Q)))) * factor
         want = f.to_float() - lam

@@ -924,12 +924,13 @@ class TestStopSeesProjection:
     A Omega A^T is diagonal; on a ball program positions are shared by the
     multipliers' rows and iteration 0's Schur factor solves with it; with a
     dependent row appended, the solve restarts on the kept rows and factors
-    iteration 0 before the first ask.  The solve returns the unprojected
-    iterate, so the reference projects that."""
+    iteration 0 before the first ask.  The stopped solve returns X~ itself,
+    so the reference projects the raw iterate of a solve with no stop that
+    the iteration cap ends at the same iteration."""
 
     @pytest.mark.parametrize("at", [0, 3])
     @pytest.mark.parametrize("program", ["plain-sos", "ball", "dependent-row"])
-    def test_matches_dense_least_norm_projection(self, program, at):
+    def test_matches_dense_least_norm_projection(self, monkeypatch, program, at):
         if program == "ball":
             problem = _ball_problem(4000000)
         else:
@@ -956,7 +957,13 @@ class TestStopSeesProjection:
         sol = solve(problem, stop=stop)
         assert sol.status is SdpStatus.OPTIMAL and sol.iterations == at and len(seen) == 1
         assert bool(sol.warnings) == (program == "dependent-row")
-        want = dense_projection(problem, sol.X_blocks)
+        # the solution's X is the projection the stop was handed
+        assert all(np.array_equal(x, q) for x, q in zip(sol.X_blocks, seen[0]))
+        monkeypatch.setattr(sdp, "MAX_ITER", at)
+        raw = solve(problem)
+        assert raw.status is SdpStatus.ITERATION_LIMIT and raw.iterations == at
+        assert np.array_equal(raw.y, sol.y) and np.array_equal(raw.S, sol.S)
+        want = dense_projection(problem, raw.X_blocks)
         for got, ref in zip(seen[0], want):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         AX = dense_constraints(problem) @ sdp._block_diag(seen[0]).ravel()
@@ -964,18 +971,26 @@ class TestStopSeesProjection:
 
     def test_each_iterate_is_built_once(self):
         # an upper value and the stop's test may both ask for the iterate:
-        # the second ask gets the first one's blocks, changes included
-        seen = []
+        # the second ask gets the first one's blocks, changes included, and
+        # the solve returns them as the stop left them, its objective theirs
+        seen, last = [], []
 
         def stop(record, iterate):
             X_blocks, S_blocks = iterate()
             X_blocks[0][0, 0] += 1.0
             again = iterate()
             seen.append(again[0] is X_blocks and again[1] is S_blocks)
+            last[:] = [b.copy() for b in X_blocks]
             return {} if record.iteration == 3 else None
 
-        solve(_ball_problem(4000000), stop=stop)
+        problem = _ball_problem(4000000)
+        sol = solve(problem, stop=stop)
         assert seen == [True] * 4
+        assert all(np.array_equal(x, q) for x, q in zip(sol.X_blocks, last))
+        i, j, v = problem.cost
+        F_dot_X = float(np.sum(v * np.where(i == j, 1.0, 2.0) * sol.X[i, j]))
+        assert sol.primal_obj == pytest.approx(F_dot_X, rel=1e-14)
+        assert sol.gap == sol.primal_obj - sol.dual_obj
 
 
 def _random_spd(rng, N):

@@ -508,8 +508,10 @@ class TestHigherDegreeBound:
         alpha = suggested_scaling(f, two_d)
         gs = build_gram_sdp(scale_homogeneous(f.to_float(), alpha, two_d), 1)
         converged = solve(gs.problem)
-        lam_conv = gs.program.bound(converged) * alpha**two_d
-        assert lam == sol.trace[-1].stop["lam"] * alpha**two_d
+        lam_conv = (gs.program.offset - converged.primal_obj) * alpha**two_d
+        # the bound is the stopped solution's lambda_c, proved by its X
+        assert lam == (gs.program.offset - sol.primal_obj) * alpha**two_d
+        np.linalg.cholesky(sol.X_blocks[0])
         assert abs(lam - lam_conv) <= 1e-8 * (1 + abs(lam_conv))
         assert sol.iterations < converged.iterations
         plain = sos_lower_bound(f, with_certificate=False).value
@@ -610,9 +612,10 @@ class TestBoundAtExtractedPoint:
 
 def _stopped_solve(f: Polynomial, asked: list | None = None):
     """The plain SOS solve of f as sos_lower_bound poses it at the suggested
-    scale, with the certified stop: (f_s, the Gram SDP, the solution, the
-    Grams the stop's records hold).  ``asked`` collects the X of the iterates
-    it was tried at, those within its STOP_GAP gate."""
+    scale, with the certified stop: (f_s, the Gram SDP, the solution, whose
+    X is the Gram the stop proved its bound by where it fired).  ``asked``
+    collects the X of the iterates it was tried at, those within its
+    STOP_GAP gate."""
     two_d = f.degree()
     alpha = suggested_scaling(f, two_d)
     fs = scale_homogeneous(f.to_float(), alpha, two_d)
@@ -624,8 +627,7 @@ def _stopped_solve(f: Polynomial, asked: list | None = None):
             asked.append(iterate()[0][0])
         return certify(record, iterate)
 
-    sol = polymin.sdp.solve(gs.problem, stop=stop)
-    return fs, gs, sol, [r.stop["blocks"][0] for r in sol.trace if r.stop is not None]
+    return fs, gs, polymin.sdp.solve(gs.problem, stop=stop)
 
 
 class TestCertifiedStop:
@@ -638,20 +640,20 @@ class TestCertifiedStop:
         (10, 4, 4000002)], ids=["6-4-0", "6-4-2", "3-8-0", "3-8-3", "10-4-2"])
     def test_stopped_solve_proves_its_bound(self, n, two_d, seed):
         f = random_family_instance(FamilyParams(n, two_d // 2, 100, seed=seed))
-        fs, gs, sol, grams = _stopped_solve(f)
-        assert sol.status is SdpStatus.OPTIMAL and len(grams) == 1
+        fs, gs, sol = _stopped_solve(f)
+        assert sol.status is SdpStatus.OPTIMAL
         rec = sol.trace[-1]
         assert rec.iteration == sol.iterations
         assert all(r.stop is None for r in sol.trace[:-1])
-        assert set(rec.stop) == {"lam", "eps", "upper", "blocks"} and len(rec.stop["blocks"]) == 1
-        lam, eps, fx = rec.stop["lam"], rec.stop["eps"], rec.stop["upper"]
+        assert set(rec.stop) == {"eps", "upper"} and len(sol.X_blocks) == 1
+        lam, eps, fx = gs.program.offset - sol.primal_obj, rec.stop["eps"], rec.stop["upper"]
         assert type(lam) is float and eps > 0
         assert fx - lam <= 1e-8 * abs(fx)
-        # the record's Gram matrix is PD in floats and matches f_s - lambda_c
-        np.linalg.cholesky(grams[0])
+        # the solution's Gram matrix is PD in floats and matches f_s - lambda_c
+        np.linalg.cholesky(sol.X_blocks[0])
         want = np.array([fs.terms.get(m, 0.0) for m in gs.vector.classes])
         want[0] -= lam
-        got = gs.vector.coefficients(grams[0])
+        got = gs.vector.coefficients(sol.X_blocks[0])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # minimize reports lambda_c, which lies below f at the refined minimizer
         res = minimize(f)
@@ -666,13 +668,13 @@ class TestCertifiedStop:
         # more than 1e-3 below its minimum
         f = parse("x1^8+x2^8", 2) + motzkin * 2700 if gap else motzkin
         asked = []
-        _, _, sol, grams = _stopped_solve(f, asked)
-        assert grams == [] and all(r.stop is None for r in sol.trace)
+        _, _, sol = _stopped_solve(f, asked)
+        assert all(r.stop is None for r in sol.trace)
         assert sol.status is (SdpStatus.OPTIMAL if gap else SdpStatus.PRIMAL_INFEASIBLE)
         assert bool(asked) == gap
 
     def test_a_stop_that_never_fires_changes_nothing(self):
-        _, gs, _, _ = _stopped_solve(random_family_instance(FamilyParams(6, 2, 100, seed=4000000)))
+        _, gs, _ = _stopped_solve(random_family_instance(FamilyParams(6, 2, 100, seed=4000000)))
         problem, asked = gs.problem, []
         plain = polymin.sdp.solve(problem)
         probed = polymin.sdp.solve(problem, stop=lambda record, iterate: asked.append(record))
@@ -793,11 +795,14 @@ class TestTieBreakingSolve:
     def test_bound_leaves_the_proved_gram_on_the_record(self):
         f = random_family_instance(FamilyParams(6, 2, 100, seed=4000000))
         res = sos_lower_bound(f)
-        rec = res.solution.trace[-1].stop
+        sol = res.solution
+        assert sol.trace[-1].stop is not None
         fs = scale_homogeneous(f.to_float(), res.alpha, 4)
+        lam = build_gram_sdp(fs).program.offset - sol.primal_obj
+        assert res.value == lam * res.alpha**4
         want = np.array([fs.terms.get(m, 0.0) for m in res.vector.classes])
-        want[0] -= rec["lam"]
-        got = res.vector.coefficients(rec["blocks"][0])
+        want[0] -= lam
+        got = res.vector.coefficients(sol.X_blocks[0])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
