@@ -26,7 +26,7 @@ from .handelman import (
     handelman_bound,
     handelman_ladder,
 )
-from .linalg import EigenResult, eig_general, psd_factor, sym_eig
+from .linalg import EigenResult, eig_general, psd_factor
 from .poly import (
     FamilyParams,
     Polynomial,

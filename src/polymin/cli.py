@@ -43,7 +43,14 @@ from .psatz import (
     verify_witness,
 )
 from .sdp import SdpFailure
-from .sos import MINUS_INFINITY, OddDegreeError, higher_degree_bound, minimize, size_tables
+from .sos import (
+    MINUS_INFINITY,
+    MinimizeResult,
+    OddDegreeError,
+    higher_degree_bound,
+    minimize,
+    size_tables,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -74,28 +81,23 @@ def _emit(args, payload: dict, human: str):
 def cmd_minimize(args) -> int:
     f = _read_poly(args)
     t0 = time.perf_counter()
-    if args.higher_degree > 0:
-        value = higher_degree_bound(f, args.higher_degree)
-        payload = {
-            "f_sos": "-inf" if value == MINUS_INFINITY else value,
-            "status": "optimal" if value != MINUS_INFINITY else "primal_infeasible",
-            "multiplier_power": args.higher_degree,
-            "certificate": None,
-            "minimizer": None,
-        }
-        res_text = f"bound (multiplier power {args.higher_degree}): {payload['f_sos']}"
+    k = args.higher_degree
+    if k > 0:
+        res = MinimizeResult.of(higher_degree_bound(f, k))
+        payload = {**res.to_json_dict(), "multiplier_power": k}
+        what = f"bound (multiplier power {k})"
     else:
         res = minimize(f, extract=args.extract)
         payload = res.to_json_dict()
-        lines = [f"bound: {payload['f_sos']}  (status {payload['status']})"]
-        if res.extraction is not None and res.extraction.found:
-            pt = ", ".join(f"{v:.9g}" for v in res.extraction.point)
-            lines.append(f"minimizer: ({pt})  value {res.extraction.upper_bound:.12g}")
-        elif args.extract and res.bound != MINUS_INFINITY:
-            lines.append("minimizer: not extracted (lower bound only, possibly strict)")
-        res_text = "\n".join(lines)
+        what = "bound"
+    lines = [f"{what}: {payload['f_sos']}  (status {payload['status']})"]
+    if res.extraction is not None and res.extraction.found:
+        pt = ", ".join(f"{v:.9g}" for v in res.extraction.point)
+        lines.append(f"minimizer: ({pt})  value {res.extraction.upper_bound:.12g}")
+    elif args.extract and res.bound != MINUS_INFINITY:
+        lines.append("minimizer: not extracted (lower bound only, possibly strict)")
     payload["timings"] = {"total_s": round(time.perf_counter() - t0, 6)}
-    _emit(args, payload, res_text)
+    _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
 

@@ -33,7 +33,7 @@ class NotPositiveDefiniteError(RuntimeError):
 
 @dataclass
 class EigenResult:
-    """Eigenvalues (complex), optional right eigenvectors, and the real subset.
+    """Eigenvalues (complex), right eigenvectors, and the real subset.
 
     ``real_values`` lists one representative per cluster of near-equal real
     eigenvalues (ascending), ``real_multiplicities`` the matching cluster
@@ -42,24 +42,19 @@ class EigenResult:
     """
 
     values: np.ndarray
-    vectors: np.ndarray | None
+    vectors: np.ndarray
     real_values: list[float] = field(default_factory=list)
     real_multiplicities: list[int] = field(default_factory=list)
     real_clusters: list[list[int]] = field(default_factory=list)
 
 
-def _matrix_scale(m: np.ndarray) -> float:
-    s = float(np.linalg.norm(m))
-    return s if s > 0 else 1.0
-
-
-def _classify_real(values: np.ndarray, vectors, im_tol: float) -> EigenResult:
+def _classify_real(values: np.ndarray, vectors: np.ndarray) -> EigenResult:
     # Tolerances are relative to each eigenvalue's own magnitude (plus one),
     # not to the matrix norm: multiplication matrices routinely carry huge
     # irrelevant eigenvalues next to the small real ones that matter, and a
     # norm-relative rule would misclassify everything near the origin.
     idx = [i for i, v in enumerate(values)
-           if abs(v.imag) <= im_tol * (1.0 + abs(v.real))]
+           if abs(v.imag) <= DEFAULT_IM_TOL * (1.0 + abs(v.real))]
     reals = sorted(((values[i].real, i) for i in idx))
     clusters: list[list[int]] = []
     for v, i in reals:
@@ -79,25 +74,7 @@ def _classify_real(values: np.ndarray, vectors, im_tol: float) -> EigenResult:
     )
 
 
-def sym_eig(S: np.ndarray, compute_vectors: bool = True) -> EigenResult:
-    """Symmetric eigendecomposition: all-real ascending values, orthonormal vectors."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = _matrix_scale(S)
-    if np.max(np.abs(S - S.T)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    try:
-        if compute_vectors:
-            w, v = np.linalg.eigh(S)
-        else:
-            w, v = np.linalg.eigvalsh(S), None
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
-    return _classify_real(w.astype(complex), v, im_tol=1.0)
-
-
-def eig_general(M: np.ndarray, compute_vectors: bool = True) -> EigenResult:
+def eig_general(M: np.ndarray) -> EigenResult:
     """General real eigendecomposition with tolerance-classified real subset.
 
     Eigenvalues are sorted by (real, imag) for determinism; the real subset
@@ -109,17 +86,11 @@ def eig_general(M: np.ndarray, compute_vectors: bool = True) -> EigenResult:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     try:
-        if compute_vectors:
-            w, v = np.linalg.eig(M)
-        else:
-            w, v = np.linalg.eigvals(M), None
+        w, v = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
     order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    if v is not None:
-        v = v[:, order]
-    return _classify_real(w, v, im_tol=DEFAULT_IM_TOL)
+    return _classify_real(w[order], v[:, order])
 
 
 @dataclass

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -424,13 +425,18 @@ def parse(text: str, n: int | None = None) -> Polynomial:
     """Parse polynomial text over variables x1..xn with exact coefficients.
 
     Grammar: terms joined by + or -; each term is a product of factors joined
-    by '*'; a factor is a signed integer, decimal, rational like '3/4', or a
-    variable power 'xK' / 'xK^E'.  Whitespace is insignificant.
+    by '*'; a factor is a signed integer, decimal (with an exponent as in
+    '4.7e-06', so a float polynomial's ``to_string`` parses back to its exact
+    values), rational like '3/4', or a variable power 'xK' / 'xK^E'.
+    Whitespace is insignificant.
     """
     if n is None:
         n = infer_variable_count(text)
     tokens = _tokenize(text)
     return _Parser(tokens, n, text).parse()
+
+
+_NUMBER = re.compile(r"[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?")   # digits, one dot, an exponent
 
 
 def _tokenize(text: str):
@@ -443,13 +449,8 @@ def _tokenize(text: str):
         elif ch in "+-*/^()":
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            seen_dot = False
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
+        elif ch in "0123456789.":
+            j = _NUMBER.match(text, i).end()
             tokens.append(("num", text[i:j], i))
             i = j
         elif ch == "x":
@@ -520,7 +521,7 @@ class _Parser:
             if self.peek()[0] == "/":
                 self.next()
                 dkind, dvalue, dat = self.next()
-                if dkind != "num" or "." in dvalue:
+                if dkind != "num" or not dvalue.isdigit():
                     raise PolyParseError("denominator must be an integer", dat)
                 den = int(dvalue)
                 if den == 0:
@@ -536,7 +537,7 @@ class _Parser:
             if self.peek()[0] == "^":
                 self.next()
                 pkind, pvalue, pat = self.next()
-                if pkind != "num" or "." in pvalue:
+                if pkind != "num" or not pvalue.isdigit():
                     raise PolyParseError("exponent must be a non-negative integer", pat)
                 power = int(pvalue)
             expo = list(expo)

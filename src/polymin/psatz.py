@@ -269,7 +269,7 @@ def real_feasibility_bound(gs: list[Polynomial]) -> RealFeasibilityResult:
     (or unbounded-below) outcome is inconclusive by design.
     """
     f = sum_of_squared_residuals(gs)
-    res = sos_lower_bound(f, with_certificate=False)
+    res = sos_lower_bound(f)
     verdict = (FeasibilityVerdict.NO_REAL_ROOT
                if res.value > NO_ROOT_MARGIN else FeasibilityVerdict.INCONCLUSIVE)
     return RealFeasibilityResult(bound=res.value, verdict=verdict)

@@ -629,9 +629,11 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
     fmax = float(np.max(np.abs(F))) if F.size else 0.0
     trace: list[IterateRecord] = []
 
-    def finish(status, Xh=None, yh=None, Sh=None, iters=0):
+    def finish(status, Xh=None, yh=None, Sh=None, record=None, iters=0):
+        """The solution of iterate (Xh, yh, Sh); its dual objective is
+        ``record``'s, the value the iterate's stop tests read."""
         pobj = lay.dot(F, Xh) if Xh is not None else None
-        dobj = float(b @ yh) if yh is not None else None
+        dobj = record.dual_obj if record is not None else None
         gap = pobj - dobj if (pobj is not None and dobj is not None) else None
         y_full = None
         if yh is not None:
@@ -749,21 +751,20 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
         relaxed_ok = (max(rel_p, rel_d) <= 100 * FEAS_TOL
                       and rel_gap <= 100 * GAP_TOL
                       and compl <= 1e4 * GAP_TOL)
-        if relaxed_ok:
-            relaxed = (X / tau, y / tau, S / tau)
-
         trace.append(IterateRecord(
             iteration=it, mu=mu, tau=tau, kappa=kappa, alpha=last_alpha,
             rel_primal=rel_p, rel_dual=rel_d, primal_obj=pobj, dual_obj=dobj,
             embedding_gap=XS + tau * kappa,
         ))
+        if relaxed_ok:
+            relaxed = (X / tau, y / tau, S / tau, trace[-1])
         if stop is not None and best is None:
             iterate = functools.cache(lambda: (projected(X / tau), lay.mat(S / tau)))
             trace[-1].stop = stop(trace[-1], iterate)
             if trace[-1].stop is not None:
                 # X~ as the stop left it, y and S the iterate's
                 return finish(SdpStatus.OPTIMAL, lay.vec(iterate()[0]), y / tau, S / tau,
-                              iters=it)
+                              trace[-1], iters=it)
 
         converged_now = (
             rel_p <= FEAS_TOL and rel_d <= FEAS_TOL
@@ -780,20 +781,20 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
                                   for x, s in zip(lay.mat(Xh), lay.mat(Sh))))
             slack_rel = XS_norm / (1.0 + np.sqrt(lay.dot(Xh, Xh)) + np.sqrt(lay.dot(Sh, Sh)))
             if best is None or slack_rel < best[0]:
-                best = (slack_rel, Xh, y / tau, Sh, it)
+                best = (slack_rel, Xh, y / tau, Sh, trace[-1])
             polish_used += 1
             if best[0] <= SLACK_GOAL or polish_used > POLISH_ITERS:
-                return finish(SdpStatus.OPTIMAL, best[1], best[2], best[3], iters=it)
+                return finish(SdpStatus.OPTIMAL, *best[1:], iters=it)
         elif best is not None:
             # roundoff pushed a converged iterate back out; stop polishing
-            return finish(SdpStatus.OPTIMAL, best[1], best[2], best[3], iters=it)
+            return finish(SdpStatus.OPTIMAL, *best[1:], iters=it)
 
         def best_or(status):
             if best is not None:
-                return finish(SdpStatus.OPTIMAL, best[1], best[2], best[3], iters=it)
+                return finish(SdpStatus.OPTIMAL, *best[1:], iters=it)
             capped = status is SdpStatus.ITERATION_LIMIT
             if capped and not relaxed_ok:
-                return finish(status, X / tau, y / tau, S / tau, iters=it)
+                return finish(status, X / tau, y / tau, S / tau, trace[-1], iters=it)
             if relaxed is None:
                 return finish(status, iters=it)
             # a breakdown may come a few iterations after the last such iterate

@@ -27,6 +27,11 @@ One builder, ``_multiplier_program``, lays out every program of the package
 g * (f - lambda) such terms: the plain bound is the builder with no
 constraints, ``psatz.bounded_minimization`` adds a system's.
 
+``sos_lower_bound`` (g = 1) and ``higher_degree_bound`` (g = 1 + sum
+x_i^(2k)) return one ``SosResult``.  Its certificate, built when first read,
+is a Gram matrix plus the polynomial it must equal: the solution's block 0,
+unscaled, and (alpha^(2k) + sum x_i^(2k)) (f - lambda), f - lambda at k = 0.
+
 All pipeline stages are pure; batches of polynomials can be minimized on a
 worker pool with no shared state.
 """
@@ -252,15 +257,18 @@ def _multiplier_program(n: int, D: int, inequalities=(), equalities=()):
 
 @dataclass
 class GramSdp:
-    """Image-form SDP for the largest lambda with f - lambda a sum of squares.
+    """Image-form SDP for the largest lambda with g * (f - lambda) a sum of
+    squares, g = ``multiplier``.
 
-    The primal X is the Gram matrix of f - lambda (constant slot minimized),
-    the dual slack S the moment matrix normalized at the constant monomial.
+    The primal X is the Gram matrix of g * (f - lambda) (constant slot
+    minimized), the dual slack S the moment matrix normalized at the constant
+    monomial.
     """
 
     problem: SdpProblem
     vector: MonomialVector
     program: SosProgram
+    multiplier: Polynomial
 
 
 def _even_degree(f: Polynomial) -> int:
@@ -289,7 +297,7 @@ def build_gram_sdp(f: Polynomial, k: int = 0) -> GramSdp:
                                                   for j in range(n)), 1.0)
     prog, _, _ = _multiplier_program(n, _even_degree(f) + 2 * k)
     problem = prog.match_coefficients(g * f, lam=g)
-    return GramSdp(problem=problem, vector=prog.sos_terms[0][1], program=prog)
+    return GramSdp(problem=problem, vector=prog.sos_terms[0][1], program=prog, multiplier=g)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +307,11 @@ def build_gram_sdp(f: Polynomial, k: int = 0) -> GramSdp:
 @dataclass
 class SosCertificate:
     lam: float
-    gram: np.ndarray                 # Gram matrix of f itself (lambda slot included)
+    gram: np.ndarray                 # the Gram matrix factored, of the target g * (f - lam)
     squares: list[Polynomial]
-    residual: float                  # largest coefficient of sum q^2 - (f - lam)
+    residual: float                  # largest coefficient of sum q^2 - target
     cert_tol: float
-    target_scale: float = 1.0        # 1 + largest coefficient magnitude of f - lam
+    target_scale: float = 1.0        # 1 + largest coefficient magnitude of the target
 
     @property
     def ok(self) -> bool:
@@ -311,32 +319,28 @@ class SosCertificate:
 
     @property
     def relative_residual(self) -> float:
-        """Re-expansion error relative to the coefficient scale of f - lam."""
+        """Re-expansion error relative to the target's coefficient scale."""
         return self.residual / self.target_scale
 
 
 def extract_certificate(A: np.ndarray, lam: float, vec: MonomialVector,
-                        f: Polynomial) -> SosCertificate:
-    """Square decomposition of f - lam from A, a Gram matrix of f over vec.
-
-    The squares are the rows of the semidefinite factor B of A - lam*E11
-    applied to the monomial vector, and the residual is the largest
-    coefficient of ``sum b_j^2 - (f - lam)``, read off B^T B through the
-    vector's Gram-to-monomial map.
-    """
+                        target: Polynomial) -> SosCertificate:
+    """Square decomposition of ``target`` (f - lam, or g (f - lam) through a
+    multiplier g) from A, a Gram matrix of it over vec: the squares are the
+    rows of the semidefinite factor B of A, factored as given, applied to the
+    monomial vector, and the residual is the largest coefficient of
+    ``sum b_j^2 - target``, read off B^T B through the vector's
+    Gram-to-monomial map."""
     A = np.asarray(A, dtype=float)
-    shifted = A.copy()
-    shifted[0, 0] -= lam
-    fact = psd_factor(shifted, tol=CERT_PSD_TOL)
-    target = np.array([float(f.terms.get(m, 0)) for m in vec.classes])
-    target[0] -= lam
-    scale = 1.0 + float(np.max(np.abs(target)))
+    fact = psd_factor(A, tol=CERT_PSD_TOL)
+    t = np.array([float(target.terms.get(m, 0)) for m in vec.classes])
+    scale = 1.0 + float(np.max(np.abs(t)))
     cert_tol = 1e-5 * scale
     if not fact.success:
         return SosCertificate(lam=lam, gram=A, squares=[], residual=float("inf"),
                               cert_tol=cert_tol, target_scale=scale)
     squares = [vec.polynomial(row) for row in fact.B]
-    residual = float(np.max(np.abs(vec.coefficients(fact.B.T @ fact.B) - target)))
+    residual = float(np.max(np.abs(vec.coefficients(fact.B.T @ fact.B) - t)))
     return SosCertificate(lam=lam, gram=A, squares=squares, residual=residual,
                           cert_tol=cert_tol, target_scale=scale)
 
@@ -386,14 +390,17 @@ def extract_minimizer(moment: np.ndarray, vec: MonomialVector, f: Polynomial,
 
 @dataclass
 class SosResult:
-    """Outcome of the SOS bound computation, in original coordinates."""
+    """Outcome of the SOS bound computation, in original coordinates: the
+    largest lambda with g * (f - lambda) a sum of squares, g = ``multiplier``
+    (``build_gram_sdp``'s: 1 for the plain bound), solved at scale ``alpha``."""
 
     value: float                     # the bound, or -inf when no shift is SOS
     status: SdpStatus
-    certificate: SosCertificate | None
     moment_matrix: np.ndarray | None
     vector: MonomialVector | None
     alpha: float
+    f: Polynomial
+    multiplier: Polynomial
     solution: SdpSolution | None = None
     tolerances: dict = field(default_factory=dict)
 
@@ -401,8 +408,21 @@ class SosResult:
     def is_minus_infinity(self) -> bool:
         return self.value == MINUS_INFINITY
 
+    @functools.cached_property
+    def certificate(self) -> SosCertificate | None:
+        """``extract_certificate`` of the solution's block 0, unscaled: a Gram
+        matrix of alpha^(2k) g(x / alpha) (f - value) = (alpha^(2k) + sum
+        x_i^(2k)) (f - value), f - value at k = 0.  Built at the first read;
+        None unless optimal."""
+        if self.status is not SdpStatus.OPTIMAL:
+            return None
+        g = scale_homogeneous(self.multiplier, 1 / self.alpha)
+        gram = _unscale_gram(self.solution.X_blocks[0], self.vector, self.alpha)
+        return extract_certificate(gram, self.value, self.vector,
+                                   g * (self.f.to_float() - self.value))
 
-def sos_lower_bound(f: Polynomial, with_certificate: bool = True) -> SosResult:
+
+def sos_lower_bound(f: Polynomial) -> SosResult:
     """Largest lambda with f - lambda a sum of squares, by SDP.
 
     Returns -inf exactly when the shifted-Gram feasibility fails for every
@@ -412,20 +432,21 @@ def sos_lower_bound(f: Polynomial, with_certificate: bool = True) -> SosResult:
     proves it (see ``_certified_stop``), else the converged solve's.  A bound
     below 1e-5 of the coefficient scale, which unscaling would amplify solver
     tolerance past, is solved again at its own scale, max(1, |lambda|^(1/2d)),
-    if that is 10 % off the first factor.
+    if that is 10 % off the first factor.  The certificate, the squares of
+    f - lambda, is built when first read.
     """
-    return _bound(f, 0, with_certificate)
+    return _bound(f, 0)
 
 
-def _bound(f: Polynomial, k: int, with_certificate: bool) -> SosResult:
+def _bound(f: Polynomial, k: int) -> SosResult:
     """The bound of ``build_gram_sdp(f, k)`` with homogeneous scaling."""
     two_d = _even_degree(f)
     alpha = suggested_scaling(f, two_d)
-    res = _sos_bound_at_scale(f, k, alpha, two_d, with_certificate)
+    res = _sos_bound_at_scale(f, k, alpha, two_d)
     if res.status is SdpStatus.OPTIMAL and two_d > 0 and 0 < abs(res.value / alpha**two_d) < 1e-5:
         alpha2 = max(1.0, abs(res.value) ** (1.0 / two_d))
         if abs(alpha2 - alpha) / alpha > 0.1:
-            return _sos_bound_at_scale(f, k, alpha2, two_d, with_certificate)
+            return _sos_bound_at_scale(f, k, alpha2, two_d)
     return res
 
 
@@ -534,8 +555,7 @@ def _lambda_solve(prog: SosProgram, problem: SdpProblem, upper, what: str) -> tu
     raise SdpFailure(sol.status, what)
 
 
-def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
-                        with_certificate: bool) -> SosResult:
+def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int) -> SosResult:
     fs = scale_homogeneous(f.to_float(), alpha, two_d)
     gs = build_gram_sdp(fs, k)
     lam_s, sol = _lambda_solve(gs.program, gs.problem, _moment_upper(gs.vector, fs),
@@ -543,16 +563,11 @@ def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int,
     tols = {**sol.tolerances, "rank_tol": RANK_TOL, "extract_tol": EXTRACT_TOL,
             "alpha": alpha}
     if sol.status is not SdpStatus.OPTIMAL:
-        return SosResult(lam_s, sol.status, None, None, gs.vector, alpha, sol, tols)
-    lam = lam_s * alpha**two_d
+        return SosResult(lam_s, sol.status, None, gs.vector, alpha, f, gs.multiplier, sol, tols)
     d = np.array([alpha ** sum(m) for m in gs.vector.entries])
     moment = sol.S_blocks[0] * np.outer(d, d)
-    cert = None
-    if with_certificate:
-        gram_s = sol.X_blocks[0].copy()
-        gram_s[0, 0] += lam_s                   # was of f_s - lam_s, now of f_s
-        cert = extract_certificate(_unscale_gram(gram_s, gs.vector, alpha), lam, gs.vector, f)
-    return SosResult(lam, sol.status, cert, moment, gs.vector, alpha, sol, tols)
+    return SosResult(lam_s * alpha**two_d, sol.status, moment, gs.vector, alpha, f,
+                     gs.multiplier, sol, tols)
 
 
 def _unscale_gram(A: np.ndarray, vec: MonomialVector, alpha: float) -> np.ndarray:
@@ -560,17 +575,19 @@ def _unscale_gram(A: np.ndarray, vec: MonomialVector, alpha: float) -> np.ndarra
     return A * np.outer(s, s)
 
 
-def higher_degree_bound(f: Polynomial, k: int) -> float:
+def higher_degree_bound(f: Polynomial, k: int) -> SosResult:
     """Largest lambda with (1 + sum x_i^(2k)) * (f - lambda) a sum of squares.
 
     The multiplier is at least 1 everywhere, so any such lambda is a valid
     lower bound on the minimum, and so is the lambda_c at which the solve
-    stops as the plain bound's does; the result is never below the plain
-    SOS bound when both are finite.
+    stops as the plain bound's does; the value is never below the plain
+    SOS bound when both are finite.  The certificate, built when first read,
+    holds the squares of (alpha^(2k) + sum x_i^(2k)) (f - lambda), alpha the
+    result's scale.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _bound(f, k, False).value
+    return _bound(f, k)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +602,12 @@ class MinimizeResult:
     extraction: ExtractionResult | None
     tolerances: dict
     alpha: float
+
+    @classmethod
+    def of(cls, res: SosResult, extraction: ExtractionResult | None = None) -> "MinimizeResult":
+        """The bound ``res`` (its certificate read) with ``extraction``."""
+        return cls(bound=res.value, status=res.status, certificate=res.certificate,
+                   extraction=extraction, tolerances=res.tolerances, alpha=res.alpha)
 
     def to_json_dict(self) -> dict:
         cert = None
@@ -630,9 +653,7 @@ def minimize(f: Polynomial, *, extract: bool = True) -> MinimizeResult:
                 candidate = extract_minimizer(perturbed, res.vector, f, res.value)
                 if candidate.found:
                     extraction = candidate
-    return MinimizeResult(bound=res.value, status=res.status,
-                          certificate=res.certificate, extraction=extraction,
-                          tolerances=res.tolerances, alpha=res.alpha)
+    return MinimizeResult.of(res, extraction)
 
 
 def _perturbed_moment(f: Polynomial, res: SosResult) -> np.ndarray | None:
@@ -643,7 +664,7 @@ def _perturbed_moment(f: Polynomial, res: SosResult) -> np.ndarray | None:
     delta = 1e-4 * (1.0 + abs(res.value / res.alpha**two_d)) * res.alpha ** (two_d - 1)
     g = sum((Polynomial.variable(n, i) * (delta * (i + 1) / n) for i in range(n)), f.to_float())
     try:
-        return _sos_bound_at_scale(g, 0, res.alpha, two_d, False).moment_matrix
+        return _sos_bound_at_scale(g, 0, res.alpha, two_d).moment_matrix
     except SdpFailure:
         return None
 

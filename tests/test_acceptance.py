@@ -133,7 +133,7 @@ def test_criterion_04_motzkin():
     values = m.to_float().evaluate_many(pts)
     assert pts.shape[0] == 10_000
     assert float(np.min(values)) >= -1.0 - 1e-12
-    level1 = higher_degree_bound(m, 1)
+    level1 = higher_degree_bound(m, 1).value
     assert abs(level1 - (-1.0)) <= 1e-3
 
 

@@ -67,6 +67,14 @@ class TestParse:
             p = random_rational_poly(rng, n, 5, rng.randint(0, 8))
             assert parse(p.to_string(), n) == p
 
+    def test_float_to_string_parses_back(self):
+        # repr prints small and large floats with an exponent
+        p = Polynomial(2, {(1, 0): 4.6929309480496705e-06, (0, 2): -1.2e16, (0, 0): 0.5})
+        assert "e-06" in p.to_string() and parse(p.to_string(), 2).to_float() == p
+        for text in ["x1^2e1", "3/1e2", "3²*x1"]:
+            with pytest.raises(PolyParseError):
+                parse(text, 1)
+
     def test_infer_variable_count(self):
         assert parse("x2^2+x5").n == 5
 

@@ -295,8 +295,10 @@ class TestBallStop:
         assert all(r.stop is None for r in sol.trace[:-1])
         lam, upper = prog.offset - sol.primal_obj, rec["upper"]
         assert set(rec) == {"eps", "upper"} and bounded_minimization(sys_, f, 6) == lam
-        # the upper value is the dual objective's lambda at that iterate
-        assert upper == prog.offset - sol.trace[-1].dual_obj
+        # the upper value is the dual objective's lambda at that iterate, the
+        # dual objective the solution reports
+        assert sol.dual_obj == sol.trace[-1].dual_obj
+        assert upper == prog.offset - sol.dual_obj
         assert upper - lam <= 1e-8 * abs(upper)
         converged = solve(problem)
         lam_conv = prog.offset - converged.primal_obj

@@ -9,6 +9,7 @@ import pytest
 from polymin.groebner import minimize_by_eigenvalues
 import polymin.psatz
 import polymin.sdp
+import polymin.sos
 from polymin.handelman import HandelmanInfeasibleError, PolytopeDescription, handelman_bound
 from polymin.poly import (
     FamilyParams,
@@ -464,17 +465,17 @@ class TestExtractMinimizerRejections:
 
 class TestHigherDegreeBound:
     def test_motzkin_level_one(self, motzkin):
-        v = higher_degree_bound(motzkin, 1)
+        v = higher_degree_bound(motzkin, 1).value
         assert abs(v - (-1.0)) <= 1e-3
         assert v >= -1.0 - 1e-4
 
     def test_perfect_square_stays_zero(self):
-        v = higher_degree_bound(parse("x1^2-2*x1+1", 1), 1)
+        v = higher_degree_bound(parse("x1^2-2*x1+1", 1), 1).value
         assert abs(v) <= 1e-6
 
     def test_tight_case_matches_plain_bound(self, symmetric_quartic):
         plain = sos_lower_bound(symmetric_quartic).value
-        v = higher_degree_bound(symmetric_quartic, 1)
+        v = higher_degree_bound(symmetric_quartic, 1).value
         assert abs(v - plain) <= 1e-5 * (1 + abs(plain))
 
     def test_never_below_plain_bound(self):
@@ -483,7 +484,7 @@ class TestHigherDegreeBound:
             f = random_family_instance(
                 FamilyParams(2, 1, 6, seed=rng.getrandbits(30)))
             plain = sos_lower_bound(f).value
-            v = higher_degree_bound(f, 1)
+            v = higher_degree_bound(f, 1).value
             assert v >= plain - 1e-6 * (1 + abs(plain))
 
     # the certified stop serves k >= 1 too: g = 1 + sum x_i^2 >= 1, so the
@@ -501,7 +502,7 @@ class TestHigherDegreeBound:
             return solves[-1]
 
         monkeypatch.setattr(polymin.sos, "solve", recording)
-        lam = higher_degree_bound(f, 1)
+        lam = higher_degree_bound(f, 1).value
         sol = solves[-1]
         assert len(solves) == 1 and sol.trace[-1].stop is not None
         # the same program at the same scale, run to convergence
@@ -514,8 +515,47 @@ class TestHigherDegreeBound:
         np.linalg.cholesky(sol.X_blocks[0])
         assert abs(lam - lam_conv) <= 1e-8 * (1 + abs(lam_conv))
         assert sol.iterations < converged.iterations
-        plain = sos_lower_bound(f, with_certificate=False).value
+        plain = sos_lower_bound(f).value
         assert lam >= plain - 1e-8 * (1 + abs(plain))
+
+    # the squares of a k = 1 certificate re-expand, in rationals, to
+    # (alpha^2 + sum x_i^2) (f - lambda) with the reported residual
+    @pytest.mark.parametrize("text", [
+        "x1^4+x2^4-3*x1*x2+x1", "x1^4*x2^2+x1^2*x2^4-3*x1^2*x2^2+1",
+        "x1^8+x2^8+2700*x1^4*x2^2+2700*x1^2*x2^4-8100*x1^2*x2^2"],
+        ids=["quartic", "motzkin+1", "gap"])
+    def test_certificate_reexpands_to_its_identity(self, text):
+        f = parse(text, 2)
+        res = higher_degree_bound(f, 1)
+        cert = res.certificate
+        assert res.status is SdpStatus.OPTIMAL and cert.lam == res.value
+        assert cert.ok and cert.relative_residual <= 1e-7
+        alpha, lam = Fraction(res.alpha), Fraction(cert.lam)
+        g = parse("x1^2+x2^2", 2).to_fraction() + alpha**2
+        target = g * (f.to_fraction() - lam)
+        resum = sum((q.to_fraction() ** 2 for q in cert.squares), Polynomial.zero(2))
+        miss = (resum - target).max_abs_coefficient()
+        assert abs(float(miss) - cert.residual) <= 1e-12 * cert.target_scale
+
+
+class TestCertificateOnRead:
+    """A bound's certificate is built at its first read, once."""
+
+    def test_built_once_when_read(self, monkeypatch, motzkin):
+        f = parse("x1^8+x2^8", 2) + (motzkin + 1) * 2700
+        built, extract = [], polymin.sos.extract_certificate
+
+        def counting(*args):
+            built.append(args)
+            return extract(*args)
+
+        monkeypatch.setattr(polymin.sos, "extract_certificate", counting)
+        # the first solve's bound is re-solved at its own scale; only the
+        # returned bound's certificate is built
+        assert minimize(f).certificate.ok and len(built) == 1
+        res = sos_lower_bound(f)
+        assert len(built) == 1
+        assert res.certificate is res.certificate and len(built) == 2
 
 
 PAPER_MATRIX_SIZES = {
@@ -750,7 +790,7 @@ class TestTieBreakingSolve:
     # sos._certified_stop
     @pytest.mark.parametrize("entry, solves", [
         (lambda f: minimize(f).extraction.found, 2),
-        (lambda f: abs(higher_degree_bound(f, 1)) <= 1e-6, 1),
+        (lambda f: abs(higher_degree_bound(f, 1).value) <= 1e-6, 1),
         (lambda f: abs(bounded_minimization(
             SemialgebraicSystem(1, inequalities=[parse("4-x1^2", 1)]), f, 4)) <= 1e-6, 1)],
         ids=["minimize", "higher_degree_bound", "bounded_minimization"])
