@@ -45,7 +45,6 @@ from .psatz import (
 from .sdp import SdpFailure
 from .sos import (
     MINUS_INFINITY,
-    MinimizeResult,
     OddDegreeError,
     higher_degree_bound,
     minimize,
@@ -82,14 +81,14 @@ def cmd_minimize(args) -> int:
     f = _read_poly(args)
     t0 = time.perf_counter()
     k = args.higher_degree
-    if k > 0:
-        res = MinimizeResult.of(higher_degree_bound(f, k))
-        payload = {**res.to_json_dict(), "multiplier_power": k}
+    if k and args.extract:
+        raise ValueError("--extract is not available with --higher-degree")
+    res = higher_degree_bound(f, k) if k else minimize(f, extract=args.extract)
+    payload = res.to_json_dict()
+    what = "bound"
+    if k:
+        payload["multiplier_power"] = k
         what = f"bound (multiplier power {k})"
-    else:
-        res = minimize(f, extract=args.extract)
-        payload = res.to_json_dict()
-        what = "bound"
     lines = [f"{what}: {payload['f_sos']}  (status {payload['status']})"]
     if res.extraction is not None and res.extraction.found:
         pt = ", ".join(f"{v:.9g}" for v in res.extraction.point)
@@ -236,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     poly_opts(p)
     p.add_argument("--extract", action="store_true", help="extract a minimizer")
     p.add_argument("--higher-degree", type=int, default=0, metavar="K",
-                   help="use the positive multiplier of power 2K")
+                   help="use the positive multiplier of power 2K (bound only: no --extract)")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("oracle", help="algebraic eigenvalue method (exact Groebner check)")

@@ -271,8 +271,8 @@ def real_feasibility_bound(gs: list[Polynomial]) -> RealFeasibilityResult:
     f = sum_of_squared_residuals(gs)
     res = sos_lower_bound(f)
     verdict = (FeasibilityVerdict.NO_REAL_ROOT
-               if res.value > NO_ROOT_MARGIN else FeasibilityVerdict.INCONCLUSIVE)
-    return RealFeasibilityResult(bound=res.value, verdict=verdict)
+               if res.bound > NO_ROOT_MARGIN else FeasibilityVerdict.INCONCLUSIVE)
+    return RealFeasibilityResult(bound=res.bound, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -948,6 +948,9 @@ def solve(prob: SdpProblem, stop=None) -> SdpSolution:
 # Duality report
 # ---------------------------------------------------------------------------
 
+DUALITY_SLACK_TOL = 1e-6    # ||X S|| allowed, relative to 1 + ||X||
+
+
 @dataclass
 class DualityReport:
     slack_residual: float
@@ -959,9 +962,10 @@ class DualityReport:
     dual_min_eig: float
 
 
-def check_duality(prob: SdpProblem, sol: SdpSolution,
-                  slack_tol: float = 1e-6, gap_tol: float = 1e-8) -> DualityReport:
-    """Complementary-slackness and weak-duality report for an Optimal solution."""
+def check_duality(prob: SdpProblem, sol: SdpSolution) -> DualityReport:
+    """Complementary-slackness and weak-duality report for an Optimal solution:
+    ||X S|| within DUALITY_SLACK_TOL (1 + ||X||), primal minus dual objective
+    at least -GAP_TOL (1 + |primal objective|)."""
     if sol.status is not SdpStatus.OPTIMAL:
         raise ValueError("duality report requires an optimal solution")
     lay = _Layout(prob)
@@ -970,7 +974,7 @@ def check_duality(prob: SdpProblem, sol: SdpSolution,
     Smat = _block_diag(lay.mat(lay.F - _combine_rows(lay.A, sol.y, lay.size)))
     xnorm = float(np.linalg.norm(X))
     resid = float(np.linalg.norm(X @ Smat))
-    tol = slack_tol * (1.0 + xnorm)
+    tol = DUALITY_SLACK_TOL * (1.0 + xnorm)
     margin = sol.primal_obj - sol.dual_obj
     AX = _rows_dot(lay.A, lay.weights, lay.vec(sol.X_blocks), prob.num_constraints)
     prim = float(np.max(np.abs(AX - prob.b), initial=0.0))
@@ -980,7 +984,7 @@ def check_duality(prob: SdpProblem, sol: SdpSolution,
         slack_tol=tol,
         complementary_ok=resid <= tol,
         weak_duality_margin=margin,
-        weak_duality_ok=margin >= -gap_tol * (1.0 + abs(sol.primal_obj)),
+        weak_duality_ok=margin >= -GAP_TOL * (1.0 + abs(sol.primal_obj)),
         primal_residual=prim,
         dual_min_eig=min_eig,
     )

@@ -27,10 +27,12 @@ One builder, ``_multiplier_program``, lays out every program of the package
 g * (f - lambda) such terms: the plain bound is the builder with no
 constraints, ``psatz.bounded_minimization`` adds a system's.
 
-``sos_lower_bound`` (g = 1) and ``higher_degree_bound`` (g = 1 + sum
-x_i^(2k)) return one ``SosResult``.  Its certificate, built when first read,
-is a Gram matrix plus the polynomial it must equal: the solution's block 0,
-unscaled, and (alpha^(2k) + sum x_i^(2k)) (f - lambda), f - lambda at k = 0.
+``sos_lower_bound`` (g = 1), ``higher_degree_bound`` (g = 1 + sum
+x_i^(2k)) and ``minimize`` (the plain bound plus a minimizer) return one
+``SosResult``.  Its certificate and moment matrix are built when first read.
+The certificate is a Gram matrix plus the polynomial it must equal: the
+solution's block 0, unscaled, and (alpha^(2k) + sum x_i^(2k)) (f - lambda),
+f - lambda at k = 0.
 
 All pipeline stages are pure; batches of polynomials can be minimized on a
 worker pool with no shared state.
@@ -392,34 +394,63 @@ def extract_minimizer(moment: np.ndarray, vec: MonomialVector, f: Polynomial,
 class SosResult:
     """Outcome of the SOS bound computation, in original coordinates: the
     largest lambda with g * (f - lambda) a sum of squares, g = ``multiplier``
-    (``build_gram_sdp``'s: 1 for the plain bound), solved at scale ``alpha``."""
+    (``build_gram_sdp``'s: 1 for the plain bound), solved at scale ``alpha``.
+    The certificate and the moment matrix are built when first read;
+    ``minimize`` sets ``extraction``."""
 
-    value: float                     # the bound, or -inf when no shift is SOS
+    bound: float                     # the bound, or -inf when no shift is SOS
     status: SdpStatus
-    moment_matrix: np.ndarray | None
-    vector: MonomialVector | None
+    vector: MonomialVector
     alpha: float
     f: Polynomial
     multiplier: Polynomial
-    solution: SdpSolution | None = None
-    tolerances: dict = field(default_factory=dict)
+    solution: SdpSolution
+    tolerances: dict
+    extraction: ExtractionResult | None = None
 
-    @property
-    def is_minus_infinity(self) -> bool:
-        return self.value == MINUS_INFINITY
+    @functools.cached_property
+    def moment_matrix(self) -> np.ndarray | None:
+        """S's block 0 in original coordinates, entry (i, j) times
+        alpha^(|m_i| + |m_j|); None unless optimal."""
+        if self.status is not SdpStatus.OPTIMAL:
+            return None
+        d = np.array([self.alpha ** sum(m) for m in self.vector.entries])
+        return self.solution.S_blocks[0] * np.outer(d, d)
 
     @functools.cached_property
     def certificate(self) -> SosCertificate | None:
         """``extract_certificate`` of the solution's block 0, unscaled: a Gram
-        matrix of alpha^(2k) g(x / alpha) (f - value) = (alpha^(2k) + sum
-        x_i^(2k)) (f - value), f - value at k = 0.  Built at the first read;
-        None unless optimal."""
+        matrix of alpha^(2k) g(x / alpha) (f - bound) = (alpha^(2k) + sum
+        x_i^(2k)) (f - bound), f - bound at k = 0.  None unless optimal."""
         if self.status is not SdpStatus.OPTIMAL:
             return None
         g = scale_homogeneous(self.multiplier, 1 / self.alpha)
         gram = _unscale_gram(self.solution.X_blocks[0], self.vector, self.alpha)
-        return extract_certificate(gram, self.value, self.vector,
-                                   g * (self.f.to_float() - self.value))
+        return extract_certificate(gram, self.bound, self.vector,
+                                   g * (self.f.to_float() - self.bound))
+
+    def to_json_dict(self) -> dict:
+        cert = None
+        if self.certificate is not None and self.certificate.squares:
+            cert = {
+                "lambda": self.certificate.lam,
+                "squares": [s.to_string() for s in self.certificate.squares],
+                "residual": self.certificate.residual,
+            }
+        minimizer = None
+        if self.extraction is not None and self.extraction.found:
+            minimizer = {
+                "point": list(self.extraction.point),
+                "upper_bound": self.extraction.upper_bound,
+                "rank_ratio": self.extraction.rank_ratio,
+            }
+        return {
+            "f_sos": "-inf" if self.bound == MINUS_INFINITY else self.bound,
+            "status": self.status.value,
+            "certificate": cert,
+            "minimizer": minimizer,
+            "tolerances": self.tolerances,
+        }
 
 
 def sos_lower_bound(f: Polynomial) -> SosResult:
@@ -433,7 +464,7 @@ def sos_lower_bound(f: Polynomial) -> SosResult:
     below 1e-5 of the coefficient scale, which unscaling would amplify solver
     tolerance past, is solved again at its own scale, max(1, |lambda|^(1/2d)),
     if that is 10 % off the first factor.  The certificate, the squares of
-    f - lambda, is built when first read.
+    f - lambda, and the moment matrix are built when first read.
     """
     return _bound(f, 0)
 
@@ -443,8 +474,8 @@ def _bound(f: Polynomial, k: int) -> SosResult:
     two_d = _even_degree(f)
     alpha = suggested_scaling(f, two_d)
     res = _sos_bound_at_scale(f, k, alpha, two_d)
-    if res.status is SdpStatus.OPTIMAL and two_d > 0 and 0 < abs(res.value / alpha**two_d) < 1e-5:
-        alpha2 = max(1.0, abs(res.value) ** (1.0 / two_d))
+    if res.status is SdpStatus.OPTIMAL and two_d > 0 and 0 < abs(res.bound / alpha**two_d) < 1e-5:
+        alpha2 = max(1.0, abs(res.bound) ** (1.0 / two_d))
         if abs(alpha2 - alpha) / alpha > 0.1:
             return _sos_bound_at_scale(f, k, alpha2, two_d)
     return res
@@ -562,12 +593,8 @@ def _sos_bound_at_scale(f: Polynomial, k: int, alpha: float, two_d: int) -> SosR
                                f"(SOS bound, multiplier power {k})")
     tols = {**sol.tolerances, "rank_tol": RANK_TOL, "extract_tol": EXTRACT_TOL,
             "alpha": alpha}
-    if sol.status is not SdpStatus.OPTIMAL:
-        return SosResult(lam_s, sol.status, None, gs.vector, alpha, f, gs.multiplier, sol, tols)
-    d = np.array([alpha ** sum(m) for m in gs.vector.entries])
-    moment = sol.S_blocks[0] * np.outer(d, d)
-    return SosResult(lam_s * alpha**two_d, sol.status, moment, gs.vector, alpha, f,
-                     gs.multiplier, sol, tols)
+    return SosResult(lam_s * alpha**two_d, sol.status, gs.vector, alpha, f, gs.multiplier,
+                     sol, tols)
 
 
 def _unscale_gram(A: np.ndarray, vec: MonomialVector, alpha: float) -> np.ndarray:
@@ -594,47 +621,10 @@ def higher_degree_bound(f: Polynomial, k: int) -> SosResult:
 # Full minimization pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MinimizeResult:
-    bound: float
-    status: SdpStatus
-    certificate: SosCertificate | None
-    extraction: ExtractionResult | None
-    tolerances: dict
-    alpha: float
-
-    @classmethod
-    def of(cls, res: SosResult, extraction: ExtractionResult | None = None) -> "MinimizeResult":
-        """The bound ``res`` (its certificate read) with ``extraction``."""
-        return cls(bound=res.value, status=res.status, certificate=res.certificate,
-                   extraction=extraction, tolerances=res.tolerances, alpha=res.alpha)
-
-    def to_json_dict(self) -> dict:
-        cert = None
-        if self.certificate is not None and self.certificate.squares:
-            cert = {
-                "lambda": self.certificate.lam,
-                "squares": [s.to_string() for s in self.certificate.squares],
-                "residual": self.certificate.residual,
-            }
-        minimizer = None
-        if self.extraction is not None and self.extraction.found:
-            minimizer = {
-                "point": list(self.extraction.point),
-                "upper_bound": self.extraction.upper_bound,
-                "rank_ratio": self.extraction.rank_ratio,
-            }
-        return {
-            "f_sos": "-inf" if self.bound == MINUS_INFINITY else self.bound,
-            "status": self.status.value,
-            "certificate": cert,
-            "minimizer": minimizer,
-            "tolerances": self.tolerances,
-        }
-
-
-def minimize(f: Polynomial, *, extract: bool = True) -> MinimizeResult:
-    """SOS bound plus minimizer extraction with a degenerate-face fallback.
+def minimize(f: Polynomial, *, extract: bool = True) -> SosResult:
+    """SOS bound plus minimizer extraction with a degenerate-face fallback:
+    ``sos_lower_bound(f)``'s result with its ``extraction`` set (None when
+    ``extract`` is off or the bound is not optimal).
 
     When several global minimizers exist the moment matrix converges to a
     mixture over all of them, and its point, polished, may miss the bound.
@@ -644,16 +634,16 @@ def minimize(f: Polynomial, *, extract: bool = True) -> MinimizeResult:
     Every accepted point has been polished.
     """
     res = sos_lower_bound(f)
-    extraction = None
     if extract and res.moment_matrix is not None:
-        extraction = extract_minimizer(res.moment_matrix, res.vector, f, res.value)
+        extraction = extract_minimizer(res.moment_matrix, res.vector, f, res.bound)
         if not extraction.found and extraction.rank_ratio > RANK_TOL:
             perturbed = _perturbed_moment(f, res)
             if perturbed is not None:
-                candidate = extract_minimizer(perturbed, res.vector, f, res.value)
+                candidate = extract_minimizer(perturbed, res.vector, f, res.bound)
                 if candidate.found:
                     extraction = candidate
-    return MinimizeResult.of(res, extraction)
+        res.extraction = extraction
+    return res
 
 
 def _perturbed_moment(f: Polynomial, res: SosResult) -> np.ndarray | None:
@@ -661,7 +651,7 @@ def _perturbed_moment(f: Polynomial, res: SosResult) -> np.ndarray | None:
     pipeline at res's scale alpha (None if it fails or finds no bound), delta =
     eps_s alpha^(2d-1): f_s gains eps_s (i+1)/n x_i, eps_s = 1e-4 (1 + |lambda_s|)."""
     n, two_d = res.vector.n, 2 * res.vector.d
-    delta = 1e-4 * (1.0 + abs(res.value / res.alpha**two_d)) * res.alpha ** (two_d - 1)
+    delta = 1e-4 * (1.0 + abs(res.bound / res.alpha**two_d)) * res.alpha ** (two_d - 1)
     g = sum((Polynomial.variable(n, i) * (delta * (i + 1) / n) for i in range(n)), f.to_float())
     try:
         return _sos_bound_at_scale(g, 0, res.alpha, two_d).moment_matrix

@@ -268,6 +268,13 @@ class TestCli:
         assert main(["handelman", "--poly", "x1", "--polytope",
                      "/nonexistent.json", "--degree", "1"]) == 2
 
+    def test_higher_degree_refuses_extract(self, capsys):
+        code = main(["minimize", "--poly", "x1^4+x2^4-3*x1*x2+x1",
+                     "--higher-degree", "1", "--extract", "--json"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "--extract is not available with --higher-degree" in out.err
+
     def test_solver_failure_exit_code(self, tmp_path):
         # the oracle refuses critical ideals that are not Groebner bases
         assert main(["oracle", "--poly", "x1^2*x2^2+x1^3+x2^3"]) == 3

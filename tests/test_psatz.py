@@ -197,7 +197,7 @@ class TestBoundedMinimization:
         for seed in range(4000000, 4000003)])
     def test_unconstrained_matches_the_plain_program(self, n, two_d, seed):
         f = random_family_instance(FamilyParams(n, two_d // 2, 1, seed=seed))
-        plain = sos_lower_bound(f).value
+        plain = sos_lower_bound(f).bound
         v = bounded_minimization(SemialgebraicSystem(n), f, two_d)
         assert abs(v - plain) <= 1e-8 * abs(plain)
 

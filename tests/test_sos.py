@@ -33,6 +33,7 @@ from polymin.sos import (
     MonomialVector,
     OddDegreeError,
     SosProgram,
+    SosResult,
     _certified_stop,
     _moment_upper,
     _multiplier_program,
@@ -136,17 +137,16 @@ class TestSosLowerBound:
 
     def test_symmetric_quartic(self, symmetric_quartic):
         res = sos_lower_bound(symmetric_quartic)
-        assert abs(res.value - (-2.112913882)) <= 1e-6
+        assert abs(res.bound - (-2.112913882)) <= 1e-6
         assert res.certificate is not None and res.certificate.ok
 
     def test_motzkin_minus_infinity(self, motzkin):
         res = sos_lower_bound(motzkin)
-        assert res.value == MINUS_INFINITY
-        assert res.is_minus_infinity
+        assert res.bound == MINUS_INFINITY
 
     def test_perfect_square(self):
         res = sos_lower_bound(parse("x1^2-2*x1+1", 1))
-        assert abs(res.value) <= 1e-7
+        assert abs(res.bound) <= 1e-7
         squares = res.certificate.squares
         assert len(squares) == 1
         q = squares[0]
@@ -157,10 +157,10 @@ class TestSosLowerBound:
         ) <= 1e-4
 
     def test_scaling_equivariance(self, symmetric_quartic):
-        base = sos_lower_bound(symmetric_quartic).value
+        base = sos_lower_bound(symmetric_quartic).bound
         for alpha in (0.5, 2.0):
             fs = scale_homogeneous(symmetric_quartic.to_float(), alpha, 4)
-            v = sos_lower_bound(fs).value
+            v = sos_lower_bound(fs).bound
             assert abs(v - base * alpha ** (-4)) <= 1e-6 * (1 + abs(v))
 
     def test_small_bound_resolved_at_its_own_scale(self, motzkin):
@@ -170,7 +170,7 @@ class TestSosLowerBound:
         # |bound|^(1/8) gives -0.7701083851 (-0.7701083965 on Haswell kernels)
         f = parse("x1^8+x2^8", 2) + (motzkin + 1) * 2700
         res = sos_lower_bound(f)
-        assert abs(res.value - (-0.770108)) <= 1e-6
+        assert abs(res.bound - (-0.770108)) <= 1e-6
         assert suggested_scaling(f) == pytest.approx(51.96, abs=0.01)
         assert res.alpha == pytest.approx(4.1422, abs=1e-4)
         assert res.certificate.ok
@@ -184,14 +184,14 @@ class TestSosLowerBound:
             res = sos_lower_bound(f)
             pts = npr.uniform(-4, 4, size=(10_000, 2))
             sampled_min = float(np.min(f.to_float().evaluate_many(pts)))
-            assert sampled_min >= res.value - 1e-4 * (1 + abs(res.value))
+            assert sampled_min >= res.bound - 1e-4 * (1 + abs(res.bound))
 
     def test_sandwich_against_oracle(self):
         rng = random.Random(303)
         for _ in range(5):
             f = random_family_instance(
                 FamilyParams(2, 2, 25, seed=rng.getrandbits(30)))
-            bound = sos_lower_bound(f).value
+            bound = sos_lower_bound(f).bound
             fstar = minimize_by_eigenvalues(f).fstar
             assert fstar >= bound - 1e-6 * (1 + abs(fstar))
 
@@ -210,7 +210,7 @@ class TestExtractCertificate:
         # a PSD quartic with a short decomposition; verify by re-expansion
         f = parse("2*x1^4+2*x1^3*x2-x1^2*x2^2+5*x2^4", 2)
         res = sos_lower_bound(f)
-        assert abs(res.value) <= 1e-6
+        assert abs(res.bound) <= 1e-6
         assert res.certificate.residual <= 1e-6
 
     def test_symmetric_quartic_residual(self, symmetric_quartic):
@@ -220,7 +220,7 @@ class TestExtractCertificate:
         resum = Polynomial.zero(3)
         for b in cert.squares:
             resum = resum + b * b
-        target = symmetric_quartic.to_float() - res.value
+        target = symmetric_quartic.to_float() - res.bound
         assert (resum - target).max_abs_coefficient() <= 1e-4
 
     def test_indefinite_input_flagged(self):
@@ -355,7 +355,7 @@ class TestExtractMinimizer:
     def test_pure_square_origin(self):
         f = parse("x1^2", 1)
         res = sos_lower_bound(f)
-        ext = extract_minimizer(res.moment_matrix, res.vector, f, res.value)
+        ext = extract_minimizer(res.moment_matrix, res.vector, f, res.bound)
         assert ext.found
         assert abs(ext.point[0]) <= 1e-5
 
@@ -386,7 +386,7 @@ class TestExtractMinimizer:
         # at -1 and 1; the objective perturbation isolates one of them
         f = parse("x1^4-2*x1^2+1", 1)
         res = sos_lower_bound(f)
-        direct = extract_minimizer(res.moment_matrix, res.vector, f, res.value)
+        direct = extract_minimizer(res.moment_matrix, res.vector, f, res.bound)
         assert not direct.found
         full = minimize(f)
         assert full.extraction.found
@@ -465,17 +465,17 @@ class TestExtractMinimizerRejections:
 
 class TestHigherDegreeBound:
     def test_motzkin_level_one(self, motzkin):
-        v = higher_degree_bound(motzkin, 1).value
+        v = higher_degree_bound(motzkin, 1).bound
         assert abs(v - (-1.0)) <= 1e-3
         assert v >= -1.0 - 1e-4
 
     def test_perfect_square_stays_zero(self):
-        v = higher_degree_bound(parse("x1^2-2*x1+1", 1), 1).value
+        v = higher_degree_bound(parse("x1^2-2*x1+1", 1), 1).bound
         assert abs(v) <= 1e-6
 
     def test_tight_case_matches_plain_bound(self, symmetric_quartic):
-        plain = sos_lower_bound(symmetric_quartic).value
-        v = higher_degree_bound(symmetric_quartic, 1).value
+        plain = sos_lower_bound(symmetric_quartic).bound
+        v = higher_degree_bound(symmetric_quartic, 1).bound
         assert abs(v - plain) <= 1e-5 * (1 + abs(plain))
 
     def test_never_below_plain_bound(self):
@@ -483,8 +483,8 @@ class TestHigherDegreeBound:
         for _ in range(3):
             f = random_family_instance(
                 FamilyParams(2, 1, 6, seed=rng.getrandbits(30)))
-            plain = sos_lower_bound(f).value
-            v = higher_degree_bound(f, 1).value
+            plain = sos_lower_bound(f).bound
+            v = higher_degree_bound(f, 1).bound
             assert v >= plain - 1e-6 * (1 + abs(plain))
 
     # the certified stop serves k >= 1 too: g = 1 + sum x_i^2 >= 1, so the
@@ -502,7 +502,7 @@ class TestHigherDegreeBound:
             return solves[-1]
 
         monkeypatch.setattr(polymin.sos, "solve", recording)
-        lam = higher_degree_bound(f, 1).value
+        lam = higher_degree_bound(f, 1).bound
         sol = solves[-1]
         assert len(solves) == 1 and sol.trace[-1].stop is not None
         # the same program at the same scale, run to convergence
@@ -515,7 +515,7 @@ class TestHigherDegreeBound:
         np.linalg.cholesky(sol.X_blocks[0])
         assert abs(lam - lam_conv) <= 1e-8 * (1 + abs(lam_conv))
         assert sol.iterations < converged.iterations
-        plain = sos_lower_bound(f).value
+        plain = sos_lower_bound(f).bound
         assert lam >= plain - 1e-8 * (1 + abs(plain))
 
     # the squares of a k = 1 certificate re-expand, in rationals, to
@@ -528,7 +528,7 @@ class TestHigherDegreeBound:
         f = parse(text, 2)
         res = higher_degree_bound(f, 1)
         cert = res.certificate
-        assert res.status is SdpStatus.OPTIMAL and cert.lam == res.value
+        assert res.status is SdpStatus.OPTIMAL and cert.lam == res.bound
         assert cert.ok and cert.relative_residual <= 1e-7
         alpha, lam = Fraction(res.alpha), Fraction(cert.lam)
         g = parse("x1^2+x2^2", 2).to_fraction() + alpha**2
@@ -541,21 +541,48 @@ class TestHigherDegreeBound:
 class TestCertificateOnRead:
     """A bound's certificate is built at its first read, once."""
 
-    def test_built_once_when_read(self, monkeypatch, motzkin):
-        f = parse("x1^8+x2^8", 2) + (motzkin + 1) * 2700
-        built, extract = [], polymin.sos.extract_certificate
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The arguments of every ``polymin.sos.extract_certificate`` call."""
+        calls, extract = [], polymin.sos.extract_certificate
 
         def counting(*args):
-            built.append(args)
+            calls.append(args)
             return extract(*args)
 
         monkeypatch.setattr(polymin.sos, "extract_certificate", counting)
+        return calls
+
+    def test_built_once_when_read(self, built, motzkin):
+        f = parse("x1^8+x2^8", 2) + (motzkin + 1) * 2700
         # the first solve's bound is re-solved at its own scale; only the
         # returned bound's certificate is built
         assert minimize(f).certificate.ok and len(built) == 1
         res = sos_lower_bound(f)
         assert len(built) == 1
         assert res.certificate is res.certificate and len(built) == 2
+
+    def test_minimize_builds_none_until_read(self, built):
+        res = minimize(parse("x1^4+x2^4-3*x1*x2+x1", 2))
+        assert res.extraction.found and len(built) == 0
+        assert res.to_json_dict()["certificate"]["squares"] and len(built) == 1
+
+
+class TestOneResult:
+    """``minimize``, ``sos_lower_bound`` and ``higher_degree_bound`` return one
+    ``SosResult``; minimize's is the plain bound's with its extraction set."""
+
+    # the tied wells take minimize's perturbed re-solve, which must leave the
+    # returned bound and moment matrix as they were
+    @pytest.mark.parametrize("text", ["x1^4+x2^4-3*x1*x2+x1", "x1^4-2*x1^2+1"],
+                             ids=["quartic", "tied-wells"])
+    def test_minimize_returns_the_plain_bound(self, text):
+        f = parse(text)
+        full, plain, k1 = minimize(f), sos_lower_bound(f), higher_degree_bound(f, 1)
+        assert all(type(r) is SosResult for r in (full, plain, k1))
+        assert full.bound == plain.bound
+        assert np.array_equal(full.moment_matrix, plain.moment_matrix)
+        assert full.extraction.found and plain.extraction is None
 
 
 PAPER_MATRIX_SIZES = {
@@ -776,7 +803,7 @@ class TestUnstoppedCertificate:
         cert = res.certificate
         assert cert.ok
         resum = sum((b * b for b in cert.squares), Polynomial.zero(n))
-        miss = (resum - (f.to_float() - res.value)).max_abs_coefficient()
+        miss = (resum - (f.to_float() - res.bound)).max_abs_coefficient()
         assert miss <= 1e-7 * cert.target_scale
 
 
@@ -790,7 +817,7 @@ class TestTieBreakingSolve:
     # sos._certified_stop
     @pytest.mark.parametrize("entry, solves", [
         (lambda f: minimize(f).extraction.found, 2),
-        (lambda f: abs(higher_degree_bound(f, 1).value) <= 1e-6, 1),
+        (lambda f: abs(higher_degree_bound(f, 1).bound) <= 1e-6, 1),
         (lambda f: abs(bounded_minimization(
             SemialgebraicSystem(1, inequalities=[parse("4-x1^2", 1)]), f, 4)) <= 1e-6, 1)],
         ids=["minimize", "higher_degree_bound", "bounded_minimization"])
@@ -821,7 +848,7 @@ class TestTieBreakingSolve:
                          summed)
         first = sos_lower_bound(f)
         assert extract_minimizer(first.moment_matrix, first.vector, f,
-                                 first.value).rank_ratio > 1e-4
+                                 first.bound).rank_ratio > 1e-4
         res = minimize(f)
         assert res.extraction.found
         f_at_point = f.to_fraction().evaluate([Fraction(x) for x in res.extraction.point])
@@ -839,7 +866,7 @@ class TestTieBreakingSolve:
         assert sol.trace[-1].stop is not None
         fs = scale_homogeneous(f.to_float(), res.alpha, 4)
         lam = build_gram_sdp(fs).program.offset - sol.primal_obj
-        assert res.value == lam * res.alpha**4
+        assert res.bound == lam * res.alpha**4
         want = np.array([fs.terms.get(m, 0.0) for m in res.vector.classes])
         want[0] -= lam
         got = res.vector.coefficients(sol.X_blocks[0])
