@@ -152,7 +152,7 @@ def _run_instance(n: int, two_d: int, K: int, seed: int, methods, mu_cap: int) -
                 if mu > mu_cap:
                     row["status"] = "skipped_mu_cap"
                 else:
-                    orc = minimize_by_eigenvalues(f, mu_cap=mu_cap * 4)
+                    orc = minimize_by_eigenvalues(f, mu_cap=mu_cap)
                     oracle_min = orc.fstar
                     row["status"] = "ok"
                     row["bound"] = orc.fstar

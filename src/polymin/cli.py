@@ -49,6 +49,7 @@ from .sos import (
     higher_degree_bound,
     minimize,
     size_tables,
+    sos_lower_bound,
 )
 
 EXIT_OK = 0
@@ -83,7 +84,7 @@ def cmd_minimize(args) -> int:
     k = args.higher_degree
     if k and args.extract:
         raise ValueError("--extract is not available with --higher-degree")
-    res = higher_degree_bound(f, k) if k else minimize(f, extract=args.extract)
+    res = higher_degree_bound(f, k) if k else minimize(f) if args.extract else sos_lower_bound(f)
     payload = res.to_json_dict()
     what = "bound"
     if k:

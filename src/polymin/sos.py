@@ -9,11 +9,12 @@ minimizes the Gram matrix's constant slot.  The solver's primal X is then
 the Gram matrix of ``f - lambda`` (the certificate) and its dual slack S is
 the moment matrix, whose top eigenvector lists a candidate minimizer: once
 polished by Newton steps, it is a global minimizer if f there meets the
-bound.  Late iterates prove bounds: X projected onto the Gram matrices of
-f - lambda (the solver builds that projection for its stop test) and
-backed off in its constant slot is PSD (Peyrl-Parrilo, Lofberg), and f at
-S's point is an upper bound, so the solve stops once the two agree and
-returns that backed-off projection as its X.  Stopped or converged, the
+bound; where minimizers tie, S mixes them and ``_mixture_points`` reads
+each off it.  Late iterates prove bounds: X projected onto the Gram
+matrices of f - lambda (the solver builds that projection for its stop
+test) and backed off in its constant slot is PSD (Peyrl-Parrilo, Lofberg),
+and f at S's point is an upper bound, so the solve stops once the two agree
+and returns that backed-off projection as its X.  Stopped or converged, the
 bound is read one way: lambda = offset - the solution's primal objective.
 
 ``MonomialVector`` owns the map from Gram entries to monomial coefficients:
@@ -62,7 +63,7 @@ MINUS_INFINITY = float("-inf")
 
 # Extraction and certificate settings; results report the first two in
 # their ``tolerances``.
-RANK_TOL = 1e-4           # second-to-first eigenvalue ratio past which a rejected point re-solves
+RANK_TOL = 1e-4           # eigenvalue ratio to the largest past which a moment matrix mixes points
 EXTRACT_TOL = 1e-5        # f(point) - bound allowed, relative to 1 + |bound|
 CERT_PSD_TOL = 1e-8       # pivot threshold of the certificate's square factor
 STOP_TOL = 1e-8           # upper value - certified bound that stops a solve, relative to |upper|
@@ -621,42 +622,40 @@ def higher_degree_bound(f: Polynomial, k: int) -> SosResult:
 # Full minimization pipeline
 # ---------------------------------------------------------------------------
 
-def minimize(f: Polynomial, *, extract: bool = True) -> SosResult:
-    """SOS bound plus minimizer extraction with a degenerate-face fallback:
-    ``sos_lower_bound(f)``'s result with its ``extraction`` set (None when
-    ``extract`` is off or the bound is not optimal).
-
-    When several global minimizers exist the moment matrix converges to a
-    mixture over all of them, and its point, polished, may miss the bound.
-    If that matrix is not rank one, the bound's pipeline then solves f plus a
-    tiny generic linear form at the same scale, isolating one vertex of the
-    optimal face, and that candidate is tested against the unperturbed bound.
-    Every accepted point has been polished.
-    """
+def minimize(f: Polynomial) -> SosResult:
+    """``sos_lower_bound(f)``'s result with its ``extraction`` set (None when
+    the bound is not optimal).  Where minimizers tie, the moment matrix mixes
+    them and its point, polished, may miss the bound; if the matrix is not
+    rank one, each of the same solve's ``_mixture_points`` is polished in
+    turn, and the first that meets the bound is accepted."""
     res = sos_lower_bound(f)
-    if extract and res.moment_matrix is not None:
+    if res.moment_matrix is not None:
         extraction = extract_minimizer(res.moment_matrix, res.vector, f, res.bound)
         if not extraction.found and extraction.rank_ratio > RANK_TOL:
-            perturbed = _perturbed_moment(f, res)
-            if perturbed is not None:
-                candidate = extract_minimizer(perturbed, res.vector, f, res.bound)
-                if candidate.found:
-                    extraction = candidate
+            for x in _mixture_points(res.solution.S_blocks[0], res.vector):
+                r = local_refine(f, res.alpha * np.array(x))
+                if r.value - res.bound <= EXTRACT_TOL * (1.0 + abs(res.bound)):
+                    extraction = ExtractionResult(True, r.point, r.value, extraction.rank_ratio)
+                    break
         res.extraction = extraction
     return res
 
 
-def _perturbed_moment(f: Polynomial, res: SosResult) -> np.ndarray | None:
-    """Moment matrix of the bound of f + sum_i delta (i+1)/n x_i by the bound's
-    pipeline at res's scale alpha (None if it fails or finds no bound), delta =
-    eps_s alpha^(2d-1): f_s gains eps_s (i+1)/n x_i, eps_s = 1e-4 (1 + |lambda_s|)."""
-    n, two_d = res.vector.n, 2 * res.vector.d
-    delta = 1e-4 * (1.0 + abs(res.bound / res.alpha**two_d)) * res.alpha ** (two_d - 1)
-    g = sum((Polynomial.variable(n, i) * (delta * (i + 1) / n) for i in range(n)), f.to_float())
-    try:
-        return _sos_bound_at_scale(g, 0, res.alpha, two_d).moment_matrix
-    except SdpFailure:
-        return None
+def _mixture_points(moment: np.ndarray, vec: MonomialVector) -> list:
+    """The points a scaled moment matrix mixes, sorted (Henrion-Lasserre): its
+    eigenvectors Q of eigenvalue above RANK_TOL times the largest span the
+    points' monomial vectors, so over the monomials m of degree < d, T_k =
+    pinv(Q[m]) Q[x_k m] is x_k's multiplication matrix in some basis of them.
+    One eigenbasis U of sum (k+1) T_k diagonalizes every T_k, and the diagonals
+    of U^-1 T_k U are the points' coordinates (real parts)."""
+    w, v = np.linalg.eigh(moment)
+    Q = v[:, w > RANK_TOL * w[-1]]
+    low = vec.entries[:math.comb(vec.n + vec.d - 1, vec.n)]     # graded: degree < d
+    P = np.linalg.pinv(Q[:len(low)])
+    T = [P @ Q[[vec.index[monomial_mul(m, e)] for m in low]]
+         for e in np.eye(vec.n, dtype=int).tolist()]
+    U = np.linalg.eig(sum((k + 1) * Tk for k, Tk in enumerate(T)))[1]
+    return sorted(zip(*(np.diag(np.linalg.solve(U, Tk @ U)).real for Tk in T)))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ SEXTIC_FACTOR = [Fraction(c) for c in
 def test_criterion_01_running_example_sos():
     f = parse(SYMMETRIC_QUARTIC, 3)
     t0 = time.perf_counter()
-    res = minimize(f, extract=True)
+    res = minimize(f)
     elapsed = time.perf_counter() - t0
     assert abs(res.bound - EXPECTED_MIN) <= 1e-6
     assert res.extraction is not None and res.extraction.found

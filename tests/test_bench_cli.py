@@ -12,6 +12,7 @@ from polymin.bench import CSV_COLUMNS, BenchmarkPlan, run_benchmark
 from polymin.cli import main
 from polymin.poly import FamilyParams, Polynomial, parse, random_family_instance
 from polymin.refine import local_refine
+from polymin.sdp import SdpFailure, SdpStatus
 
 from conftest import SYMMETRIC_QUARTIC, permutations_match
 
@@ -132,6 +133,22 @@ class TestRunBenchmark:
         assert [r["agree"] for r in rep.rows] == [True] * 4
         assert rep.cells[0].agreement == 2 and rep.cells[0].skipped == 0
 
+    def test_failed_solve_is_recorded_not_raised(self, monkeypatch):
+        # an SOS solve that raises is a row and a named failure; the oracle
+        # still runs, and with no bound to compare the instance is skipped
+        def failing(f):
+            raise SdpFailure(SdpStatus.NUMERICAL_TROUBLE, "(test)")
+
+        monkeypatch.setattr(polymin.bench, "minimize", failing)
+        rep = run_benchmark(BenchmarkPlan(cells=[(2, 4)], instances=1, K_values=[10],
+                                          seed_base=3))
+        cell, seed = rep.cells[0], rep.rows[0]["seed"]
+        assert [(r["method"], r["status"]) for r in rep.rows] == [
+            ("sos", "error:SdpFailure"), ("eig-oracle", "ok")]
+        assert cell.failures == [{"seed": seed, "method": "sos",
+                                  "status": "error:SdpFailure"}]
+        assert cell.skipped == 1 and cell.agreement == cell.disagreement == 0
+
     def test_determinism(self):
         plan = BenchmarkPlan(cells=[(2, 4)], instances=3, K_values=[15],
                              seed_base=7)
@@ -152,6 +169,12 @@ class TestRunBenchmark:
         assert statuses == {"skipped_mu_cap"}
         # no vacuous agreement when the oracle was skipped
         assert cell.agreement == 0
+
+    def test_oracle_runs_at_the_cap(self):
+        # the cap is the family's mu, the oracle's own cap too
+        rep = run_benchmark(BenchmarkPlan(cells=[(2, 4)], instances=1, K_values=[10],
+                                          seed_base=3, mu_cap=9))
+        assert rep.rows[1]["status"] == "ok" and rep.cells[0].agreement == 1
 
     def test_csv_columns(self):
         plan = BenchmarkPlan(cells=[(1, 2)], instances=1, K_values=[3],

@@ -35,6 +35,7 @@ from polymin.sos import (
     SosProgram,
     SosResult,
     _certified_stop,
+    _mixture_points,
     _moment_upper,
     _multiplier_program,
     _within_stop_gap,
@@ -381,9 +382,10 @@ class TestExtractMinimizer:
         assert (ext is None or not ext.found
                 or ext.upper_bound - res.bound > 1e-3)
 
-    def test_two_minimizers_need_perturbation(self):
+    def test_two_minimizers_read_off_the_mixture(self):
         # the moment matrix converges to the rank-two mixture over the wells
-        # at -1 and 1; the objective perturbation isolates one of them
+        # at -1 and 1: its top eigenvector's point misses the bound, and
+        # minimize reads both wells off the same solve's moment matrix
         f = parse("x1^4-2*x1^2+1", 1)
         res = sos_lower_bound(f)
         direct = extract_minimizer(res.moment_matrix, res.vector, f, res.bound)
@@ -572,8 +574,9 @@ class TestOneResult:
     """``minimize``, ``sos_lower_bound`` and ``higher_degree_bound`` return one
     ``SosResult``; minimize's is the plain bound's with its extraction set."""
 
-    # the tied wells take minimize's perturbed re-solve, which must leave the
-    # returned bound and moment matrix as they were
+    # the tied wells' first point misses the bound, so minimize reads the
+    # mixture's points, which must leave the returned bound and moment matrix
+    # as they were
     @pytest.mark.parametrize("text", ["x1^4+x2^4-3*x1*x2+x1", "x1^4-2*x1^2+1"],
                              ids=["quartic", "tied-wells"])
     def test_minimize_returns_the_plain_bound(self, text):
@@ -809,12 +812,13 @@ class TestUnstoppedCertificate:
 
 class TestTieBreakingSolve:
     """When the moment matrix is not rank one and its polished point misses the
-    bound, minimize solves f plus a tiny linear form through the bound's own
-    pipeline, certified stop included."""
+    bound, minimize reads every point of the mixture off the same solve's
+    moment matrix and polishes them in turn; it solves no more than the bound
+    does."""
 
-    # wells at -1 and 1, minimum 0: minimize's first moment matrix mixes
-    # them, so it solves again; every lambda-program stops by
-    # sos._certified_stop
+    # wells at -1 and 1, minimum 0: minimize's 2 solves are the bound's own
+    # and sos._bound's re-solve of that small bound at its own scale; every
+    # lambda-program stops by sos._certified_stop
     @pytest.mark.parametrize("entry, solves", [
         (lambda f: minimize(f).extraction.found, 2),
         (lambda f: abs(higher_degree_bound(f, 1).bound) <= 1e-6, 1),
@@ -835,10 +839,11 @@ class TestTieBreakingSolve:
         assert all(stop is not None and stop.__module__ == "polymin.sos"
                    and stop.__qualname__ == "_certified_stop.<locals>.stop" for stop in stops)
 
-    # (3,6) 4300001, 4300007 and 4300011 lost their point when the re-solve
-    # ended at a certified iterate whose moment matrix was not yet a moment
-    # point (the ratio 1.8e-4 to 3e-4).  The sum over the permutations is the
-    # mean at a six times larger scale, which must not cost the point
+    # (3,6) 4300001, 4300007 and 4300011 lost their point when a re-solve of
+    # f plus a tiny linear form ended at a certified iterate whose moment
+    # matrix was not yet a moment point (the ratio 1.8e-4 to 3e-4).  The sum
+    # over the permutations is the mean at a six times larger scale, which
+    # must not cost the point
     @pytest.mark.parametrize("two_d, seed, summed", [
         pytest.param(two_d, seed, summed, id=f"{two_d}-{seed}" + ("-summed" if summed else ""))
         for summed in (False, True) for two_d, seed in [
@@ -858,6 +863,36 @@ class TestTieBreakingSolve:
         # value: the averaged (3,6) bounds here lie 0.6e-9 to 1.6e-9 relative
         # above f at the point
         assert Fraction(res.bound) <= f_at_point + Fraction(1e-8) * (1 + abs(f_at_point))
+
+    @pytest.mark.parametrize("f", [
+        parse("x1^4-2*x1^2+1", 1),
+        _symmetrized(random_family_instance(FamilyParams(3, 2, 100, seed=4300000)))],
+        ids=["tied-wells", "3-4-4300000"])
+    def test_minimize_solves_as_often_as_the_bound(self, monkeypatch, f):
+        solves, solve = [], polymin.sos.solve
+
+        def counting(problem, stop=None):
+            solves.append(problem)
+            return solve(problem, stop=stop)
+
+        monkeypatch.setattr(polymin.sos, "solve", counting)
+        assert sos_lower_bound(f).extraction is None
+        bound_solves = len(solves)
+        assert minimize(f).extraction.found
+        assert len(solves) == 2 * bound_solves
+
+    def test_mixture_points_are_the_oracles_minimizers(self):
+        # the orbit of three tied minimizers, read off the one solve before
+        # any polish
+        f = _symmetrized(random_family_instance(FamilyParams(3, 2, 100, seed=4300000)))
+        res = sos_lower_bound(f)
+        points = [res.alpha * np.array(x)
+                  for x in _mixture_points(res.solution.S_blocks[0], res.vector)]
+        want = minimize_by_eigenvalues(f).points
+        assert len(want) == 3 and len(points) == 3
+        close = [[np.all(np.abs(got - x) <= 1e-6 * (1 + np.abs(x))) for got in points]
+                 for x in want]
+        assert all(map(any, close)) and all(map(any, zip(*close)))
 
     def test_bound_leaves_the_proved_gram_on_the_record(self):
         f = random_family_instance(FamilyParams(6, 2, 100, seed=4000000))
